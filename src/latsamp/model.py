@@ -87,6 +87,16 @@ class PointwiseFunction:
         vals = self.evaluator(np.asarray(x, dtype=float))
         return np.asarray(vals)
 
+    def _on_partition(self, edges: np.ndarray, resolution: int):
+        """Values at a panel partition's edges and Gauss-Legendre nodes.
+
+        :func:`build_cache` fills every cache through this hook.  Functions
+        with spectral structure override it (trigonometric polynomials are
+        synthesised by FFT on the uniform cells of the partition).
+        """
+        gl_x = panel_gl_points(edges)
+        return self(edges), self(gl_x.ravel()).reshape(gl_x.shape)
+
     def derivative_order(self, r: int) -> "PointwiseFunction":
         """Return the r-th derivative, chaining :attr:`derivative` r times."""
         f = self
@@ -206,6 +216,26 @@ def _panel_edges(resolution: int, breakpoints) -> np.ndarray:
     return edges
 
 
+def panel_gl_points(edges: np.ndarray) -> np.ndarray:
+    """(M, 5) abscissae of the Gauss-Legendre nodes of the panels ``edges``."""
+    widths = np.diff(edges)
+    return edges[:-1, None] + 0.5 * widths[:, None] * (GL_NODES[None, :] + 1.0)
+
+
+def uniform_cells(edges: np.ndarray, resolution: int):
+    """Panels that are whole uniform cells ``[-pi + i*step, -pi + (i+1)*step]``.
+
+    Returns ``(panels, cells)``: panel ``panels[m]`` spans cell ``cells[m]``
+    of the ``resolution``-cell grid, ``step = 2*pi/resolution``.  The grid is
+    the ``linspace`` that :func:`_panel_edges` starts from, so edges compare
+    exactly; every other panel is graded toward a breakpoint or 0.
+    """
+    grid = np.linspace(-np.pi, np.pi, resolution + 1)
+    cells = np.minimum(np.searchsorted(grid, edges[:-1]), resolution - 1)
+    whole = (grid[cells] == edges[:-1]) & (grid[cells + 1] == edges[1:])
+    return np.flatnonzero(whole), cells[whole]
+
+
 @dataclass
 class DenseGridCache:
     """Function values and antiderivative on a breakpoint-aware panel partition.
@@ -248,9 +278,7 @@ class DenseGridCache:
 
     def gl_points(self) -> np.ndarray:
         """(M, 5) abscissae of the panel Gauss-Legendre nodes."""
-        a = self.edges[:-1, None]
-        w = self.widths[:, None]
-        return a + 0.5 * w * (GL_NODES[None, :] + 1.0)
+        return panel_gl_points(self.edges)
 
     def gl_weights(self) -> np.ndarray:
         return 0.5 * self.widths[:, None] * GL_WEIGHTS[None, :]
@@ -351,9 +379,7 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
             resolution = max(resolution, OVERSAMPLE * int(n_scale))
     edges = _panel_edges(resolution, fn.breakpoints)
     widths = np.diff(edges)
-    gl_x = edges[:-1, None] + 0.5 * widths[:, None] * (GL_NODES[None, :] + 1.0)
-    gl_values = fn(gl_x.ravel()).reshape(gl_x.shape)
-    edge_values = fn(edges)
+    edge_values, gl_values = fn._on_partition(edges, resolution)
     panel_int = np.sum(0.5 * widths[:, None] * GL_WEIGHTS[None, :] * gl_values, axis=1)
     prefix = np.concatenate([[0.0], np.cumsum(panel_int)])
     return DenseGridCache(

@@ -30,7 +30,7 @@ from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet,
 from .norms import NormSpec, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
 from .steklov import i_minus_a_pow, i_minus_a_pow_at
-from .trigpoly import TrigPoly, vp_mean
+from .trigpoly import TrigPoly, subtract_poly, vp_mean
 
 
 def default_width(n: int, gamma: Optional[float] = None) -> float:
@@ -163,13 +163,8 @@ def kfunc_vp(f, delta: float, s: int, spec: NormSpec,
         if cache is None:
             cache = build_cache(f, n_scale=2 * n)
         v = vp_mean(cache, n)
-        resid = norm(_residual(cache, v), spec)
+        resid = norm(subtract_poly(cache, v), spec)
     return float(resid + delta ** s * poly_norm(v.derivative(s), spec))
-
-
-def _residual(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
-    from .trigpoly import subtract_poly
-    return subtract_poly(cache, poly)
 
 
 @dataclass

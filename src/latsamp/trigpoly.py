@@ -5,9 +5,17 @@ A :class:`TrigPoly` stores coefficients ``c_k`` for ``k = -n..n`` and evaluates
 ``t_j = 2*pi*j/(2n+1)`` is an exact bijection onto polynomials of degree n (an
 FFT of odd length); higher frequencies alias down by ``k mod (2n+1)``.
 
+Polynomial <-> cache transforms run panel by panel.  Almost every panel of a
+cache is a uniform cell of width ``2*pi/R`` (``R`` the cache resolution), so
+its 5 Gauss-Legendre nodes lie on 5 shifted uniform grids of size ``R`` and
+its edges on a sixth.  Synthesis (values of a polynomial at the cache points)
+is one folded FFT per grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any
+degree; analysis (Fourier coefficients of a cache) is its adjoint.  Only the
+few panels graded toward breakpoints and 0 are summed directly.
+
 Window profiles ``phi`` live on ``[-1, 1]`` and act on coefficients as
 ``c_k -> phi(k/n) c_k``; their kernels ``sum phi(k/n) exp(ikx)`` are evaluated
-by direct summation.
+at arbitrary points by direct summation, as is :meth:`TrigPoly.at`.
 """
 
 from __future__ import annotations
@@ -17,11 +25,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import DenseGridCache, PointwiseFunction, build_cache
+from .model import (GL_NODES, TWO_PI, DenseGridCache, PointwiseFunction,
+                    build_cache, panel_gl_points, uniform_cells)
 
 MAX_DEGREE = 4096
 
 _EVAL_CHUNK = 8192
+
+# complex entries per block of a direct-sum matrix in cache analysis
+_ANALYSIS_BLOCK = 1 << 20
 
 
 @dataclass
@@ -67,21 +79,26 @@ class TrigPoly:
             out[lo:lo + _EVAL_CHUNK] = np.exp(1j * xc[:, None] * ks[None, :]) @ self.coeffs
         return out.reshape(shape)
 
-    def on_uniform_grid(self, m: int, start: float = -np.pi) -> np.ndarray:
-        """Values at ``start + 2*pi*j/m`` for ``j = 0..m-1`` via zero-padded FFT."""
-        n = self.degree
-        if m < 2 * n + 1:
-            raise ValueError("grid must oversample the degree")
+    def _fold(self, m: int, start: float) -> np.ndarray:
+        """Values at ``start + 2*pi*j/m``, ``j = 0..m-1``, by one folded FFT.
+
+        Frequencies fold onto the grid as ``k mod m``, which is exact at the
+        grid points for every degree.
+        """
         d = np.zeros(m, dtype=complex)
         ks = self.freqs
         np.add.at(d, np.mod(ks, m), self.coeffs * np.exp(1j * ks * start))
         return np.fft.ifft(d) * m
 
+    def on_uniform_grid(self, m: int, start: float = -np.pi) -> np.ndarray:
+        """Values at ``start + 2*pi*j/m`` for ``j = 0..m-1`` via zero-padded FFT."""
+        if m < 2 * self.degree + 1:
+            raise ValueError("grid must oversample the degree")
+        return self._fold(m, start)
+
     def sample_uniform(self, n_nodes: int) -> np.ndarray:
-        """Values at ``t_j = 2*pi*j/n_nodes`` (FFT when the grid resolves us)."""
-        if n_nodes >= 2 * self.degree + 1:
-            return self.on_uniform_grid(n_nodes, start=0.0)
-        return self.at(2 * np.pi * np.arange(n_nodes) / n_nodes)
+        """Values at ``t_j = 2*pi*j/n_nodes`` (folded FFT, any degree)."""
+        return self._fold(n_nodes, 0.0)
 
     # -- calculus ------------------------------------------------------------
 
@@ -90,10 +107,12 @@ class TrigPoly:
         return TrigPoly(self.coeffs * (1j * ks) ** int(order))
 
     def as_pointwise(self, label: Optional[str] = None) -> PointwiseFunction:
-        return PointwiseFunction(
+        """The polynomial as a function; caches of it are filled by synthesis."""
+        return _PolyFunction(
             label=label or f"trigpoly{self.degree}",
             evaluator=self.at,
             smoothness_hint=np.inf,
+            poly=self,
         )
 
     # -- arithmetic ----------------------------------------------------------
@@ -125,6 +144,16 @@ class TrigPoly:
         if m >= n:
             return TrigPoly(self.coeffs.copy())
         return TrigPoly(self.coeffs[n - m: n + m + 1])
+
+
+@dataclass(frozen=True)
+class _PolyFunction(PointwiseFunction):
+    """A polynomial's pointwise function; its caches come from :func:`_synthesize`."""
+
+    poly: Optional[TrigPoly] = field(default=None, compare=False, repr=False)
+
+    def _on_partition(self, edges: np.ndarray, resolution: int):
+        return _synthesize(self.poly, edges, resolution)
 
 
 def zero_poly(n: int = 0) -> TrigPoly:
@@ -218,11 +247,67 @@ def kernel_eval(window: Window, n: int, x) -> np.ndarray:
 Sourceable = Union[TrigPoly, DenseGridCache, PointwiseFunction]
 
 
-def _as_cache(source: Sourceable, n_scale: int) -> DenseGridCache:
+def _gl_starts(resolution: int) -> np.ndarray:
+    """Offsets from ``-pi`` of the 5 Gauss-Legendre grids of the uniform cells."""
+    return -np.pi + 0.5 * (TWO_PI / resolution) * (GL_NODES + 1.0)
+
+
+def _synthesize(poly: TrigPoly, edges: np.ndarray, resolution: int):
+    """Values of ``poly`` at a partition's edges and Gauss-Legendre nodes.
+
+    Uniform cells take their node values from 5 folded FFTs and their edge
+    values from a sixth; the graded panels are evaluated directly.  Returns
+    ``(edge_values, gl_values)`` shaped like a cache's.
+    """
+    panels, cells = uniform_cells(edges, resolution)
+    gl = np.empty((edges.size - 1, GL_NODES.size), dtype=complex)
+    for g, start in enumerate(_gl_starts(resolution)):
+        gl[panels, g] = poly._fold(resolution, start)[cells]
+    ev = np.empty(edges.size, dtype=complex)
+    grid = poly._fold(resolution, -np.pi)
+    ev[panels] = grid[cells]
+    ev[panels + 1] = grid[(cells + 1) % resolution]  # pi wraps to -pi
+    graded = np.ones(gl.shape[0], dtype=bool)
+    graded[panels] = False
+    loose = np.ones(edges.size, dtype=bool)
+    loose[panels] = loose[panels + 1] = False
+    gx = panel_gl_points(edges)[graded]
+    direct = poly.at(np.concatenate([edges[loose], gx.ravel()]))
+    n_loose = np.count_nonzero(loose)
+    ev[loose] = direct[:n_loose]
+    gl[graded] = direct[n_loose:].reshape(gx.shape)
+    return ev, gl
+
+
+def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
+    """``sum w * f * exp(-ikx)`` over a cache's quadrature nodes, ``|k| <= kmax``.
+
+    The adjoint of :func:`_synthesize`: the weighted values of the uniform
+    cells go through 5 FFTs of size ``R``, phase-shifted by
+    ``exp(-ik*start)`` (exact for every k, which folds as ``k mod R``); the
+    graded panels are summed directly.
+    """
+    ks = np.arange(-kmax, kmax + 1)
+    panels, cells = uniform_cells(cache.edges, cache.resolution)
+    wv = cache.gl_weights() * cache.gl_values
+    out = np.zeros(ks.size, dtype=complex)
+    u = np.zeros(cache.resolution, dtype=complex)
+    for g, start in enumerate(_gl_starts(cache.resolution)):
+        u[cells] = wv[panels, g]
+        out += np.exp(-1j * ks * start) * np.fft.fft(u)[np.mod(ks, cache.resolution)]
+    graded = np.ones(cache.panel_count, dtype=bool)
+    graded[panels] = False
+    gx = cache.gl_points()[graded].ravel()
+    gv = wv[graded].ravel()
+    block = max(1, _ANALYSIS_BLOCK // ks.size)
+    for lo in range(0, gx.size, block):
+        out += np.exp(-1j * np.outer(ks, gx[lo:lo + block])) @ gv[lo:lo + block]
+    return out
+
+
+def _as_cache(source: Union[DenseGridCache, PointwiseFunction], n_scale: int) -> DenseGridCache:
     if isinstance(source, DenseGridCache):
         return source
-    if isinstance(source, TrigPoly):
-        return build_cache(source.as_pointwise(), n_scale=max(n_scale, source.degree))
     return build_cache(source, n_scale=n_scale)
 
 
@@ -230,8 +315,9 @@ def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> 
     """``(1/2pi) int f(x) exp(-ikx) dx`` for ``k = -kmax..kmax``.
 
     For caches the integral runs over the stored Gauss-Legendre panels, so
-    declared jumps and cusps do not degrade accuracy.  The cache must resolve
-    the requested band: resolution >= ``oversample * kmax``.
+    declared jumps and cusps do not degrade accuracy: the uniform cells by
+    5 FFTs of size ``R``, the graded panels by a direct sum.  The cache must
+    resolve the requested band: resolution >= ``oversample * kmax``.
     """
     if isinstance(source, TrigPoly):
         n = source.degree
@@ -244,19 +330,7 @@ def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> 
         raise ValueError(
             f"cache resolution {cache.resolution} too coarse for |k| <= {kmax} "
             f"(need >= {oversample * kmax})")
-    gx = cache.gl_points().ravel()
-    gw = cache.gl_weights().ravel()
-    gv = cache.gl_values.ravel() * gw
-    ks = np.arange(-kmax, kmax + 1)
-    out = np.empty(ks.size, dtype=complex)
-    for lo in range(0, ks.size, 512):
-        kc = ks[lo:lo + 512]
-        acc = np.zeros(kc.size, dtype=complex)
-        for plo in range(0, gx.size, 16384):
-            sl = slice(plo, plo + 16384)
-            acc += np.exp(-1j * np.outer(kc, gx[sl])) @ gv[sl]
-        out[lo:lo + 512] = acc
-    return out / (2.0 * np.pi)
+    return _analyze_cache(cache, kmax) / (2.0 * np.pi)
 
 
 def partial_sum(source: Sourceable, m: int) -> TrigPoly:
@@ -269,10 +343,13 @@ def partial_sum(source: Sourceable, m: int) -> TrigPoly:
 
 
 def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
-    """Residual ``f - T`` as a derived cache on f's partition."""
-    edge = cache.edge_values - poly.at(cache.edges)
-    gl = cache.gl_values - poly.at(cache.gl_points().ravel()).reshape(cache.gl_values.shape)
-    return cache.spawn(edge, gl)
+    """Residual ``f - T`` as a derived cache on f's partition.
+
+    ``T`` is synthesised on the partition: folded FFTs on the uniform cells,
+    direct evaluation on the graded panels.
+    """
+    edge, gl = _synthesize(poly, cache.edges, cache.resolution)
+    return cache.spawn(cache.edge_values - edge, cache.gl_values - gl)
 
 
 def vp_mean(source: Sourceable, n: int) -> TrigPoly:

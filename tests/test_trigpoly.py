@@ -247,3 +247,137 @@ def test_subtract_poly_residual():
 def test_analyze_rejects_even_counts():
     with pytest.raises(ValueError):
         analyze(np.ones(8))
+
+
+# ----------------------------------------------------------------------------
+# Panel-FFT transforms against direct sums
+# ----------------------------------------------------------------------------
+
+_REF_CHUNK = 4096
+
+
+def direct_synthesis(poly, x):
+    """Reference ``sum c_k exp(ikx)`` at the points x, summed term by term."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    for lo in range(0, flat.size, _REF_CHUNK):
+        xc = flat[lo:lo + _REF_CHUNK]
+        out[lo:lo + _REF_CHUNK] = np.exp(1j * np.outer(xc, poly.freqs)) @ poly.coeffs
+    return out.reshape(x.shape)
+
+
+def direct_analysis(cache, kmax):
+    """Reference ``(1/2pi) sum w f exp(-ikx)`` over every cache node."""
+    ks = np.arange(-kmax, kmax + 1)
+    gx = cache.gl_points().ravel()
+    gv = (cache.gl_weights() * cache.gl_values).ravel()
+    out = np.zeros(ks.size, dtype=complex)
+    for lo in range(0, gx.size, _REF_CHUNK):
+        out += np.exp(-1j * np.outer(ks, gx[lo:lo + _REF_CHUNK])) @ gv[lo:lo + _REF_CHUNK]
+    return out / (2 * np.pi)
+
+
+def rel_dev(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _rotated_sawtooth():
+    """Sawtooth with its jump moved to 0.3, which is not a grid edge."""
+    saw = corpus()["sawtooth"]
+    return ls.PointwiseFunction("sawtooth_0.3", lambda x: saw(np.asarray(x) - 0.3),
+                                breakpoints=(0.3,))
+
+
+def _transform_caches():
+    fns = corpus()
+    caches = {}
+    for label in ("square", "sawtooth"):
+        for res in (1024, 4096):
+            caches[f"{label}@{res}"] = build_cache(fns[label], resolution=res)
+    caches["rotated@4096"] = build_cache(_rotated_sawtooth(), resolution=4096)
+    refined = ls.ensure_window_resolution(build_cache(fns["square"], resolution=1024), 0.03)
+    assert refined.resolution == 16384
+    caches["square@16384"] = refined
+    base = caches["sawtooth@1024"]
+    caches["spawned@1024"] = base.spawn(base.edge_values ** 2 + 1j, base.gl_values ** 2 + 1j)
+    return caches
+
+
+TRANSFORM_CACHES = _transform_caches()
+
+
+def test_transform_caches_mix_uniform_and_graded_panels():
+    for cache in TRANSFORM_CACHES.values():
+        panels, _cells = ls.model.uniform_cells(cache.edges, cache.resolution)
+        assert 0 < panels.size < cache.panel_count
+        # only the few cells graded toward a breakpoint or 0 are split
+        assert panels.size >= cache.resolution - 16
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CACHES))
+@pytest.mark.parametrize("degree", [3, 40])
+def test_subtract_poly_matches_direct_sum(name, degree):
+    cache = TRANSFORM_CACHES[name]
+    p = random_poly(degree, np.random.default_rng(degree))
+    resid = subtract_poly(cache, p)
+    edge = direct_synthesis(p, cache.edges)
+    gl = direct_synthesis(p, cache.gl_points())
+    assert rel_dev(cache.edge_values - resid.edge_values, edge) <= 1e-12
+    assert rel_dev(cache.gl_values - resid.gl_values, gl) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CACHES))
+def test_fourier_coefficients_match_direct_sum(name):
+    cache = TRANSFORM_CACHES[name]
+    kmax = 50
+    assert rel_dev(fourier_coefficients(cache, kmax), direct_analysis(cache, kmax)) <= 1e-12
+
+
+def test_polynomial_cache_is_synthesised_exactly():
+    p = random_poly(30, np.random.default_rng(40))
+    cache = build_cache(p.as_pointwise(), resolution=1024)
+    assert rel_dev(cache.edge_values, direct_synthesis(p, cache.edges)) <= 1e-12
+    assert rel_dev(cache.gl_values, direct_synthesis(p, cache.gl_points())) <= 1e-12
+
+
+def test_synthesis_folds_degrees_above_the_grid():
+    """2*deg+1 > R: the folded FFT stays exact at the cache points."""
+    cache = TRANSFORM_CACHES["square@1024"]
+    p = random_poly(600, np.random.default_rng(41))
+    assert 2 * p.degree + 1 > cache.resolution
+    resid = subtract_poly(cache, p)
+    assert rel_dev(cache.gl_values - resid.gl_values,
+                   direct_synthesis(p, cache.gl_points())) <= 1e-12
+    assert rel_dev(cache.edge_values - resid.edge_values,
+                   direct_synthesis(p, cache.edges)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec_id", ["wlp:2:-0.5", "wlp:1.5:0.3", "orlicz:llogl"])
+def test_poly_norm_matches_direct_cache(spec_id):
+    spec = ls.parse_spec(spec_id)
+    p = random_poly(20, np.random.default_rng(42), real=True)
+    direct = ls.PointwiseFunction("direct", lambda x: direct_synthesis(p, x))
+    want = ls.norm(build_cache(direct, resolution=1024), spec)
+    assert abs(ls.poly_norm(p, spec) - want) <= 1e-12 * want
+
+
+def test_analysis_is_adjoint_of_synthesis():
+    """sum w conj(T) v == 2 pi sum conj(c_k) v_k over the cache quadrature."""
+    rng = np.random.default_rng(43)
+    base = TRANSFORM_CACHES["rotated@4096"]
+    v = base.spawn(rng.standard_normal(base.edges.size),
+                   rng.standard_normal(base.gl_values.shape)
+                   + 1j * rng.standard_normal(base.gl_values.shape))
+    p = random_poly(60, rng)
+    synth = v.gl_values - subtract_poly(v, p).gl_values
+    lhs = np.sum(v.gl_weights() * np.conj(synth) * v.gl_values)
+    rhs = 2 * np.pi * np.sum(np.conj(p.coeffs) * fourier_coefficients(v, p.degree))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_sample_uniform_folds_when_under_resolved():
+    p = random_poly(9, np.random.default_rng(44))
+    m = 7
+    t = 2 * np.pi * np.arange(m) / m
+    assert rel_dev(p.sample_uniform(m), direct_synthesis(p, t)) <= 1e-12
