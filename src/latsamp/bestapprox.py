@@ -84,6 +84,35 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     return BestApprox(poly, value, "refined")
 
 
+def _gl_norm(vals, gw, wvals, spec: NormSpec, mag: np.ndarray) -> float:
+    """Norm of values on a cache's Gauss-Legendre nodes (weights ``gw``).
+
+    The Lebesgue and weighted branches work in ``mag`` (float, shaped like
+    ``vals``) and allocate nothing; ``wvals`` is the weight at the nodes.
+    """
+    if spec.kind == "orlicz":
+        a = np.abs(vals)
+        amax = a.max(initial=0.0)
+        if amax == 0.0:
+            return 0.0
+        return luxemburg(lambda lam: float(np.sum(gw * spec.young(a / lam)) / TWO_PI),
+                         scale=amax)
+    np.abs(vals, out=mag)
+    np.power(mag, spec.p, out=mag)
+    np.multiply(gw, mag, out=mag)
+    if spec.kind == "weighted":
+        np.multiply(mag, wvals, out=mag)
+    return float((np.sum(mag) / TWO_PI) ** (1.0 / spec.p))
+
+
+def _shifted_norm(resid, b, d: float, gw, wvals, spec: NormSpec,
+                  work: np.ndarray, mag: np.ndarray) -> float:
+    """``||resid - d*b||`` on the nodes, computed in the buffers ``work`` and ``mag``."""
+    np.multiply(b, d, out=work)
+    np.subtract(resid, work, out=work)
+    return _gl_norm(work, gw, wvals, spec, mag)
+
+
 def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
                         max_sweeps: int = 200, rel_tol: float = 1e-6):
     """Polish coefficients one (complex) degree of freedom at a time."""
@@ -94,27 +123,18 @@ def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
     gx = base.gl_points()
     gw = base.gl_weights()
     fvals = base.gl_values
-    if spec.kind == "weighted":
-        wvals = spec.weight(gx)
-
-    def gl_norm(vals):
-        a = np.abs(vals)
-        if spec.kind == "lebesgue":
-            return float((np.sum(gw * a ** spec.p) / TWO_PI) ** (1.0 / spec.p))
-        if spec.kind == "weighted":
-            return float((np.sum(gw * a ** spec.p * wvals) / TWO_PI) ** (1.0 / spec.p))
-        amax = a.max(initial=0.0)
-        if amax == 0.0:
-            return 0.0
-        return luxemburg(lambda lam: float(np.sum(gw * spec.young(a / lam)) / TWO_PI),
-                         scale=amax)
+    wvals = spec.weight(gx) if spec.kind == "weighted" else None
 
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     m = start.degree
     coeffs[n - m:n + m + 1] = start.coeffs
     ks = np.arange(-n, n + 1)
-    resid = fvals - TrigPoly(coeffs).at(gx.ravel()).reshape(gx.shape)
-    value = gl_norm(resid)
+    resid = fvals - TrigPoly(coeffs).at(gx)
+    # the objective runs thousands of times; a fresh temporary of this size
+    # would be an mmap and its page faults on every call
+    work = np.empty(resid.shape, dtype=complex)
+    mag = np.empty(resid.shape)
+    value = _gl_norm(resid, gw, wvals, spec, mag)
     for _ in range(max_sweeps):
         previous = value
         for idx, k in enumerate(ks):
@@ -123,7 +143,7 @@ def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
                 b = direction * basis
 
                 def objective(d):
-                    return gl_norm(resid - d * b)
+                    return _shifted_norm(resid, b, d, gw, wvals, spec, work, mag)
 
                 res = minimize_scalar(objective, bracket=(-1.0, 0.0, 1.0))
                 if res.fun < value:

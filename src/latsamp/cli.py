@@ -37,7 +37,7 @@ from .model import corpus
 from .norms import parse_spec
 from .operators import parse_operator
 
-OP_CHOICES = "lagrange|fejer|br:<alpha>|wks|linefejer"
+OP_CHOICES = "lagrange|fejer|br:<alpha>"
 SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl|orlicz:power:<p>"
 
 # every config-file key with its parser; thresholds live here, not in harness code
@@ -205,6 +205,9 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         cfg["op_obj"] = parse_operator(str(cfg["op"]))
     except ValueError as ex:
         raise UsageError(str(ex))
+    if not cfg["op_obj"].is_periodic:
+        raise UsageError(f"--op {cfg['op_obj'].op_id} is a line-sampling operator; "
+                         f"the subcommands take {OP_CHOICES}")
     if "functions" in cfg:
         available = corpus()
         picked = {}

@@ -5,17 +5,23 @@ A :class:`TrigPoly` stores coefficients ``c_k`` for ``k = -n..n`` and evaluates
 ``t_j = 2*pi*j/(2n+1)`` is an exact bijection onto polynomials of degree n (an
 FFT of odd length); higher frequencies alias down by ``k mod (2n+1)``.
 
+Values at arbitrary points come from one evaluator, :func:`_horner`: Horner's
+rule in ``z = exp(ix)``, split at ``k = 0`` so term k carries an O(|k| eps)
+error, as ``exp(ikx)`` does, in O(points) memory.  Its adjoint
+:func:`_power_sums` gives ``sum_j v_j exp(-ik x_j)`` the same way.
+:meth:`TrigPoly.at` and :func:`kernel_eval` are one call to the first.
+
 Polynomial <-> cache transforms run panel by panel.  Almost every panel of a
 cache is a uniform cell of width ``2*pi/R`` (``R`` the cache resolution), so
 its 5 Gauss-Legendre nodes lie on 5 shifted uniform grids of size ``R`` and
 its edges on a sixth.  Synthesis (values of a polynomial at the cache points)
 is one folded FFT per grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any
-degree; analysis (Fourier coefficients of a cache) is its adjoint.  Only the
-few panels graded toward breakpoints and 0 are summed directly.
+degree; analysis (Fourier coefficients of a cache) is its adjoint.  The few
+panels graded toward breakpoints and 0 go through :func:`_horner` and
+:func:`_power_sums`.
 
 Window profiles ``phi`` live on ``[-1, 1]`` and act on coefficients as
-``c_k -> phi(k/n) c_k``; their kernels ``sum phi(k/n) exp(ikx)`` are evaluated
-at arbitrary points by direct summation, as is :meth:`TrigPoly.at`.
+``c_k -> phi(k/n) c_k``; their kernels are ``sum phi(k/n) exp(ikx)``.
 """
 
 from __future__ import annotations
@@ -30,10 +36,44 @@ from .model import (GL_NODES, TWO_PI, DenseGridCache, PointwiseFunction,
 
 MAX_DEGREE = 4096
 
-_EVAL_CHUNK = 8192
 
-# complex entries per block of a direct-sum matrix in cache analysis
-_ANALYSIS_BLOCK = 1 << 20
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """``sum_{|k|<=n} c_k exp(ikx)`` at points ``x``; ``coeffs`` runs k = -n..n.
+
+    With ``z = exp(ix)`` the sum is ``c_0 + z P(z) + conj(z) Q(conj(z))``, and
+    ``P`` (positive frequencies) and ``Q`` (negative) each take one Horner pass
+    of n steps.  Splitting at k = 0 keeps the error of term k at O(|k| eps);
+    one pass over ``z^(k+n)`` would give every term O(n eps).
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.exp(1j * x.ravel())
+    n = (coeffs.size - 1) // 2
+    out = np.full(z.shape, coeffs[n], dtype=complex)
+    for w, tail in ((z, coeffs[:n:-1]), (z.conj(), coeffs[:n])):
+        p = np.zeros(z.shape, dtype=complex)
+        for c in tail.tolist():
+            p += c
+            p *= w
+        out += p
+    return out.reshape(x.shape)
+
+
+def _power_sums(x: np.ndarray, v: np.ndarray, kmax: int) -> np.ndarray:
+    """``sum_j v_j exp(-ik x_j)`` for ``k = -kmax..kmax``: the adjoint of :func:`_horner`.
+
+    Starts at k = 0 with ``p = v`` and steps outward, multiplying by
+    ``conj(z)`` for ``k = 1..kmax`` and by ``z`` for ``k = -1..-kmax``, so
+    sum k carries an O(|k| eps) error.
+    """
+    z = np.exp(1j * x)
+    out = np.empty(2 * kmax + 1, dtype=complex)
+    out[kmax] = np.sum(v)
+    for w, sign in ((z.conj(), 1), (z, -1)):
+        p = np.array(v, dtype=complex)
+        for k in range(1, kmax + 1):
+            p *= w
+            out[kmax + sign * k] = np.sum(p)
+    return out
 
 
 @dataclass
@@ -68,16 +108,8 @@ class TrigPoly:
     # -- evaluation ----------------------------------------------------------
 
     def at(self, x) -> np.ndarray:
-        """Evaluate at arbitrary points (chunked basis matmul)."""
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        xf = np.atleast_1d(x).ravel()
-        ks = self.freqs
-        out = np.empty(xf.size, dtype=complex)
-        for lo in range(0, xf.size, _EVAL_CHUNK):
-            xc = xf[lo:lo + _EVAL_CHUNK]
-            out[lo:lo + _EVAL_CHUNK] = np.exp(1j * xc[:, None] * ks[None, :]) @ self.coeffs
-        return out.reshape(shape)
+        """Evaluate at arbitrary points, shaped like ``x`` (:func:`_horner`)."""
+        return _horner(self.coeffs, x)
 
     def _fold(self, m: int, start: float) -> np.ndarray:
         """Values at ``start + 2*pi*j/m``, ``j = 0..m-1``, by one folded FFT.
@@ -227,17 +259,8 @@ def apply_window(poly: TrigPoly, window: Window, n: int) -> TrigPoly:
 
 
 def kernel_eval(window: Window, n: int, x) -> np.ndarray:
-    """Kernel values ``sum_{|k|<=n} phi(k/n) exp(ikx)`` by direct summation."""
-    ks = np.arange(-n, n + 1)
-    weights = window(ks / n)
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    xf = np.atleast_1d(x).ravel()
-    out = np.empty(xf.size, dtype=complex)
-    for lo in range(0, xf.size, _EVAL_CHUNK):
-        xc = xf[lo:lo + _EVAL_CHUNK]
-        out[lo:lo + _EVAL_CHUNK] = np.exp(1j * xc[:, None] * ks[None, :]) @ weights.astype(complex)
-    return out.reshape(shape)
+    """Kernel values ``sum_{|k|<=n} phi(k/n) exp(ikx)``, shaped like ``x``."""
+    return _horner(window(np.arange(-n, n + 1) / n).astype(complex), x)
 
 
 # ----------------------------------------------------------------------------
@@ -256,8 +279,8 @@ def _synthesize(poly: TrigPoly, edges: np.ndarray, resolution: int):
     """Values of ``poly`` at a partition's edges and Gauss-Legendre nodes.
 
     Uniform cells take their node values from 5 folded FFTs and their edge
-    values from a sixth; the graded panels are evaluated directly.  Returns
-    ``(edge_values, gl_values)`` shaped like a cache's.
+    values from a sixth; the graded panels go through :meth:`TrigPoly.at`.
+    Returns ``(edge_values, gl_values)`` shaped like a cache's.
     """
     panels, cells = uniform_cells(edges, resolution)
     gl = np.empty((edges.size - 1, GL_NODES.size), dtype=complex)
@@ -285,7 +308,7 @@ def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
     The adjoint of :func:`_synthesize`: the weighted values of the uniform
     cells go through 5 FFTs of size ``R``, phase-shifted by
     ``exp(-ik*start)`` (exact for every k, which folds as ``k mod R``); the
-    graded panels are summed directly.
+    graded panels go through :func:`_power_sums`.
     """
     ks = np.arange(-kmax, kmax + 1)
     panels, cells = uniform_cells(cache.edges, cache.resolution)
@@ -297,12 +320,7 @@ def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
         out += np.exp(-1j * ks * start) * np.fft.fft(u)[np.mod(ks, cache.resolution)]
     graded = np.ones(cache.panel_count, dtype=bool)
     graded[panels] = False
-    gx = cache.gl_points()[graded].ravel()
-    gv = wv[graded].ravel()
-    block = max(1, _ANALYSIS_BLOCK // ks.size)
-    for lo in range(0, gx.size, block):
-        out += np.exp(-1j * np.outer(ks, gx[lo:lo + block])) @ gv[lo:lo + block]
-    return out
+    return out + _power_sums(cache.gl_points()[graded].ravel(), wv[graded].ravel(), kmax)
 
 
 def _as_cache(source: Union[DenseGridCache, PointwiseFunction], n_scale: int) -> DenseGridCache:
@@ -316,8 +334,8 @@ def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> 
 
     For caches the integral runs over the stored Gauss-Legendre panels, so
     declared jumps and cusps do not degrade accuracy: the uniform cells by
-    5 FFTs of size ``R``, the graded panels by a direct sum.  The cache must
-    resolve the requested band: resolution >= ``oversample * kmax``.
+    5 FFTs of size ``R``, the graded panels by :func:`_power_sums`.  The cache
+    must resolve the requested band: resolution >= ``oversample * kmax``.
     """
     if isinstance(source, TrigPoly):
         n = source.degree
@@ -346,7 +364,7 @@ def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
     """Residual ``f - T`` as a derived cache on f's partition.
 
     ``T`` is synthesised on the partition: folded FFTs on the uniform cells,
-    direct evaluation on the graded panels.
+    :func:`_horner` on the graded panels.
     """
     edge, gl = _synthesize(poly, cache.edges, cache.resolution)
     return cache.spawn(cache.edge_values - edge, cache.gl_values - gl)

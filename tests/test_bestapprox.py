@@ -16,7 +16,8 @@ from latsamp import (
     poly_norm,
     vp_mean,
 )
-from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID
+from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID, _shifted_norm
+from latsamp.model import TWO_PI
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -92,6 +93,26 @@ def test_refined_never_worse_than_start():
         ref = best_approx(f, 6, spec, method="refined")
         print(spec.id, "auto:", base.value, "refined:", ref.value)
         assert ref.value <= base.value + 1e-12
+
+
+@pytest.mark.parametrize("spec_id", ["l1", "l2", "lp:1.5", "wlp:2:-0.5"])
+def test_descent_objective_matches_allocating_form(spec_id):
+    """The buffered objective is bit-identical to the expression it replaced."""
+    spec = parse_spec(spec_id)
+    cache = build_cache(C["square"], n_scale=12)
+    gx, gw = cache.gl_points(), cache.gl_weights()
+    wvals = spec.weight(gx) if spec.kind == "weighted" else None
+    resid = cache.gl_values - vp_mean(cache, 3).at(gx)
+    b = 1j * np.exp(4j * gx)
+    work = np.empty(resid.shape, dtype=complex)
+    mag = np.empty(resid.shape)
+    for d in np.linspace(-1.3, 1.1, 25):
+        a = np.abs(resid - d * b)
+        if wvals is None:
+            want = float((np.sum(gw * a ** spec.p) / TWO_PI) ** (1.0 / spec.p))
+        else:
+            want = float((np.sum(gw * a ** spec.p * wvals) / TWO_PI) ** (1.0 / spec.p))
+        assert _shifted_norm(resid, b, d, gw, wvals, spec, work, mag) == want
 
 
 def test_best_approx_methods_and_validation():

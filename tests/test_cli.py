@@ -56,6 +56,15 @@ def test_bad_arguments_exit_one(tmp_path, args, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("op", ["wks", "linefejer"])
+def test_line_operator_is_usage_error(tmp_path, op, capsys):
+    out = tmp_path / "o"
+    assert run(["counterexample", "--seed", "5", "--n", "4,8", "--op", op,
+                "--out", str(out)]) == 1
+    assert "line-sampling" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     assert run(["probe", "--seed", "1", "--wibble", "2"]) == 1
 

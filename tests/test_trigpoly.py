@@ -1,5 +1,7 @@
 """Spectral layer: TrigPoly, windows, sampling analysis, Fourier quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -381,3 +383,82 @@ def test_sample_uniform_folds_when_under_resolved():
     m = 7
     t = 2 * np.pi * np.arange(m) / m
     assert rel_dev(p.sample_uniform(m), direct_synthesis(p, t)) <= 1e-12
+
+
+# ----------------------------------------------------------------------------
+# Horner evaluator and its adjoint against oracles
+# ----------------------------------------------------------------------------
+
+
+def mp_synthesis(poly, x):
+    """``sum c_k exp(ikx)`` in 30-digit mpmath arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        terms = [(k, mpmath.mpc(complex(c))) for k, c in zip(poly.freqs.tolist(), poly.coeffs)]
+        return np.array([complex(mpmath.fsum(c * mpmath.expj(k * mpmath.mpf(xi))
+                                             for k, c in terms))
+                         for xi in np.asarray(x, dtype=float).tolist()])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 64, 1024, ls.trigpoly.MAX_DEGREE])
+def test_at_matches_mpmath_sum(degree):
+    rng = np.random.default_rng(degree)
+    p = random_poly(degree, rng)
+    x = np.concatenate([rng.uniform(-np.pi, np.pi, 8), [np.pi, -np.pi, np.pi - 1e-9]])
+    err = np.max(np.abs(p.at(x) - mp_synthesis(p, x)))
+    assert err <= 1e-14 * np.sum(np.abs(p.coeffs))
+
+
+def test_fejer_kernel_matches_closed_form_near_zero():
+    """``(1/n) (sin(nx/2) / sin(x/2))^2`` at n = 4096, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 4096
+    x = np.array([1e-7, -1e-7, 1e-3, 0.25, 2.0, np.pi])
+    with mpmath.workdps(30):
+        want = np.array([float((mpmath.sin(n * mpmath.mpf(xi) / 2)
+                                / mpmath.sin(mpmath.mpf(xi) / 2)) ** 2 / n)
+                         for xi in x.tolist()])
+    got = kernel_eval(fejer_window(), n, x)
+    assert np.max(np.abs(got - want)) <= 1e-14 * n
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 64])
+def test_power_sums_match_exp_sum(kmax):
+    rng = np.random.default_rng(kmax + 50)
+    x = rng.uniform(-np.pi, np.pi, 300)
+    v = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    want = np.exp(-1j * np.outer(np.arange(-kmax, kmax + 1), x)) @ v
+    got = ls.trigpoly._power_sums(x, v, kmax)
+    assert got.shape == (2 * kmax + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(v))
+
+
+def test_at_keeps_the_shape_of_its_argument():
+    p = random_poly(3, np.random.default_rng(51))
+    x = np.linspace(-3, 3, 12).reshape(3, 4)
+    assert p.at(x).shape == (3, 4)
+    assert_allclose(p.at(x), direct_synthesis(p, x), atol=1e-13)
+    assert p.at(0.5).shape == ()
+    assert kernel_eval(fejer_window(), 5, x).shape == (3, 4)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_is_linear_in_points():
+    """No points-by-frequencies matrix: 8192 points at degree 512."""
+    p = random_poly(512, np.random.default_rng(52))
+    x = np.random.default_rng(53).uniform(-np.pi, np.pi, 8192)
+    assert _peak_mb(lambda: p.at(x)) <= 4.0
+    assert _peak_mb(lambda: kernel_eval(fejer_window(), 512, x)) <= 4.0
+
+
+def test_cache_analysis_memory_is_linear_in_points():
+    cache = build_cache(corpus()["square"], resolution=8192)
+    assert _peak_mb(lambda: fourier_coefficients(cache, 1024)) <= 4.0
