@@ -23,7 +23,8 @@ from scipy.optimize import linprog, minimize_scalar
 
 from .model import (TWO_PI, DenseGridCache, PointwiseFunction, build_cache,
                     wrap_angle)
-from .norms import NormSpec, dilation_norm, luxemburg, norm, poly_norm
+from .norms import (NormSpec, _cache_mass, _measure_norm, dilation_norm, norm,
+                    poly_norm)
 from .trigpoly import (MAX_DEGREE, TrigPoly, fourier_coefficients,
                        subtract_poly, vp_mean)
 
@@ -84,35 +85,6 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     return BestApprox(poly, value, "refined")
 
 
-def _gl_norm(vals, gw, wvals, spec: NormSpec, mag: np.ndarray) -> float:
-    """Norm of values on a cache's Gauss-Legendre nodes (weights ``gw``).
-
-    The Lebesgue and weighted branches work in ``mag`` (float, shaped like
-    ``vals``) and allocate nothing; ``wvals`` is the weight at the nodes.
-    """
-    if spec.kind == "orlicz":
-        a = np.abs(vals)
-        amax = a.max(initial=0.0)
-        if amax == 0.0:
-            return 0.0
-        return luxemburg(lambda lam: float(np.sum(gw * spec.young(a / lam)) / TWO_PI),
-                         scale=amax)
-    np.abs(vals, out=mag)
-    np.power(mag, spec.p, out=mag)
-    np.multiply(gw, mag, out=mag)
-    if spec.kind == "weighted":
-        np.multiply(mag, wvals, out=mag)
-    return float((np.sum(mag) / TWO_PI) ** (1.0 / spec.p))
-
-
-def _shifted_norm(resid, b, d: float, gw, wvals, spec: NormSpec,
-                  work: np.ndarray, mag: np.ndarray) -> float:
-    """``||resid - d*b||`` on the nodes, computed in the buffers ``work`` and ``mag``."""
-    np.multiply(b, d, out=work)
-    np.subtract(resid, work, out=work)
-    return _gl_norm(work, gw, wvals, spec, mag)
-
-
 def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
                         max_sweeps: int = 200, rel_tol: float = 1e-6):
     """Polish coefficients one (complex) degree of freedom at a time."""
@@ -121,20 +93,18 @@ def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
     else:
         base = cache
     gx = base.gl_points()
-    gw = base.gl_weights()
-    fvals = base.gl_values
-    wvals = spec.weight(gx) if spec.kind == "weighted" else None
+    mass = _cache_mass(base, spec)
 
     coeffs = np.zeros(2 * n + 1, dtype=complex)
     m = start.degree
     coeffs[n - m:n + m + 1] = start.coeffs
     ks = np.arange(-n, n + 1)
-    resid = fvals - TrigPoly(coeffs).at(gx)
+    resid = base.gl_values - TrigPoly(coeffs).at(gx)
     # the objective runs thousands of times; a fresh temporary of this size
     # would be an mmap and its page faults on every call
     work = np.empty(resid.shape, dtype=complex)
     mag = np.empty(resid.shape)
-    value = _gl_norm(resid, gw, wvals, spec, mag)
+    value = _measure_norm(np.abs(resid, out=mag), mass, spec)
     for _ in range(max_sweeps):
         previous = value
         for idx, k in enumerate(ks):
@@ -143,7 +113,10 @@ def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
                 b = direction * basis
 
                 def objective(d):
-                    return _shifted_norm(resid, b, d, gw, wvals, spec, work, mag)
+                    """``||resid - d*b||`` on the nodes, in the buffers ``work`` and ``mag``."""
+                    np.multiply(b, d, out=work)
+                    np.subtract(resid, work, out=work)
+                    return _measure_norm(np.abs(work, out=mag), mass, spec)
 
                 res = minimize_scalar(objective, bracket=(-1.0, 0.0, 1.0))
                 if res.fun < value:

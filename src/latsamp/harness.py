@@ -32,7 +32,7 @@ from .bestapprox import besov_sum, one_sided_best
 from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction,
                     build_cache, ensure_window_resolution, make_jittered_nodes,
                     make_uniform_nodes)
-from .norms import NormSpec, discrete_seminorm, luxemburg, poly_norm
+from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
 from .operators import (OperatorSpec, approx_error, parse_operator,
                         quasi_interp)
 from .smoothness import (default_width, kfunc_vp, realization,
@@ -388,15 +388,14 @@ def smooth_bump(u):
     return out
 
 
-def _bump_integral(transform: Callable[[np.ndarray], np.ndarray]) -> float:
-    """``int_{-1/2}^{1/2} transform(bump(u)) du`` by composite Gauss-Legendre."""
+def _bump_quadrature():
+    """``bump(u)`` at composite Gauss-Legendre nodes on [-1/2, 1/2], and the weights."""
     edges = np.linspace(-0.5, 0.5, _BUMP_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * GL_NODES[None, :]
-    vals = transform(smooth_bump(pts.ravel())).reshape(pts.shape)
-    return float(np.sum(half[:, None] * GL_WEIGHTS[None, :] * vals))
+    return smooth_bump(pts), half[:, None] * GL_WEIGHTS[None, :]
 
 
 def bump_train(n: int, k0: int, width: float) -> PointwiseFunction:
@@ -460,13 +459,9 @@ def counterexample_run(n_range: Sequence[int], p: float = 2.0,
         g = apply_window(analyze(samples), op.window, n)
         coeff_max = float(np.max(np.abs(g.coeffs)))
         disc = discrete_seminorm(np.abs(samples), nodes, spec)
-        mass = m * width / TWO_PI
-        if spec.kind == "lebesgue":
-            cont = (mass * _bump_integral(lambda v: v ** spec.p)) ** (1.0 / spec.p)
-        else:
-            cont = luxemburg(
-                lambda lam: mass * _bump_integral(lambda v: spec.young(v / lam)),
-                scale=1.0)
+        # m bumps of width ``width``: u = (x - t_j)/width scales dx to width du
+        bump, weights = _bump_quadrature()
+        cont = _measure_norm(bump, m * width * weights, spec)
         ratio = disc / cont if cont > 0 else np.inf
         return {"n": n, "width": width, "continuous_error": cont,
                 "discrete_error": disc, "ratio": ratio, "coeff_max": coeff_max}

@@ -3,13 +3,19 @@
 All continuous norms use the normalized measure ``dx/2pi``, so the constant 1
 has norm 1 in every Lebesgue space.  The weighted spaces carry the weight
 ``|2 sin(x/2)|^beta`` with ``-1 < beta < p - 1`` (singular or degenerate at
-``x = 0``); Orlicz norms are Luxemburg norms computed by bisection.
+``x = 0``).  Orlicz norms are Luxemburg norms: ``t log(1+t)`` by bisection,
+the power function ``t^p`` as the Lebesgue norm it equals.
+
+Norms run through one kernel, ``_measure_norm(|f|, mass, spec)``, on a
+measure: the Gauss-Legendre nodes of a cache, the cells of a node set, or any
+quadrature a caller supplies; only the Lebesgue norm of a polynomial is a mean
+over an FFT grid (:func:`poly_norm`).  Weighted masses come from the closed
+form of the weight's integral over a cell, an incomplete beta function.
 
 The discrete seminorm of a function over a node set is the norm of the step
 function ``sum_k |f(x_k)| chi_[x_k, x_{k+1})``.  Step-function norms are exact
-closed forms (weight cells are integrated with graded panels near 0), never
-generic quadrature — this keeps them an independent route from the continuous
-quadrature norms they are compared against.
+closed forms, never generic quadrature — this keeps them an independent route
+from the continuous quadrature norms they are compared against.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import beta as beta_fn, betainc
 
-from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet,
-                    PointwiseFunction, build_cache)
+from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
+                    build_cache)
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -159,60 +166,83 @@ def luxemburg(modular, scale: float, iters: int = 60) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Weight integrals over intervals (closed-form backbone of the step norms)
+# The norm kernel and the measures it runs on
 # ----------------------------------------------------------------------------
 
-_W_GRADE_FLOOR = 1e-10
-_W_PER_DECADE = 40
 
+def _measure_norm(a: np.ndarray, measure, spec: NormSpec) -> float:
+    """``||f||_X`` from ``a = |f|`` at points carrying mass ``measure``.
 
-def _weight_piece(a: float, b: float, beta: float) -> float:
-    """integral of |2 sin(x/2)|^beta over [a, b], 0 not interior to (a, b)."""
-    if b <= a:
-        return 0.0
-    sliver = 0.0
-    # grade toward an endpoint sitting at the weight singularity; the last
-    # sliver [0, floor] carries the closed-form mass eps^(beta+1)/(beta+1)
-    # (the weight is |x|^beta there to within O(eps^2) relative error)
-    edges = [np.linspace(a, b, 9)]
-    for endpoint, sign in ((a, +1.0), (b, -1.0)):
-        if endpoint == 0.0 and beta != 0.0:
-            length = b - a
-            floor = min(_W_GRADE_FLOOR, 0.5 * length)
-            num = int(np.ceil(_W_PER_DECADE * np.log10(length / floor)))
-            edges.append(endpoint + sign * np.geomspace(floor, length, num=max(num, 2)))
-            sliver += floor ** (beta + 1.0) / (beta + 1.0)
-            cut = floor
-    e = np.unique(np.concatenate(edges))
-    e = e[(e >= a) & (e <= b)]
-    if sliver:
-        e = e[np.abs(e) >= 0.5 * cut]  # drop edges inside the analytic sliver
-    widths = np.diff(e)
-    x = e[:-1, None] + 0.5 * widths[:, None] * (GL_NODES[None, :] + 1.0)
-    w = 0.5 * widths[:, None] * GL_WEIGHTS[None, :]
-    return float(np.sum(w * np.abs(2.0 * np.sin(0.5 * x)) ** beta) + sliver)
+    ``measure`` is the mass of each value: Gauss-Legendre weights, cell
+    widths, weighted cell or node masses.  Lebesgue, weighted and power
+    Orlicz norms (the Luxemburg norm of ``t^p`` is the ``L^p`` norm) are
+    ``(sum a^p measure / 2pi)^(1/p)``, computed in place in ``a``; the
+    ``t log(1+t)`` Orlicz norm is a Luxemburg bisection.  ``a`` is
+    overwritten.
+    """
+    if spec.phi == "llogl":
+        amax = a.max(initial=0.0)
+        if amax == 0.0:
+            return 0.0
+        return luxemburg(lambda lam: float(np.sum(measure * spec.young(a / lam)) / TWO_PI),
+                         scale=amax)
+    np.power(a, spec.p, out=a)
+    np.multiply(a, measure, out=a)
+    return float((np.sum(a) / TWO_PI) ** (1.0 / spec.p))
 
 
 def weight_cell_integrals(lefts: np.ndarray, widths: np.ndarray, beta: float) -> np.ndarray:
-    """integral of the weight over each circle cell [x_k, x_k + width_k)."""
-    out = np.empty(lefts.size)
-    for i, (a, wd) in enumerate(zip(lefts, widths)):
-        b = a + wd
-        pieces = []
-        # unwrap past pi
-        if b > np.pi:
-            pieces.append((a, np.pi))
-            pieces.append((-np.pi, b - TWO_PI))
-        else:
-            pieces.append((a, b))
-        total = 0.0
-        for pa, pb in pieces:
-            if pa < 0.0 < pb:
-                total += _weight_piece(pa, 0.0, beta) + _weight_piece(0.0, pb, beta)
-            else:
-                total += _weight_piece(pa, pb, beta)
-        out[i] = total
-    return out
+    """Integral of the weight ``|2 sin(x/2)|^beta`` over each cell ``[x_k, x_k + width_k)``.
+
+    Closed form (DLMF 8.17): for ``0 <= a <= pi``,
+    ``int_0^a |2 sin(x/2)|^beta dx = 2^beta B(sin^2(a/2); (beta+1)/2, 1/2)``.
+    Each cell is cut at the multiples of pi and every piece is reflected into
+    ``[0, pi]`` (the weight is even and 2pi-periodic).  A piece ``[c, d]``
+    with ``c >= pi/2`` is taken as ``int_c^pi - int_d^pi`` through the
+    complement ``int_c^pi = 2^beta B(cos^2(c/2); 1/2, (beta+1)/2)``, so
+    cells at or across ``+-pi`` do not cancel.
+    """
+    a = np.asarray(lefts, dtype=float)
+    b = a + np.asarray(widths, dtype=float)
+    # a cell spans at most three half periods [k pi, (k+1) pi]; empty pieces
+    # clip to one point and contribute exactly 0
+    k = np.floor(a / np.pi) + np.arange(3)[:, None]
+    lo = k * np.pi
+    hi = lo + np.pi
+    c, d = np.clip(a, lo, hi), np.clip(b, lo, hi)
+    odd = k % 2 == 1
+    u = np.where(odd, hi - d, c - lo)
+    v = np.where(odd, hi - c, d - lo)
+    s = 0.5 * (beta + 1.0)
+    far = u >= 0.5 * np.pi
+    near = ~far
+    piece = np.empty_like(u)
+    piece[far] = (betainc(0.5, s, np.cos(0.5 * u[far]) ** 2)
+                  - betainc(0.5, s, np.cos(0.5 * v[far]) ** 2))
+    piece[near] = (betainc(s, 0.5, np.sin(0.5 * v[near]) ** 2)
+                   - betainc(s, 0.5, np.sin(0.5 * u[near]) ** 2))
+    return 2.0 ** beta * beta_fn(s, 0.5) * piece.sum(axis=0)
+
+
+def _cache_mass(cache: DenseGridCache, spec: NormSpec) -> np.ndarray:
+    """Mass of each Gauss-Legendre node of a cache: ``dx``, or ``w dx`` when weighted.
+
+    Gauss-Legendre loses digits on the weight over a panel lying closer to
+    its singularity at 0 than eight panel widths (two widths away it is
+    1.2e-10 off at beta = -0.9).  Such panels carry their exact weight
+    integral, split among their nodes in proportion to the Gauss-Legendre
+    masses.
+    """
+    gw = cache.gl_weights()
+    if spec.kind != "weighted":
+        return gw
+    mass = gw * spec.weight(cache.gl_points())
+    if spec.beta != 0.0:
+        lo, hi, widths = cache.edges[:-1], cache.edges[1:], cache.widths
+        near = 8.0 * widths > np.minimum(np.abs(lo), np.abs(hi))
+        exact = weight_cell_integrals(lo[near], widths[near], spec.beta)
+        mass[near] *= (exact / mass[near].sum(axis=1))[:, None]
+    return mass
 
 
 # ----------------------------------------------------------------------------
@@ -247,73 +277,25 @@ class StepFunction:
         return cls(lefts=nodes.nodes, widths=nodes.gaps(), values=values)
 
 
-def _step_norm(sf: StepFunction, spec: NormSpec) -> float:
-    v = np.abs(sf.values).astype(float)
-    if spec.kind == "lebesgue":
-        return float((np.sum(v ** spec.p * sf.widths) / TWO_PI) ** (1.0 / spec.p))
-    if spec.kind == "weighted":
-        cells = weight_cell_integrals(sf.lefts, sf.widths, spec.beta)
-        return float((np.sum(v ** spec.p * cells) / TWO_PI) ** (1.0 / spec.p))
-    # orlicz
-    vmax = v.max(initial=0.0)
-    if vmax == 0.0:
-        return 0.0
-
-    def modular(lam):
-        return float(np.sum(spec.young(v / lam) * sf.widths) / TWO_PI)
-
-    return luxemburg(modular, scale=vmax)
-
-
 # ----------------------------------------------------------------------------
-# Continuous norms
+# Norms of the package's types
 # ----------------------------------------------------------------------------
-
-
-def _field_norm(cache: DenseGridCache, spec: NormSpec) -> float:
-    v = np.abs(cache.gl_values)
-    gw = cache.gl_weights()
-    if spec.kind == "lebesgue":
-        return float((np.sum(gw * v ** spec.p) / TWO_PI) ** (1.0 / spec.p))
-    if spec.kind == "weighted":
-        w = spec.weight(cache.gl_points())
-        panel = np.sum(gw * v ** spec.p * w, axis=1)
-        if spec.beta < 0.0:
-            # panels abutting the weight singularity: Gauss-Legendre misses the
-            # |x|^beta mass; swap in the closed form eps^(beta+1)/(beta+1)
-            j0 = int(np.searchsorted(cache.edges, 0.0))
-            if j0 < cache.edges.size and cache.edges[j0] == 0.0:
-                for j in (j0 - 1, j0):
-                    if 0 <= j < cache.panel_count:
-                        eps = cache.edges[j + 1] - cache.edges[j]
-                        if eps <= 1e-8:
-                            vp = float(np.mean(v[j] ** spec.p))
-                            panel[j] = vp * eps ** (spec.beta + 1.0) / (spec.beta + 1.0)
-        return float((np.sum(panel) / TWO_PI) ** (1.0 / spec.p))
-    vmax = v.max(initial=0.0)
-    if vmax == 0.0:
-        return 0.0
-
-    def modular(lam):
-        return float(np.sum(gw * spec.young(v / lam)) / TWO_PI)
-
-    return luxemburg(modular, scale=vmax)
 
 
 def poly_norm(poly: TrigPoly, spec: NormSpec, oversample: int = 32) -> float:
     """Norm of a trigonometric polynomial.
 
-    Plain Lebesgue norms use the uniform rectangle rule on an oversampled FFT
-    grid (exact for even integer p once the grid resolves ``p * degree``);
-    weighted and Orlicz norms go through the graded panel cache.
+    Plain Lebesgue norms (and power Orlicz norms, which equal them) use the
+    uniform rectangle rule on an oversampled FFT grid (exact for even integer
+    p once the grid resolves ``p * degree``); weighted and ``t log(1+t)``
+    Orlicz norms go through the graded panel cache.
     """
     deg = max(poly.degree, 1)
-    if spec.kind == "lebesgue":
+    if spec.kind == "lebesgue" or spec.phi == "power":
         m = max(1024, oversample * deg)
         vals = np.abs(poly.on_uniform_grid(m))
         return float(np.mean(vals ** spec.p) ** (1.0 / spec.p))
-    cache = build_cache(poly.as_pointwise(), resolution=max(1024, 16 * deg))
-    return _field_norm(cache, spec)
+    return norm(build_cache(poly.as_pointwise(), resolution=max(1024, 16 * deg)), spec)
 
 
 Normable = Union[StepFunction, DenseGridCache, TrigPoly, PointwiseFunction]
@@ -328,13 +310,15 @@ def norm(obj: Normable, spec: NormSpec, resolution: Optional[int] = None,
     first (at ``resolution`` / ``n_scale``, see :func:`build_cache`).
     """
     if isinstance(obj, StepFunction):
-        return _step_norm(obj, spec)
-    if isinstance(obj, DenseGridCache):
-        return _field_norm(obj, spec)
+        mass = (weight_cell_integrals(obj.lefts, obj.widths, spec.beta)
+                if spec.kind == "weighted" else obj.widths)
+        return _measure_norm(np.abs(obj.values).astype(float), mass, spec)
     if isinstance(obj, TrigPoly):
         return poly_norm(obj, spec)
     if isinstance(obj, PointwiseFunction):
-        return _field_norm(build_cache(obj, resolution=resolution, n_scale=n_scale), spec)
+        obj = build_cache(obj, resolution=resolution, n_scale=n_scale)
+    if isinstance(obj, DenseGridCache):
+        return _measure_norm(np.abs(obj.gl_values), _cache_mass(obj, spec), spec)
     raise TypeError(f"cannot take a norm of {type(obj).__name__}")
 
 
@@ -352,7 +336,7 @@ def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
         values = np.asarray(f)
         if values.size != nodes.count:
             raise ValueError("value array must match the node count")
-    return _step_norm(StepFunction.from_nodes(values, nodes), spec)
+    return norm(StepFunction.from_nodes(values, nodes), spec)
 
 
 # ----------------------------------------------------------------------------
@@ -444,8 +428,8 @@ def steklov_bound_probe(spec: NormSpec, trials: int = 24, seed: int = 0,
             worst = max(worst, num / den)
         for f in rough:
             cache = build_cache(f, resolution=2048)
-            den = _field_norm(cache, spec)
-            num = _field_norm(apply_average(cache, h), spec)
+            den = norm(cache, spec)
+            num = norm(apply_average(cache, h), spec)
             worst = max(worst, num / den)
         per_h[float(h)] = worst
     return SteklovBoundReport(

@@ -27,7 +27,7 @@ import numpy as np
 from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet,
                     PointwiseFunction, _panel_edges, build_cache,
                     make_uniform_nodes)
-from .norms import NormSpec, discrete_seminorm, norm, poly_norm
+from .norms import NormSpec, _measure_norm, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
 from .steklov import i_minus_a_pow, i_minus_a_pow_at
 from .trigpoly import TrigPoly, subtract_poly, vp_mean
@@ -93,7 +93,7 @@ def _difference_norm(f: PointwiseFunction, r: int, h: float, spec: NormSpec,
     diff = np.zeros_like(gx, dtype=complex)
     for nu in range(r + 1):
         diff += ((-1.0) ** nu) * comb(r, nu) * f(gx + (r - nu) * h)
-    return float((np.sum(gw * np.abs(diff) ** spec.p) / TWO_PI) ** (1.0 / spec.p))
+    return _measure_norm(np.abs(diff), gw, spec)
 
 
 def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,

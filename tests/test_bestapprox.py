@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import OptimizeResult
 
 from latsamp import (
     TrigPoly,
@@ -11,13 +12,17 @@ from latsamp import (
     build_cache,
     corpus,
     lemder_check,
+    norm,
     one_sided_best,
     parse_spec,
     poly_norm,
+    subtract_poly,
     vp_mean,
 )
-from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID, _shifted_norm
+from latsamp import bestapprox
+from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID
 from latsamp.model import TWO_PI
+from latsamp.norms import _cache_mass
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -96,23 +101,43 @@ def test_refined_never_worse_than_start():
 
 
 @pytest.mark.parametrize("spec_id", ["l1", "l2", "lp:1.5", "wlp:2:-0.5"])
-def test_descent_objective_matches_allocating_form(spec_id):
-    """The buffered objective is bit-identical to the expression it replaced."""
+def test_descent_objective_matches_allocating_form(spec_id, monkeypatch):
+    """The buffered descent objective is bit-identical to the allocating
+    expression ``(sum |resid - d*b|^p * mass / 2pi)^(1/p)``, on every
+    coordinate of a sweep."""
     spec = parse_spec(spec_id)
     cache = build_cache(C["square"], n_scale=12)
-    gx, gw = cache.gl_points(), cache.gl_weights()
-    wvals = spec.weight(gx) if spec.kind == "weighted" else None
-    resid = cache.gl_values - vp_mean(cache, 3).at(gx)
-    b = 1j * np.exp(4j * gx)
-    work = np.empty(resid.shape, dtype=complex)
-    mag = np.empty(resid.shape)
-    for d in np.linspace(-1.3, 1.1, 25):
-        a = np.abs(resid - d * b)
-        if wvals is None:
-            want = float((np.sum(gw * a ** spec.p) / TWO_PI) ** (1.0 / spec.p))
-        else:
-            want = float((np.sum(gw * a ** spec.p * wvals) / TWO_PI) ** (1.0 / spec.p))
-        assert _shifted_norm(resid, b, d, gw, wvals, spec, work, mag) == want
+    gx = cache.gl_points()
+    mass = _cache_mass(cache, spec)
+    start = vp_mean(cache, 3)
+    n = start.degree
+    resid = cache.gl_values - start.at(gx)
+    ks = np.arange(-n, n + 1)
+    seen = []
+
+    def probe(objective, bracket):
+        k, direction = ks[len(seen) // 2], (1.0, 1.0j)[len(seen) % 2]
+        b = direction * np.exp(1j * k * gx)
+        for d in np.linspace(-1.3, 1.1, 25):
+            a = np.abs(resid - d * b)
+            want = float((np.sum(a ** spec.p * mass) / TWO_PI) ** (1.0 / spec.p))
+            assert objective(d) == want
+        seen.append(k)
+        return OptimizeResult(fun=np.inf, x=0.0)  # no step: resid stays put
+
+    monkeypatch.setattr(bestapprox, "minimize_scalar", probe)
+    bestapprox._coordinate_descent(C["square"], cache, start, spec, n)
+    assert len(seen) == 2 * ks.size
+
+
+def test_refined_value_is_the_norm_of_its_residual():
+    """The descent minimizes the norm ``norm`` reports, weight included."""
+    f = C["square"]
+    spec = parse_spec("wlp:2:-0.5")
+    cache = build_cache(f, n_scale=8)
+    res = best_approx(f, 4, spec, method="refined", cache=cache)
+    assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
+    assert res.value <= best_approx(f, 4, spec, method="vp", cache=cache).value
 
 
 def test_best_approx_methods_and_validation():

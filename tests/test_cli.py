@@ -177,6 +177,25 @@ def test_counterexample_command(tmp_path):
     np.testing.assert_allclose(disc, 1.0, atol=1e-9)
 
 
+def test_counterexample_names_the_window_that_ran(tmp_path):
+    """The Dirichlet window does not vanish at the band edge, so ``--op
+    lagrange`` runs the Fejer window; the summary says so."""
+    outs = {}
+    for op in ("lagrange", "fejer"):
+        out = tmp_path / op
+        assert run(["counterexample", "--seed", "7", "--n", "8,16", "--op", op,
+                    "--out", str(out)]) == 0
+        outs[op] = out
+    csvs = [(outs[op] / "counterexample_7.csv").read_bytes() for op in outs]
+    assert csvs[0] == csvs[1]
+    summary = read_summary(outs["lagrange"])
+    assert summary["config"]["op"] == "lagrange"
+    note = {a["name"]: a.get("note", "") for a in summary["assertions"]}
+    assert "window fejer ran in place of lagrange" in note["annihilated_coefficients"]
+    fejer = {a["name"]: a.get("note", "") for a in read_summary(outs["fejer"])["assertions"]}
+    assert fejer["annihilated_coefficients"] == "window fejer"
+
+
 def test_onesided_command(tmp_path):
     cfgfile = tmp_path / "os.cfg"
     cfgfile.write_text("functions = square,sine\nbesov_cap = 32\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 import latsamp as ls
@@ -14,6 +15,7 @@ from latsamp import (
     dilation_norm,
     dilation_norm_info,
     discrete_seminorm,
+    make_jittered_nodes,
     make_uniform_nodes,
     norm,
     parse_spec,
@@ -214,6 +216,89 @@ def test_weight_cell_integrals_partition():
     want = 2 * np.sqrt(2) * 2 * wallis  # int_{-pi}^{pi} |2 sin(x/2)|^{1/2} dx
     assert_allclose(cells.sum(), want, rtol=1e-9)
     assert np.all(cells >= 0)
+
+
+def _weight_antiderivative(mpmath, x, beta):
+    """``int_0^x |2 sin(t/2)|^beta dt`` for real x, by the incomplete beta
+    function in mpmath (the weight is even and 2pi-periodic)."""
+    s, half = (beta + 1) / 2, mpmath.mpf(1) / 2
+    scale = mpmath.power(2, beta)
+    to_pi = scale * mpmath.beta(s, half)
+    turns = mpmath.floor((x + mpmath.pi) / (2 * mpmath.pi))
+    y = x - 2 * mpmath.pi * turns
+    sign, y = mpmath.sign(y), abs(y)
+    if y <= mpmath.pi / 2:
+        inner = scale * mpmath.betainc(s, half, 0, mpmath.sin(y / 2) ** 2)
+    else:
+        inner = to_pi - scale * mpmath.betainc(half, s, 0, mpmath.cos(y / 2) ** 2)
+    return 2 * to_pi * turns + sign * inner
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.5, 1.5])
+def test_weight_cell_integrals_match_mpmath(beta):
+    """Every node cell, uniform and jittered, n up to 4096, against 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        for n in (1, 8, 64, 512, 4096):
+            for nodes in (make_uniform_nodes(n), make_jittered_nodes(n, 0.4, 7)):
+                x = nodes.nodes
+                ends = [mpmath.mpf(v) for v in x] + [mpmath.mpf(x[0]) + 2 * mpmath.pi]
+                prim = [_weight_antiderivative(mpmath, e, b) for e in ends]
+                want = np.array([float(hi - lo) for lo, hi in zip(prim, prim[1:])])
+                got = weight_cell_integrals(x, nodes.gaps(), beta)
+                worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    print(f"beta={beta}: worst relative error {worst:.2e}")
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("left,width,beta", [
+    (0.1, 1.9, -0.9),          # near the singularity, beta close to -1
+    (-0.5, 4.0, -0.5),         # across 0 and pi: three half-period pieces
+    (-np.pi, 2 * np.pi, 0.5),  # the whole circle as one cell
+])
+def test_weight_cell_integrals_single_cells(left, width, beta):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b, lo = mpmath.mpf(beta), mpmath.mpf(left)
+        want = float(_weight_antiderivative(mpmath, lo + mpmath.mpf(width), b)
+                     - _weight_antiderivative(mpmath, lo, b))
+    got = weight_cell_integrals(np.array([left]), np.array([width]), beta)[0]
+    assert_allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.5])
+def test_weighted_constant_closed_form_on_both_routes(beta):
+    """``||1||`` in wlp:2:beta is ``(2^beta B((beta+1)/2, 1/2) / pi)^(1/2)``
+    through the cache route and the step route alike."""
+    spec = NormSpec("weighted", p=2.0, beta=beta)
+    want = (2.0 ** beta * beta_fn((beta + 1) / 2, 0.5) / np.pi) ** 0.5
+    one = ls.PointwiseFunction("one", lambda x: np.ones_like(np.asarray(x, float)))
+    assert_allclose(norm(one, spec), want, rtol=1e-12)
+    for nodes in (make_uniform_nodes(16), make_jittered_nodes(16, 0.4, 7)):
+        assert_allclose(discrete_seminorm(np.ones(nodes.count), nodes, spec), want,
+                        rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_orlicz_power_is_lebesgue_on_every_route(p, monkeypatch):
+    """The Luxemburg norm of ``t^p`` is the ``L^p`` norm: step, cache and
+    polynomial routes give the same number, with no bisection."""
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("power Orlicz norm ran the Luxemburg bisection")
+
+    monkeypatch.setattr(ls.norms, "luxemburg", no_bisection)
+    lebesgue, orlicz = NormSpec("lebesgue", p), NormSpec("orlicz", p=p, phi="power")
+    f = corpus()["cusp05"]
+    nodes = make_jittered_nodes(8, 0.4, 7)
+    cache = ls.build_cache(f, resolution=1024)
+    rng = np.random.default_rng(8)
+    poly = TrigPoly(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    for route in (lambda spec: discrete_seminorm(f, nodes, spec),
+                  lambda spec: norm(cache, spec),
+                  lambda spec: poly_norm(poly, spec)):
+        assert_allclose(route(orlicz), route(lebesgue), rtol=1e-15)
 
 
 # ----------------------------------------------------------------------------
