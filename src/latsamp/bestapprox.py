@@ -2,7 +2,10 @@
 dilation-weighted tail sums.
 
 * ``best_approx`` -- exact L2 projection; otherwise a de la Vallee Poussin
-  near-best of degree <= n, optionally polished by coordinate descent.
+  near-best of degree <= n, optionally refined to the exact discrete best
+  approximation: an active-set LP with a duality-gap certificate for L1
+  norms of real samples, reweighted least squares with exact line searches
+  for every other norm.
 * ``one_sided_best`` -- the pair ``q <= f <= Q`` of degree-n polynomials with
   minimal discretized L1 gap, solved as a linear program on a dense grid
   (scipy HiGHS); reports feasibility and duality gaps.
@@ -19,17 +22,31 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_toeplitz
 from scipy.optimize import linprog, minimize_scalar
 
 from .model import (TWO_PI, DenseGridCache, PointwiseFunction, build_cache,
                     wrap_angle)
 from .norms import (NormSpec, _cache_mass, _measure_norm, dilation_norm, norm,
                     poly_norm)
-from .trigpoly import (MAX_DEGREE, TrigPoly, fourier_coefficients,
-                       subtract_poly, vp_mean)
+from .trigpoly import (MAX_DEGREE, TrigPoly, _horner, _power_sums,
+                       fourier_coefficients, subtract_poly, vp_mean)
 
 LP_MAX_DEGREE = 32
 LP_MAX_GRID = 2048
+
+# the L1 IRLS start stops below this relative decrease; the first LP has
+# this many free nodes per unknown
+L1_START_TOL = 1e-6
+LP_START_COLUMNS = 16
+# duality gap accepted, relative to sum m |f| / 2pi; at HiGHS's default
+# feasibility tolerances (1e-7) the gap can stay near 1e-10
+GAP_TOL = 1e-12
+LP_TOL = 1e-10
+IRLS_MAX_STEPS = 100
+IRLS_TOL = 1e-14
+# weights m |r|^(p-2) see |r| no smaller than this share of max |r|
+IRLS_FLOOR = 1e-9
 
 
 @dataclass
@@ -37,6 +54,7 @@ class BestApprox:
     poly: TrigPoly
     value: float
     method: str
+    gap: float = np.nan
 
 
 def _resid_norm(f, cache: Optional[DenseGridCache], poly: TrigPoly, spec: NormSpec) -> float:
@@ -51,8 +69,10 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
 
     In L2 the Fourier partial sum is the exact minimizer.  Elsewhere the
     detrended de la Vallee Poussin mean ``V_{floor(n/2)}`` (degree <= n) is a
-    near-best start; ``method='refined'`` runs coordinate descent on the
-    coefficients (small problems only).
+    near-best start; ``method='refined'`` minimizes the norm of the residual
+    on the cache's quadrature nodes from that start: an active-set linear
+    program for L1 norms of real samples (:func:`_l1_active_set`),
+    iteratively reweighted least squares otherwise (:func:`_irls`).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -71,61 +91,153 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     if method == "projection" and not exact_l2:
         raise ValueError("projection is exact only in L2")
     if (method in ("auto", "projection")) and exact_l2:
-        poly = TrigPoly(fourier_coefficients(source, n)) if n >= 0 else None
+        poly = TrigPoly(fourier_coefficients(source, n))
         return BestApprox(poly, _resid_norm(f, cache, poly, spec), "projection")
 
     if n >= 2:
         poly = vp_mean(source, n // 2)
     else:
         poly = TrigPoly(fourier_coefficients(source, n))
-    value = _resid_norm(f, cache, poly, spec)
     if method != "refined":
-        return BestApprox(poly, value, "vp")
-    poly, value = _coordinate_descent(f, cache, poly.truncate(n), spec, n)
-    return BestApprox(poly, value, "refined")
-
-
-def _coordinate_descent(f, cache, start: TrigPoly, spec: NormSpec, n: int,
-                        max_sweeps: int = 200, rel_tol: float = 1e-6):
-    """Polish coefficients one (complex) degree of freedom at a time."""
+        return BestApprox(poly, _resid_norm(f, cache, poly, spec), "vp")
     if isinstance(f, TrigPoly):
-        base = build_cache(f.as_pointwise(), resolution=max(512, 16 * max(n, f.degree)))
+        cache = build_cache(f.as_pointwise(), resolution=max(512, 16 * max(n, f.degree)))
+    poly = TrigPoly(fourier_coefficients(poly, n))
+    mass = _cache_mass(cache, spec)
+    if spec.p == 1.0 and not np.any(np.imag(cache.gl_values)):
+        poly, value, gap = _l1_active_set(cache, mass, poly, spec)
     else:
-        base = cache
-    gx = base.gl_points()
-    mass = _cache_mass(base, spec)
+        poly, value, gap = _irls(cache, mass, poly, spec)
+    return BestApprox(poly, value, "refined", gap)
 
-    coeffs = np.zeros(2 * n + 1, dtype=complex)
-    m = start.degree
-    coeffs[n - m:n + m + 1] = start.coeffs
-    ks = np.arange(-n, n + 1)
-    resid = base.gl_values - TrigPoly(coeffs).at(gx)
-    # the objective runs thousands of times; a fresh temporary of this size
-    # would be an mmap and its page faults on every call
+
+def _wls_step(x: np.ndarray, w: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients ``d_k``, ``|k| <= n``, minimizing ``sum w |r - sum d_k exp(ikx)|^2``.
+
+    The normal matrix is Hermitian Toeplitz, ``G[k, l] = sum w exp(-i(k-l)x)``,
+    so one :func:`_power_sums` pass of order 2n gives all of it.
+    """
+    s = _power_sums(x, w, 2 * n)
+    return solve_toeplitz((s[2 * n:], s[2 * n::-1]), _power_sums(x, w * r, n))
+
+
+def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
+                   spec: NormSpec):
+    """Exact discrete L1 best approximation of real samples, by its dual LP.
+
+    ``min_a sum m |f - T_a|`` has the dual ``max sum u f`` subject to
+    ``sum u_j phi(x_j) = 0`` for every real basis function ``phi`` and
+    ``|u_j| <= m_j``; at the optimum ``u_j = m_j sign(r_j)`` wherever the
+    residual ``r`` is not 0.  IRLS steps on L1 smoothed below the k-th
+    smallest ``|r|`` place the sign changes of the start.  Only the k nodes
+    with the smallest ``|r|`` stay free in the LP; the rest are fixed at
+    ``m_j sign(r_j)``.  The LP's equality multipliers are the real
+    coefficients of ``T``, and ``(sum m |r| - sum u f) / 2pi`` is the
+    duality gap of the full problem.  k starts at :data:`LP_START_COLUMNS`
+    per unknown and doubles while the LP is infeasible or the gap exceeds
+    :data:`GAP_TOL` of ``sum m |f| / 2pi``; k = all nodes is the full LP.
+    Returns ``(poly, value, gap)``.
+    """
+    n = poly.degree
+    x, m = cache.gl_points().ravel(), mass.ravel()
+    k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
+    poly = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL)[0]
+    f = cache.gl_values.real.ravel()
+    tol = GAP_TOL * float(np.sum(m * np.abs(f))) / TWO_PI
+    r = subtract_poly(cache, poly).gl_values.real.ravel()
+    while True:
+        free = np.argpartition(np.abs(r), k - 1)[:k]
+        u = m * np.sign(r)
+        u[free] = 0.0
+        # sum u exp(-ijx) = sum u cos(jx) - i sum u sin(jx): the fixed nodes'
+        # sums against the real basis 1, cos x, sin x, cos 2x, ...
+        s = _power_sums(x, u, n)[n:]
+        fixed = np.delete(np.column_stack([s.real, -s.imag]).ravel(), 1)
+        res = linprog(-f[free], A_eq=_real_basis_matrix(x[free], n).T, b_eq=-fixed,
+                      bounds=np.column_stack([-m[free], m[free]]), method="highs",
+                      options={"primal_feasibility_tolerance": LP_TOL,
+                               "dual_feasibility_tolerance": LP_TOL})
+        if res.status == 0:
+            u[free] = res.x
+            poly = _real_coeffs_to_poly(-res.eqlin.marginals, n)
+            resid = subtract_poly(cache, poly).gl_values
+            value = _measure_norm(np.abs(resid), mass, spec)
+            gap = value - float(np.sum(u * f)) / TWO_PI
+            if gap <= tol or k == x.size:
+                return poly, value, gap
+        elif res.status != 2 or k == x.size:
+            raise ArithmeticError(f"L1 best-approximation LP failed: {res.message}")
+        k = min(2 * k, x.size)
+
+
+def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpec,
+          floor_rank: int = 0, tol: float = IRLS_TOL):
+    """Minimize ``||f - T||`` over complex coefficients by reweighted least squares.
+
+    The weights make the weighted least-squares normal equations the
+    stationarity condition of the norm: ``m |r|^(p-2)`` for Lebesgue and
+    weighted norms, ``m Phi'(|r|/lambda) / |r|`` for the Luxemburg norm of
+    ``Phi(t) = t log(1+t)`` at ``lambda = ||r||``.  ``|r|`` is clamped below
+    at :data:`IRLS_FLOOR` of its maximum, or at its value of rank
+    ``floor_rank`` (from 0, the smallest) when that is given, which smooths
+    L1 for a start.  Each step is scaled by an exact line search on the norm
+    itself and kept only if the norm decreases, so the value never rises
+    above the start's.  Stops once a step gains less than ``tol`` relative,
+    or after :data:`IRLS_MAX_STEPS` steps.  Returns ``(poly, value, gap)``,
+    the gap being the last relative decrease.
+    """
+    n = poly.degree
+    x = cache.gl_points()
+    resid = subtract_poly(cache, poly).gl_values
+    value = _measure_norm(np.abs(resid), mass, spec)
+    gap = 0.0
+    for _ in range(IRLS_MAX_STEPS):
+        if value == 0.0:
+            break
+        step = _wls_step(x.ravel(), _irls_weights(resid, value, mass, spec, floor_rank),
+                         resid.ravel(), n)
+        t = _line_search(resid, _horner(step, x), mass, spec)
+        trial = TrigPoly(poly.coeffs + t * step)
+        trial_resid = subtract_poly(cache, trial).gl_values
+        trial_value = _measure_norm(np.abs(trial_resid), mass, spec)
+        gap = max(value - trial_value, 0.0) / value
+        if trial_value >= value:
+            break
+        poly, resid, value = trial, trial_resid, trial_value
+        if gap <= tol:
+            break
+    return poly, value, gap
+
+
+def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormSpec,
+                  floor_rank: int) -> np.ndarray:
+    """IRLS weights at the residual ``resid`` of norm ``value``, flattened (see :func:`_irls`)."""
+    w = np.abs(resid)
+    if spec.phi == "llogl":
+        w /= value
+        np.maximum(w, 1e-300, out=w)
+        w = (np.log1p(w) + w / (1.0 + w)) / w
+    else:
+        floor = (np.partition(w.ravel(), floor_rank)[floor_rank] if floor_rank
+                 else IRLS_FLOOR * w.max())
+        np.power(np.maximum(w, floor, out=w), spec.p - 2.0, out=w)
+    w *= mass
+    return w.ravel()
+
+
+def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec) -> float:
+    """The ``t`` minimizing ``||resid - t d||``, by :func:`minimize_scalar`."""
+    # the objective runs a dozen times; a fresh temporary of this size would
+    # be an mmap and its page faults on every call
     work = np.empty(resid.shape, dtype=complex)
     mag = np.empty(resid.shape)
-    value = _measure_norm(np.abs(resid, out=mag), mass, spec)
-    for _ in range(max_sweeps):
-        previous = value
-        for idx, k in enumerate(ks):
-            basis = np.exp(1j * k * gx)
-            for direction in (1.0, 1.0j):
-                b = direction * basis
 
-                def objective(d):
-                    """``||resid - d*b||`` on the nodes, in the buffers ``work`` and ``mag``."""
-                    np.multiply(b, d, out=work)
-                    np.subtract(resid, work, out=work)
-                    return _measure_norm(np.abs(work, out=mag), mass, spec)
+    def objective(t):
+        np.multiply(d, t, out=work)
+        np.subtract(resid, work, out=work)
+        return _measure_norm(np.abs(work, out=mag), mass, spec)
 
-                res = minimize_scalar(objective, bracket=(-1.0, 0.0, 1.0))
-                if res.fun < value:
-                    value = float(res.fun)
-                    coeffs[idx] += direction * res.x
-                    resid = resid - res.x * b
-        if previous - value <= rel_tol * max(previous, 1e-300):
-            break
-    return TrigPoly(coeffs), value
+    return minimize_scalar(objective, bracket=(0.0, 1.0)).x
 
 
 # ----------------------------------------------------------------------------

@@ -46,15 +46,20 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     one pass over ``z^(k+n)`` would give every term O(n eps).
     """
     x = np.asarray(x, dtype=float)
-    z = np.exp(1j * x.ravel())
+    # z, p and out are the only arrays of the points' size: z turns into
+    # conj(z) in place between the passes
+    z = 1j * x.ravel()
+    np.exp(z, out=z)
     n = (coeffs.size - 1) // 2
     out = np.full(z.shape, coeffs[n], dtype=complex)
-    for w, tail in ((z, coeffs[:n:-1]), (z.conj(), coeffs[:n])):
-        p = np.zeros(z.shape, dtype=complex)
+    p = np.empty_like(z)
+    for tail in (coeffs[:n:-1], coeffs[:n]):
+        p.fill(0.0)
         for c in tail.tolist():
             p += c
-            p *= w
+            p *= z
         out += p
+        np.conj(z, out=z)
     return out.reshape(x.shape)
 
 
@@ -65,13 +70,16 @@ def _power_sums(x: np.ndarray, v: np.ndarray, kmax: int) -> np.ndarray:
     ``conj(z)`` for ``k = 1..kmax`` and by ``z`` for ``k = -1..-kmax``, so
     sum k carries an O(|k| eps) error.
     """
-    z = np.exp(1j * x)
+    z = 1j * x
+    np.exp(z, out=z)
     out = np.empty(2 * kmax + 1, dtype=complex)
     out[kmax] = np.sum(v)
-    for w, sign in ((z.conj(), 1), (z, -1)):
-        p = np.array(v, dtype=complex)
+    p = np.empty_like(z)
+    for sign in (1, -1):
+        np.conj(z, out=z)
+        p[...] = v
         for k in range(1, kmax + 1):
-            p *= w
+            p *= z
             out[kmax + sign * k] = np.sum(p)
     return out
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog
 
 from latsamp import (
     TrigPoly,
@@ -17,10 +17,9 @@ from latsamp import (
     parse_spec,
     poly_norm,
     subtract_poly,
-    vp_mean,
 )
-from latsamp import bestapprox
-from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID
+from latsamp.bestapprox import (LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix,
+                                _real_coeffs_to_poly)
 from latsamp.model import TWO_PI
 from latsamp.norms import _cache_mass
 
@@ -100,34 +99,17 @@ def test_refined_never_worse_than_start():
         assert ref.value <= base.value + 1e-12
 
 
-@pytest.mark.parametrize("spec_id", ["l1", "l2", "lp:1.5", "wlp:2:-0.5"])
-def test_descent_objective_matches_allocating_form(spec_id, monkeypatch):
-    """The buffered descent objective is bit-identical to the allocating
-    expression ``(sum |resid - d*b|^p * mass / 2pi)^(1/p)``, on every
-    coordinate of a sweep."""
+@pytest.mark.parametrize("spec_id", ["l1", "l2", "lp:1.5", "wlp:2:-0.5", "wlp:1:-0.5",
+                                     "orlicz:llogl"])
+def test_route_value_is_the_norm_of_its_residual(spec_id):
+    """Both refined routes (the LP for every p = 1 norm of real samples,
+    IRLS otherwise) report the norm ``norm`` gives their residual on the
+    cache they minimized over."""
     spec = parse_spec(spec_id)
     cache = build_cache(C["square"], n_scale=12)
-    gx = cache.gl_points()
-    mass = _cache_mass(cache, spec)
-    start = vp_mean(cache, 3)
-    n = start.degree
-    resid = cache.gl_values - start.at(gx)
-    ks = np.arange(-n, n + 1)
-    seen = []
-
-    def probe(objective, bracket):
-        k, direction = ks[len(seen) // 2], (1.0, 1.0j)[len(seen) % 2]
-        b = direction * np.exp(1j * k * gx)
-        for d in np.linspace(-1.3, 1.1, 25):
-            a = np.abs(resid - d * b)
-            want = float((np.sum(a ** spec.p * mass) / TWO_PI) ** (1.0 / spec.p))
-            assert objective(d) == want
-        seen.append(k)
-        return OptimizeResult(fun=np.inf, x=0.0)  # no step: resid stays put
-
-    monkeypatch.setattr(bestapprox, "minimize_scalar", probe)
-    bestapprox._coordinate_descent(C["square"], cache, start, spec, n)
-    assert len(seen) == 2 * ks.size
+    res = best_approx(C["square"], 6, spec, method="refined", cache=cache)
+    assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
+    assert res.poly.degree == 6
 
 
 def test_refined_value_is_the_norm_of_its_residual():
@@ -145,11 +127,109 @@ def test_best_approx_methods_and_validation():
         best_approx(C["sine"], 4, L2, method="magic")
     res = best_approx(C["sine"], 4, L2, method="auto")
     assert res.method in ("l2-projection", "projection", "auto", "vp", "exact")
+    assert np.isnan(res.gap)
+    assert np.isnan(best_approx(C["square"], 4, L1, method="vp").gap)
 
 
 def test_best_approx_monotone_in_degree():
     vals = [best_approx(C["cusp05"], n, L2).value for n in (2, 4, 8, 16)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# ----------------------------------------------------------------------------
+# refined best approximation: the L1 active-set LP and IRLS
+# ----------------------------------------------------------------------------
+
+# best_approx(..., method="refined") values of the coordinate descent that
+# the two routes replaced, on the default caches
+DESCENT_VALUES = [
+    ("square", "l1", 6, 0.14285740204061037),
+    ("square", "lp:1.5", 6, 0.20483278418213793),
+    ("square", "wlp:2:-0.5", 4, 0.5006191635930317),
+    ("sawtooth", "orlicz:llogl", 1, 0.4053240009652313),
+]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_l1_square_best_error_is_one_over_n_plus_one(n):
+    """E_n(square)_1 = 1/(n+1) for even n; the cache quadrature moves the
+    discrete optimum by less than 1e-6 relative."""
+    res = best_approx(C["square"], n, L1, method="refined")
+    assert abs(res.value * (n + 1) - 1.0) <= 1e-6
+    assert res.gap <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["square", "sawtooth", "cusp15"])
+def test_l1_degree_zero_is_the_weighted_median(label):
+    cache = build_cache(C[label], resolution=1024)
+    mass = _cache_mass(cache, L1).ravel()
+    f = cache.gl_values.real.ravel()
+    order = np.argsort(f)
+    cum = np.cumsum(mass[order])
+    median = f[order][np.searchsorted(cum, 0.5 * cum[-1])]
+    want = np.sum(mass * np.abs(f - median)) / TWO_PI
+    res = best_approx(C[label], 0, L1, method="refined", cache=cache)
+    assert_allclose(res.value, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("label", ["square", "sawtooth", "cusp15"])
+def test_l1_active_set_matches_the_full_lp(label, n):
+    """The dual LP with every node free, ``max sum u f`` subject to
+    ``sum u phi = 0`` and ``|u| <= m``, reaches the value the active set
+    certifies; its equality multipliers are the coefficients."""
+    cache = build_cache(C[label], resolution=1024)
+    mass = _cache_mass(cache, L1).ravel()
+    f = cache.gl_values.real.ravel()
+    basis = _real_basis_matrix(cache.gl_points().ravel(), n)
+    full = linprog(-f, A_eq=basis.T, b_eq=np.zeros(2 * n + 1),
+                   bounds=np.column_stack([-mass, mass]), method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+    assert full.status == 0
+    poly = _real_coeffs_to_poly(-full.eqlin.marginals, n)
+    oracle = norm(subtract_poly(cache, poly), L1)
+    res = best_approx(C[label], n, L1, method="refined", cache=cache)
+    assert_allclose(res.value, oracle, rtol=1e-12)
+    assert_allclose(res.value, -full.fun / TWO_PI, rtol=1e-12)
+    assert res.gap <= 1e-12
+
+
+@pytest.mark.parametrize("spec_id", ["l1", "lp:1.5"])
+def test_irls_pure_frequency_above_the_band(spec_id):
+    """``exp(3ix)`` is complex, so it takes the IRLS route; its best
+    approximation of degree 2 is 0, with error 1 in every Lebesgue norm."""
+    e3 = TrigPoly(np.array([0, 0, 0, 0, 0, 0, 1], dtype=complex))
+    res = best_approx(e3, 2, parse_spec(spec_id), method="refined")
+    assert_allclose(res.value, 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec_id", ["lp:1.5", "lp:3", "wlp:2:-0.5", "orlicz:llogl"])
+def test_irls_optimal_against_coefficient_perturbations(spec_id):
+    spec = parse_spec(spec_id)
+    n = 3
+    cache = build_cache(C["sawtooth"], n_scale=2 * n)
+    res = best_approx(C["sawtooth"], n, spec, method="refined", cache=cache)
+    for k in range(2 * n + 1):
+        for step in (1e-6, -1e-6, 1e-6j, -1e-6j):
+            coeffs = res.poly.coeffs.copy()
+            coeffs[k] += step
+            moved = norm(subtract_poly(cache, TrigPoly(coeffs)), spec)
+            assert moved >= res.value * (1.0 - 1e-12), (k, step)
+
+
+@pytest.mark.parametrize("label,spec_id,n,descent", DESCENT_VALUES)
+def test_refined_never_worse_than_coordinate_descent(label, spec_id, n, descent):
+    res = best_approx(C[label], n, parse_spec(spec_id), method="refined")
+    assert res.value <= descent + 1e-12
+
+
+@pytest.mark.parametrize("spec_id", ["l1", "lp:1.5", "orlicz:llogl"])
+def test_refined_reproduces_polynomials(spec_id):
+    rng = np.random.default_rng(3)
+    poly = TrigPoly(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    for n in (4, 6):
+        assert best_approx(poly, n, parse_spec(spec_id), method="refined").value <= 1e-14
 
 
 # ----------------------------------------------------------------------------
