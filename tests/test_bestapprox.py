@@ -1,4 +1,4 @@
-"""Best approximation: projections, refined descent, the one-sided LP, sums."""
+"""Best approximation: projections, the refined routes, the one-sided LP, sums."""
 
 import numpy as np
 import pytest
@@ -113,7 +113,7 @@ def test_route_value_is_the_norm_of_its_residual(spec_id):
 
 
 def test_refined_value_is_the_norm_of_its_residual():
-    """The descent minimizes the norm ``norm`` reports, weight included."""
+    """The refined value is the norm ``norm`` reports, weight included."""
     f = C["square"]
     spec = parse_spec("wlp:2:-0.5")
     cache = build_cache(f, n_scale=8)
