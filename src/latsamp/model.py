@@ -18,7 +18,8 @@ accuracy without adaptive quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,10 +29,10 @@ TWO_PI = 2.0 * np.pi
 # Reference 5-point Gauss-Legendre rule on [-1, 1].
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
-# Monomial coefficient matrix of the Lagrange basis on GL_NODES:
-# values v at the nodes -> monomial coefficients a = _GL_VANDER_INV @ v,
-# i.e. p(t) = sum_m a[m] t^m interpolates (GL_NODES, v).
-_GL_VANDER_INV = np.linalg.inv(np.vander(GL_NODES, 5, increasing=True))
+# int_{-1}^{t} of the degree-4 interpolant of values v at GL_NODES is
+# sum_m (_GL_INTEGRAL @ v)[m] t^m; row 0 makes it vanish at t = -1.
+_GL_INTEGRAL = np.linalg.inv(np.vander(GL_NODES, 5, increasing=True)) / np.arange(1, 6)[:, None]
+_GL_INTEGRAL = np.vstack([-((-1.0) ** np.arange(1, 6)) @ _GL_INTEGRAL, _GL_INTEGRAL])
 
 #: Default number of uniform base panels for a cache.
 DEFAULT_RESOLUTION = 4096
@@ -243,9 +244,9 @@ class DenseGridCache:
     Attributes
     ----------
     fn : PointwiseFunction or None
-        The exact evaluator when the cache is a base cache.  Derived caches
-        (e.g. iterated window averages) have ``fn = None`` and fall back to the
-        stored in-panel interpolant for partial-panel integrals.
+        The exact evaluator of a base cache, ``None`` on derived caches (e.g.
+        window averages).  :meth:`values_at` samples it, so declared jump
+        values hold; partial-panel integrals use the interpolant on every cache.
     edges : (M+1,) float
         Panel edges, ``edges[0] = -pi``, ``edges[-1] = pi``.
     edge_values : (M+1,) complex
@@ -299,68 +300,71 @@ class DenseGridCache:
         y = np.asarray(y, dtype=float)
         shape = y.shape
         y = np.atleast_1d(y).ravel()
+        # guard the right endpoint: y exactly pi wraps to -pi with winding 1
         winding = np.floor((y + np.pi) / TWO_PI)
         yw = y - winding * TWO_PI
-        # guard the right endpoint: y exactly pi wraps to -pi with winding 1
-        j = np.searchsorted(self.edges, yw, side="right") - 1
-        j = np.clip(j, 0, self.panel_count - 1)
-        a = self.edges[j]
-        width = self.edges[j + 1] - a
-        t = 2.0 * (yw - a) / width - 1.0
-        partial = self._partial_panel(j, a, yw, width, t)
+        j, width, t = self._locate(yw)
+        partial = self._partial_panel(j, width, t)
         out = self.prefix[j] + partial + winding * self.total
         return out.reshape(shape)
 
-    def _partial_panel(self, j, a, y, width, t):
-        if self.fn is not None:
-            # exact evaluator: 5-point Gauss-Legendre on [a, y]
-            half = 0.5 * (y - a)
-            nodes = a[:, None] + half[:, None] * (GL_NODES[None, :] + 1.0)
-            vals = self.fn(nodes.ravel()).reshape(nodes.shape)
-            return half * (vals @ GL_WEIGHTS)
-        # derived cache: integrate the in-panel degree-4 interpolant
-        coeffs = self.gl_values[j] @ _GL_VANDER_INV.T  # (K, 5) monomial coeffs
-        powers = np.arange(1, 6)
-        tt = t[:, None] ** powers[None, :]
-        lo = (-1.0) ** powers
-        integ = np.sum(coeffs * (tt - lo[None, :]) / powers[None, :], axis=1)
-        return 0.5 * width * integ
+    def _locate(self, x):
+        """Panel index, panel width and in-panel coordinate ``t`` in [-1, 1]."""
+        j = np.searchsorted(self.edges, x, side="right") - 1
+        j = np.clip(j, 0, self.panel_count - 1)
+        a = self.edges[j]
+        width = self.edges[j + 1] - a
+        return j, width, 2.0 * (x - a) / width - 1.0
+
+    @cached_property
+    def integral_table(self) -> np.ndarray:
+        """(6, M): row m holds the ``t^m`` coefficient of every panel's
+        ``int_{-1}^{t}`` of its interpolant, so a Horner step gathers one row."""
+        return _GL_INTEGRAL @ self.gl_values.T
+
+    def _partial_panel(self, j, width, t):
+        """``int_{a_j}^{y} f`` by Horner in ``t`` on :attr:`integral_table`."""
+        tab = self.integral_table
+        acc = tab[5][j]
+        for m in range(4, -1, -1):
+            acc *= t
+            acc += tab[m][j]
+        return 0.5 * width * acc
 
     # -- values --------------------------------------------------------------
 
     def values_at(self, x) -> np.ndarray:
         """Evaluate the cached function at arbitrary points.
 
-        Uses the exact evaluator when available, otherwise the stored
-        in-panel interpolant.
+        Uses the exact evaluator when available, otherwise the in-panel
+        interpolant: the ``t``-derivative of :attr:`integral_table`.
         """
         if self.fn is not None:
             return self.fn(x)
         x = np.asarray(x, dtype=float)
         shape = x.shape
-        xw = wrap_angle(np.atleast_1d(x).ravel())
-        j = np.searchsorted(self.edges, xw, side="right") - 1
-        j = np.clip(j, 0, self.panel_count - 1)
-        a = self.edges[j]
-        width = self.edges[j + 1] - a
-        t = 2.0 * (xw - a) / width - 1.0
-        coeffs = self.gl_values[j] @ _GL_VANDER_INV.T
-        vals = np.sum(coeffs * t[:, None] ** np.arange(5)[None, :], axis=1)
-        return vals.reshape(shape)
+        j, _, t = self._locate(wrap_angle(np.atleast_1d(x).ravel()))
+        tab = self.integral_table
+        acc = 5.0 * tab[5][j]
+        for m in range(4, 0, -1):
+            acc *= t
+            acc += m * tab[m][j]
+        return acc.reshape(shape)
 
     def spawn(self, edge_values, gl_values) -> "DenseGridCache":
         """Derived cache on the same partition from new pointwise values."""
-        panel_int = np.sum(self.gl_weights() * gl_values, axis=1)
-        prefix = np.concatenate([[0.0], np.cumsum(panel_int)])
-        return DenseGridCache(
-            fn=None,
-            resolution=self.resolution,
-            edges=self.edges,
-            edge_values=np.asarray(edge_values),
-            gl_values=np.asarray(gl_values),
-            prefix=prefix,
-            breakpoints=self.breakpoints,
-        )
+        return _integrated(None, self.resolution, self.edges, edge_values, gl_values,
+                           self.breakpoints)
+
+
+def _integrated(fn, resolution, edges, edge_values, gl_values, breakpoints) -> DenseGridCache:
+    """A cache on ``edges`` whose prefix table integrates ``gl_values``."""
+    gl_values = np.asarray(gl_values)
+    panel_int = np.sum(0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :] * gl_values, axis=1)
+    return DenseGridCache(fn=fn, resolution=resolution, edges=edges,
+                          edge_values=np.asarray(edge_values), gl_values=gl_values,
+                          prefix=np.concatenate([[0.0], np.cumsum(panel_int)]),
+                          breakpoints=tuple(breakpoints))
 
 
 def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
@@ -378,19 +382,8 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
         if n_scale is not None:
             resolution = max(resolution, OVERSAMPLE * int(n_scale))
     edges = _panel_edges(resolution, fn.breakpoints)
-    widths = np.diff(edges)
     edge_values, gl_values = fn._on_partition(edges, resolution)
-    panel_int = np.sum(0.5 * widths[:, None] * GL_WEIGHTS[None, :] * gl_values, axis=1)
-    prefix = np.concatenate([[0.0], np.cumsum(panel_int)])
-    return DenseGridCache(
-        fn=fn,
-        resolution=resolution,
-        edges=edges,
-        edge_values=edge_values,
-        gl_values=gl_values,
-        prefix=prefix,
-        breakpoints=tuple(fn.breakpoints),
-    )
+    return _integrated(fn, resolution, edges, edge_values, gl_values, fn.breakpoints)
 
 
 def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:

@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet,
-                    PointwiseFunction, _panel_edges, build_cache,
-                    make_uniform_nodes)
+from .model import (GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
+                    _panel_edges, build_cache, ensure_window_resolution,
+                    make_uniform_nodes, panel_gl_points)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
 from .steklov import i_minus_a_pow, i_minus_a_pow_at
@@ -87,9 +87,8 @@ def _difference_norm(f: PointwiseFunction, r: int, h: float, spec: NormSpec,
         for nu in range(r + 1):
             shifted.append(float(np.mod(b - nu * h + np.pi, TWO_PI) - np.pi))
     edges = _panel_edges(resolution, tuple(shifted))
-    widths = np.diff(edges)
-    gx = edges[:-1, None] + 0.5 * widths[:, None] * (GL_NODES[None, :] + 1.0)
-    gw = 0.5 * widths[:, None] * GL_WEIGHTS[None, :]
+    gx = panel_gl_points(edges)
+    gw = 0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :]
     diff = np.zeros_like(gx, dtype=complex)
     for nu in range(r + 1):
         diff += ((-1.0) ** nu) * comb(r, nu) * f(gx + (r - nu) * h)
@@ -105,20 +104,7 @@ def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
         raise ValueError("scale n must be >= 1")
     if not (1 <= s <= 2 * r):
         raise ValueError("orders must satisfy 1 <= s <= 2r")
-    h = default_width(n, gamma)
-    if nodes is None:
-        nodes = make_uniform_nodes(n)
-    if isinstance(f, TrigPoly):
-        cont = poly_norm(i_minus_a_pow(f, h, s, centered=False), spec)
-        disc_vals = i_minus_a_pow(f, h, r, centered=True).at(nodes.nodes)
-    else:
-        if cache is None:
-            cache = build_cache(f, n_scale=n)
-        cont = norm(i_minus_a_pow(cache, h, s, centered=False), spec)
-        disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
-    disc = discrete_seminorm(disc_vals, nodes, spec)
-    return ModulusReport(continuous=float(cont), discrete=float(disc),
-                         n=n, r=r, s=s, h=h, spec_id=spec.id)
+    return _modulus(f, n, r, s, default_width(n, gamma), spec, nodes, cache, centered=False)
 
 
 def omega2_star(f, n: int, spec: NormSpec,
@@ -127,20 +113,27 @@ def omega2_star(f, n: int, spec: NormSpec,
     """Single-average variant: both parts use the centered ``A_{pi/(2n+1)}``."""
     if n < 1:
         raise ValueError("scale n must be >= 1")
-    h = np.pi / (2 * n + 1)
+    return _modulus(f, n, 1, 1, np.pi / (2 * n + 1), spec, nodes, cache, centered=True)
+
+
+def _modulus(f, n, r, s, h, spec, nodes, cache, centered) -> ModulusReport:
+    """``||(I - A_h)^s f||_X`` (``centered`` or shifted average) and
+    ``||(I - A_h)^r f||_{X_n}``; a base cache is refined once for both."""
     if nodes is None:
         nodes = make_uniform_nodes(n)
     if isinstance(f, TrigPoly):
-        cont = poly_norm(i_minus_a_pow(f, h, 1, centered=True), spec)
-        disc_vals = i_minus_a_pow(f, h, 1, centered=True).at(nodes.nodes)
+        cont = poly_norm(i_minus_a_pow(f, h, s, centered=centered), spec)
+        disc_vals = i_minus_a_pow(f, h, r, centered=True).at(nodes.nodes)
     else:
         if cache is None:
             cache = build_cache(f, n_scale=n)
-        cont = norm(i_minus_a_pow(cache, h, 1, centered=True), spec)
-        disc_vals = i_minus_a_pow_at(cache, h, 1, nodes.nodes, centered=True)
+        if cache.fn is not None:
+            cache = ensure_window_resolution(cache, h)
+        cont = norm(i_minus_a_pow(cache, h, s, centered=centered), spec)
+        disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
     disc = discrete_seminorm(disc_vals, nodes, spec)
     return ModulusReport(continuous=float(cont), discrete=float(disc),
-                         n=n, r=1, s=1, h=h, spec_id=spec.id)
+                         n=n, r=r, s=s, h=h, spec_id=spec.id)
 
 
 def kfunc_vp(f, delta: float, s: int, spec: NormSpec,

@@ -9,14 +9,14 @@ Two backends:
 
 * TrigPoly -> exact coefficient multipliers;
 * DenseGridCache -> antiderivative differences ``(F(x+h/2) - F(x-h/2))/h``.
-  The first application of a base cache uses the exact evaluator for partial
-  panels; iterated averages materialize one derived cache per level (cost
+  Partial panels integrate the in-panel interpolant on every cache, base or
+  derived; iterated averages materialize one derived cache per level (cost
   linear in the iteration count r, supported for r <= 4).
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
@@ -26,12 +26,17 @@ from .trigpoly import TrigPoly
 
 MAX_ITERATES = 4
 
+# 1 - sinc(theta) = sum_{k>=1} (-1)^(k+1) theta^(2k)/(2k+1)!, to eps for |theta| < 1
+_SINC_SERIES = tuple((-1.0) ** (k + 1) / factorial(2 * k + 1) for k in range(1, 9))
+
 Averageable = Union[TrigPoly, DenseGridCache, PointwiseFunction]
 
 
-def _check_h(h: float):
+def _check_h(h: float, r=None):
     if not 0.0 < h <= 2.0 * np.pi:
         raise ValueError("window width h must lie in (0, 2*pi]")
+    if r is not None and not 1 <= r <= MAX_ITERATES:
+        raise ValueError(f"iteration count must lie in 1..{MAX_ITERATES}")
 
 
 def multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
@@ -41,6 +46,23 @@ def multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
     if not centered:
         m = m * np.exp(0.5j * ks * h)
     return m
+
+
+def _one_minus_multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
+    """``1 - m`` without cancellation: with ``theta = kh/2``, ``1 - sinc`` by
+    its series where ``|theta| < 1``; shifted, ``1 - sinc exp(i theta) =
+    (1 - sinc) exp(i theta) - 2i sin(theta/2) exp(i theta/2)``."""
+    theta = 0.5 * h * np.asarray(ks, dtype=float)
+    small = np.abs(theta) < 1.0
+    t2 = np.where(small, theta, 0.0) ** 2
+    series = np.zeros_like(t2)
+    for c in _SINC_SERIES[::-1]:
+        series = series * t2 + c
+    one_minus = np.where(small, t2 * series, 1.0 - multiplier(h, ks))
+    if centered:
+        return one_minus
+    half = np.exp(0.5j * theta)
+    return one_minus * half * half - 2j * np.sin(0.5 * theta) * half
 
 
 def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = True) -> np.ndarray:
@@ -78,9 +100,7 @@ def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
 
 def steklov_chain(cache: DenseGridCache, h: float, r: int, centered: bool = True):
     """``[f, A_h f, A_h^2 f, ..., A_h^r f]`` as materialized caches."""
-    _check_h(h)
-    if not 1 <= r <= MAX_ITERATES:
-        raise ValueError(f"iteration count must lie in 1..{MAX_ITERATES}")
+    _check_h(h, r)
     if cache.fn is not None:
         cache = ensure_window_resolution(cache, h)
     chain = [cache]
@@ -89,27 +109,23 @@ def steklov_chain(cache: DenseGridCache, h: float, r: int, centered: bool = True
     return chain
 
 
+def _combine(chain, coeffs) -> DenseGridCache:
+    """``sum_k coeffs[k] chain[k]`` as a derived cache on the chain's partition."""
+    edge = sum((c * link.edge_values for c, link in zip(coeffs, chain)), 0j)
+    gl = sum((c * link.gl_values for c, link in zip(coeffs, chain)), 0j)
+    return chain[0].spawn(edge, gl)
+
+
 def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:
-    """``(I - A_h)^r f`` via the binomial expansion over iterated averages."""
-    _check_h(h)
-    if not 1 <= r <= MAX_ITERATES:
-        raise ValueError(f"power must lie in 1..{MAX_ITERATES}")
+    """``(I - A_h)^r f``: the multiplier ``(1 - m)^r`` on polynomials, the
+    binomial expansion over iterated averages on caches."""
+    _check_h(h, r)
     if isinstance(obj, TrigPoly):
-        m = multiplier(h, obj.freqs, centered)
-        weights = np.zeros_like(m)
-        for k in range(r + 1):
-            weights = weights + ((-1.0) ** k) * comb(r, k) * m ** k
-        return TrigPoly(obj.coeffs * weights)
+        return TrigPoly(obj.coeffs * _one_minus_multiplier(h, obj.freqs, centered) ** r)
     if isinstance(obj, PointwiseFunction):
         obj = build_cache(obj)
     chain = steklov_chain(obj, h, r, centered)
-    edge = np.zeros_like(chain[0].edge_values, dtype=complex)
-    gl = np.zeros_like(chain[0].gl_values, dtype=complex)
-    for k in range(r + 1):
-        c = ((-1.0) ** k) * comb(r, k)
-        edge = edge + c * chain[k].edge_values
-        gl = gl + c * chain[k].gl_values
-    return chain[0].spawn(edge, gl)
+    return _combine(chain, [(-1.0) ** k * comb(r, k) for k in range(r + 1)])
 
 
 def i_minus_a_pow_at(cache: DenseGridCache, h: float, r: int, points,
@@ -119,17 +135,14 @@ def i_minus_a_pow_at(cache: DenseGridCache, h: float, r: int, points,
     The zeroth term uses the exact evaluator when the cache has one, so node
     samples honor declared jump values.
     """
-    _check_h(h)
-    if not 1 <= r <= MAX_ITERATES:
-        raise ValueError(f"power must lie in 1..{MAX_ITERATES}")
+    _check_h(h, r)
     if cache.fn is not None:
         cache = ensure_window_resolution(cache, h)
     pts = np.asarray(points, dtype=float)
     out = cache.values_at(pts).astype(complex)
     level = cache
     for k in range(1, r + 1):
-        vals = steklov_values(level, h, pts, centered)
-        out = out + ((-1.0) ** k) * comb(r, k) * vals
+        out = out + ((-1.0) ** k) * comb(r, k) * steklov_values(level, h, pts, centered)
         if k < r:
             level = _steklov_cache(level, h, centered)
     return out
@@ -146,10 +159,4 @@ def smoothed(obj: Averageable, h: float, r: int, centered: bool = True) -> Avera
     if isinstance(obj, PointwiseFunction):
         obj = build_cache(obj)
     chain = steklov_chain(obj, h, r, centered)
-    edge = np.zeros_like(chain[0].edge_values, dtype=complex)
-    gl = np.zeros_like(chain[0].gl_values, dtype=complex)
-    for k in range(1, r + 1):
-        c = ((-1.0) ** (k + 1)) * comb(r, k)
-        edge = edge + c * chain[k].edge_values
-        gl = gl + c * chain[k].gl_values
-    return chain[0].spawn(edge, gl)
+    return _combine(chain[1:], [(-1.0) ** (k + 1) * comb(r, k) for k in range(1, r + 1)])

@@ -1,5 +1,7 @@
 """Window averages: spectral multipliers, prefix-sum quadrature, iterates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from latsamp import (
     corpus,
     i_minus_a_pow,
     i_minus_a_pow_at,
+    make_uniform_nodes,
     multiplier,
     poly_norm,
     parse_spec,
@@ -118,6 +121,41 @@ def test_i_minus_a_pow_spectral():
         assert_allclose(out.coeffs, p.coeffs * (1 - m) ** r, atol=1e-13)
 
 
+def _poly_forms():
+    """Exact TrigPoly forms of smooth, sine, exp1, exp3 and exp7."""
+    forms = {"smooth": {-2: 0.5, -1: 0.5j, 1: -0.5j, 2: 0.5},
+             "sine": {-1: 0.5j, 1: -0.5j}}
+    forms.update({f"exp{k}": {k: 1.0} for k in (1, 3, 7)})
+    out = {}
+    for label, terms in forms.items():
+        deg = max(abs(k) for k in terms)
+        c = np.zeros(2 * deg + 1, dtype=complex)
+        for k, v in terms.items():
+            c[k + deg] = v
+        out[label] = TrigPoly(c)
+    return out
+
+
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("n", [1, 8, 64, 256, 512])
+def test_i_minus_a_pow_spectral_against_mpmath(n, centered):
+    """Every coefficient of ``(1 - m)^r c_k`` to 1e-12 relative, down to sizes
+    far below rounding of ``c_k`` (a binomial sum loses them to cancellation)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    h = np.pi / (2 * n + 1)
+    for poly in _poly_forms().values():
+        for r in (1, 2, 3, 4):
+            got = i_minus_a_pow(poly, h, r, centered=centered).coeffs
+            for k, c, g in zip(poly.freqs, poly.coeffs, got):
+                theta = mpmath.mpf(h) * int(k) / 2
+                m = mpmath.sin(theta) / theta if k else mpmath.mpf(1)
+                if not centered:
+                    m *= mpmath.expj(theta)
+                want = complex(mpmath.mpc(c.real, c.imag) * (1 - m) ** r)
+                assert abs(g - want) <= 1e-12 * abs(want), (k, r)
+
+
 def test_i_minus_a_pow_kills_constants():
     p = TrigPoly(np.array([0, 0, 5.0, 0, 0], dtype=complex))
     out = i_minus_a_pow(p, 1.0, 2)
@@ -156,14 +194,33 @@ def test_i_minus_a_pow_at_agrees_with_materialized():
     assert_allclose(direct, materialized, atol=1e-9)
 
 
-def test_i_minus_a_pow_at_honors_jump_values():
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_i_minus_a_pow_at_honors_jump_values(r):
     """The zeroth term samples the declared value at a jump, not a limit."""
     sq = corpus()["square"]
     cache = build_cache(sq, resolution=256)
     h = 0.5
-    out = i_minus_a_pow_at(cache, h, 1, np.array([0.0]))
-    # f(0) = 0 by declaration and the centered average at 0 vanishes by symmetry
+    out = i_minus_a_pow_at(cache, h, r, np.array([0.0]))
+    # f(0) = 0 by declaration, and every centered average of the odd square
+    # wave vanishes at 0 by symmetry
     assert abs(out[0]) < 1e-10
+
+
+def test_window_step_memory():
+    """The n = 128 step of a rates study on the square wave: no per-point
+    evaluator calls or power matrices on the window-refined cache."""
+    sq = corpus()["square"]
+    h = np.pi / 257
+    nodes = make_uniform_nodes(128).nodes
+    tracemalloc.start()
+    try:
+        cache = build_cache(sq, n_scale=256)
+        i_minus_a_pow(cache, h, 2, centered=False)
+        i_minus_a_pow_at(cache, h, 1, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55e6
 
 
 def test_steklov_chain_lengths():
