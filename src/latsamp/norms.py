@@ -3,8 +3,8 @@
 All continuous norms use the normalized measure ``dx/2pi``, so the constant 1
 has norm 1 in every Lebesgue space.  The weighted spaces carry the weight
 ``|2 sin(x/2)|^beta`` with ``-1 < beta < p - 1`` (singular or degenerate at
-``x = 0``).  Orlicz norms are Luxemburg norms: ``t log(1+t)`` by bisection,
-the power function ``t^p`` as the Lebesgue norm it equals.
+``x = 0``).  Orlicz norms are Luxemburg norms: ``t log(1+t)`` by regula falsi
+on the log of its modular, ``t^p`` as the Lebesgue norm it equals.
 
 Norms run through one kernel, ``_measure_norm(|f|, mass, spec)``, on a
 measure: the Gauss-Legendre nodes of a cache, the cells of a node set, or any
@@ -119,50 +119,53 @@ def parse_spec(text: str) -> NormSpec:
 
 
 def _llogl_inverse(y):
-    """Inverse of t -> t*log(1+t) on [0, inf), by bisection."""
+    """Inverse of t -> t*log(1+t) on [0, inf), by Newton's method from the upper
+    bound ``max(y/log 2, sqrt(y/log 2))``, falling monotonically by convexity."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo = np.zeros_like(y)
-    hi = np.maximum(1.0, y / np.log(2.0) + 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        too_low = mid * np.log1p(mid) < y
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    out = 0.5 * (lo + hi)
-    return out if out.shape else float(out)
+    t = np.maximum(y / np.log(2.0), np.sqrt(y / np.log(2.0)))
+    while True:
+        log1p = np.log1p(t)
+        nxt = t - np.divide(t * log1p - y, log1p + t / (1.0 + t),
+                            out=np.zeros_like(t), where=t > 0.0)
+        if not np.any(nxt < t):
+            return t
+        t = np.minimum(t, nxt)
 
 
-def luxemburg(modular, scale: float, iters: int = 60) -> float:
+def luxemburg(modular, scale: float) -> float:
     """Luxemburg norm: the lambda with ``modular(lambda) = 1``.
 
-    ``modular`` must be nonincreasing in lambda; ``scale`` is a positive
-    starting guess (any crude magnitude estimate of the function).
+    ``modular(lambda)`` is ``sum m Phi(|f|/lambda)`` for a convex Young
+    function with ``Phi(0) = 0``.  So ``lambda * modular(lambda)`` is
+    nonincreasing, and the root lies between a positive ``scale`` and
+    ``scale * modular(scale)``.  Anderson-Bjorck regula falsi (BIT 13, 1973)
+    solves ``log modular(e^u) = 0`` in multiplicative steps, to a few ulp at
+    any magnitude; it is linear in ``u`` for a power ``Phi`` (one step is
+    exact) and of slope in [-2, -1] for ``t log(1+t)``.
     """
-    if scale <= 0.0 or not np.isfinite(scale):
-        return 0.0
-    hi = scale
-    for _ in range(200):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("luxemburg bracket: modular never drops below 1")
-    lo = hi
-    for _ in range(1100):
-        trial = lo / 2.0
-        if modular(trial) > 1.0 or trial < 1e-300:
-            break
-        lo = trial
-    if modular(lo) <= 1.0 and lo < 1e-299:
-        return 0.0
-    lo = lo / 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"luxemburg needs a positive finite scale, got {scale!r}")
+    m = modular(scale)
+    if m == 0.0 or m == 1.0:
+        return float(scale) if m else 0.0
+    # (lam_a, g_a) and (lam_b, g_b) bracket the root; b is the latest iterate
+    lam_a, g_a, lam_b = scale, np.log(m), scale * m
+    g_b = np.log(modular(lam_b))
+    for _ in range(64):
+        if g_b == 0.0:
+            return float(lam_b)
+        step = np.log(lam_a / lam_b) * g_b / (g_b - g_a)
+        lam_c = lam_b * np.exp(step)
+        if abs(step) <= 4.0 * np.finfo(float).eps:
+            return float(lam_c)
+        g_c = np.log(modular(lam_c))
+        if (g_c > 0.0) == (g_b > 0.0):
+            ratio = 1.0 - g_c / g_b
+            g_a *= ratio if ratio > 0.0 else 0.5
         else:
-            hi = mid
-    return hi
+            lam_a, g_a = lam_b, g_b
+        lam_b, g_b = lam_c, g_c
+    raise ArithmeticError("luxemburg: regula falsi did not converge")
 
 
 # ----------------------------------------------------------------------------
@@ -176,16 +179,22 @@ def _measure_norm(a: np.ndarray, measure, spec: NormSpec) -> float:
     ``measure`` is the mass of each value: Gauss-Legendre weights, cell
     widths, weighted cell or node masses.  Lebesgue, weighted and power
     Orlicz norms (the Luxemburg norm of ``t^p`` is the ``L^p`` norm) are
-    ``(sum a^p measure / 2pi)^(1/p)``, computed in place in ``a``; the
-    ``t log(1+t)`` Orlicz norm is a Luxemburg bisection.  ``a`` is
-    overwritten.
+    ``(sum a^p measure / 2pi)^(1/p)``, computed in place in ``a`` (which is
+    overwritten); ``t log(1+t)`` is :func:`luxemburg` of a modular filling two
+    buffers allocated once per call.  NaN or inf values give a NaN or inf norm.
     """
     if spec.phi == "llogl":
         amax = a.max(initial=0.0)
-        if amax == 0.0:
-            return 0.0
-        return luxemburg(lambda lam: float(np.sum(measure * spec.young(a / lam)) / TWO_PI),
-                         scale=amax)
+        if amax == 0.0 or not np.isfinite(amax):
+            return float(amax)
+        t, y = np.empty_like(a), np.empty_like(a)
+        def modular(lam):
+            np.divide(a, lam, out=t)
+            np.log1p(t, out=y)
+            np.multiply(t, y, out=y)
+            np.multiply(measure, y, out=y)
+            return float(np.sum(y) / TWO_PI)
+        return luxemburg(modular, scale=amax)
     np.power(a, spec.p, out=a)
     np.multiply(a, measure, out=a)
     return float((np.sum(a) / TWO_PI) ** (1.0 / spec.p))

@@ -161,6 +161,143 @@ def test_luxemburg_zero_function():
     assert luxemburg(lambda lam: 0.0, scale=1.0) == 0.0
 
 
+LLOGL = parse_spec("orlicz:llogl")
+
+
+class _Counted:
+    """A modular that counts its evaluations."""
+
+    def __init__(self, modular):
+        self.modular, self.calls = modular, 0
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.modular(lam)
+
+
+def _step_modular(values, widths):
+    """The ``t log(1+t)`` modular of a step function, as ``_measure_norm`` forms it."""
+    return lambda lam: float(np.sum(widths * LLOGL.young(values / lam)) / (2 * np.pi))
+
+
+def _llogl_root(mpmath, values, widths):
+    """The lambda with ``sum w (a/lambda) log(1 + a/lambda) / 2pi = 1``, to 30 digits."""
+    a = [mpmath.mpf(float(v)) for v in values]
+    w = [mpmath.mpf(float(v)) for v in widths]
+
+    def g(u):
+        t = [ai / mpmath.exp(u) for ai in a]
+        return mpmath.log(mpmath.fsum(wi * ti * mpmath.log1p(ti)
+                                      for wi, ti in zip(w, t)) / (2 * mpmath.pi))
+
+    u0 = mpmath.log(max(a))
+    return mpmath.exp(mpmath.findroot(g, (u0, u0 - mpmath.mpf("0.5"))))
+
+
+def _random_steps(rng, cells=64):
+    """Random cell widths tiling the circle, and amplitude sets from 1e-100
+    to 1e100: narrow spreads at fixed magnitudes, plus one set spread over
+    the whole range."""
+    widths = rng.dirichlet(np.ones(cells)) * 2 * np.pi
+    sets = [10.0 ** (k + rng.uniform(-3.0, 0.0, cells)) for k in (-100, -30, 0, 30, 100)]
+    sets.append(10.0 ** rng.uniform(-100.0, 100.0, cells))
+    return widths, sets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_luxemburg_random_steps_against_mpmath(seed):
+    """Within 1e-15 relative of a 30-digit root in at most 10 modular
+    evaluations, for ``scale`` from 1e-12 to 1e12 times the root."""
+    mpmath = pytest.importorskip("mpmath")
+    widths, sets = _random_steps(np.random.default_rng(seed))
+    with mpmath.workdps(30):
+        for values in sets:
+            root = _llogl_root(mpmath, values, widths)
+            for offset in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+                modular = _Counted(_step_modular(values, widths))
+                got = luxemburg(modular, scale=float(root) * offset)
+                assert modular.calls <= 10, (offset, modular.calls)
+                assert float(abs(got / root - 1)) <= 1e-15, (offset, got, root)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_luxemburg_power_modular_is_exact(p):
+    """The log of a power modular is linear in log lambda: the bracket and one
+    regula falsi step land on the root."""
+    for a in (0.3, 2.0, 17.5):
+        modular = _Counted(lambda lam, a=a: (a / lam) ** p)
+        assert_allclose(luxemburg(modular, scale=1.0), a, rtol=1e-15)
+        assert modular.calls <= 3
+
+
+def test_luxemburg_scale_at_the_root():
+    modular = _Counted(lambda lam: (2.0 / lam) ** 2)
+    assert luxemburg(modular, scale=2.0) == 2.0
+    assert modular.calls == 1
+    widths, sets = _random_steps(np.random.default_rng(3))
+    modular = _step_modular(sets[2], widths)
+    root = luxemburg(modular, scale=sets[2].max())
+    assert_allclose(luxemburg(modular, scale=root), root, rtol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+def test_luxemburg_rejects_bad_scale(scale):
+    with pytest.raises(ValueError):
+        luxemburg(lambda lam: 1.0 / lam, scale=scale)
+
+
+def test_llogl_norm_of_a_narrow_spike():
+    """A 1e9-high spike on a 1e-9-wide cell, within 1e-15 of 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    widths = np.array([1e-9, 2 * np.pi - 1e-9])
+    values = np.array([1e9, 1.0])
+    got = norm(StepFunction(lefts=np.array([0.0, 1e-9]), widths=widths, values=values), LLOGL)
+    with mpmath.workdps(30):
+        assert float(abs(got / _llogl_root(mpmath, values, widths) - 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_llogl_norm_propagates_nan_and_inf(bad):
+    """NaN and inf samples give the norm the Lebesgue route gives, not 0."""
+    cells = np.full(4, np.pi / 2)
+    step = StepFunction(lefts=np.arange(4) * np.pi / 2, widths=cells,
+                        values=np.array([1.0, 2.0, bad, 1.0]))
+    f = ls.PointwiseFunction(
+        "bad", lambda x: np.where(np.abs(np.asarray(x) - 1.0) < 0.05, bad, 1.0))
+    cache = ls.build_cache(f, resolution=1024)
+    for obj in (step, cache):
+        np.testing.assert_equal(norm(obj, LLOGL), norm(obj, L2))
+        np.testing.assert_equal(norm(obj, LLOGL), bad)
+
+
+def test_llogl_inverse_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    y = np.geomspace(1e-12, 1e12, 97)
+    got = LLOGL.young_inverse(y)
+    with mpmath.workdps(30):
+        for yi, ti in zip(y, got):
+            want = mpmath.findroot(lambda t: t * mpmath.log1p(t) - mpmath.mpf(yi),
+                                   mpmath.sqrt(yi) if yi < 1 else mpmath.mpf(yi))
+            assert float(abs(ti / want - 1)) <= 1e-15, (yi, ti)
+
+
+def test_llogl_refined_solve_heap_peak():
+    """The sawtooth/llogl n=1 refined solve keeps its heap peak small: the
+    modular's buffers die with each norm call."""
+    import tracemalloc
+
+    f = corpus()["sawtooth"]
+    ls.best_approx(f, 1, LLOGL, method="refined")
+    tracemalloc.start()
+    try:
+        ls.best_approx(f, 1, LLOGL, method="refined")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"heap peak {peak / 1e6:.2f} MB")
+    assert peak <= 5e6
+
+
 # ----------------------------------------------------------------------------
 # step functions and discrete seminorms
 # ----------------------------------------------------------------------------
@@ -325,6 +462,17 @@ def test_dilation_llogl_at_least_identity():
     v = dilation_norm(spec, 0.5)
     assert np.isfinite(v)
     assert v >= 1.0  # compressions never contract the norm
+
+
+@pytest.mark.parametrize("r,want", [
+    (0.5, 1.9169404091250688), (0.25, 3.6682101743947815), (0.125, 7.006050860663624),
+])
+def test_dilation_llogl_frozen_values(r, want):
+    """The grid sup of ``phi^{-1}(t)/phi^{-1}(rt)``, frozen from the bisection
+    inverse it was first computed with."""
+    value, method = dilation_norm_info(parse_spec("orlicz:llogl"), r)
+    assert method == "grid-sup"
+    assert_allclose(value, want, rtol=1e-14)
 
 
 def test_dilation_rejects_bad_factor():
