@@ -72,6 +72,18 @@ _DEFAULT_N = {
     "report": "8,16,32",
 }
 
+# each subcommand's CSV header: the first line of its CSV and its --help text
+_HEADERS = {
+    "probe": ["section", "probe_id", "n", "metric", "value"],
+    "equiv": ["f_label", "n", "lhs_continuous", "lhs_discrete", "rhs_continuous",
+              "rhs_discrete", "ratio"],
+    "rates": ["f_label", "measure", "slope", "intercept", "residual", "exact"],
+    "counterexample": ["n", "continuous_error", "discrete_error", "ratio", "coeff_max"],
+    "onesided": ["f_label", "n", "error", "onesided", "ratio_onesided", "besov",
+                 "besov_truncated", "ratio_besov", "lp_converged", "excluded"],
+    "report": ["section", "label", "n", "metric", "value"],
+}
+
 _DEFAULT_FNS = {
     "equiv": "square,cusp05,cusp15,sawtooth", "rates": "square,cusp15",
     "onesided": "sine,square,sawtooth", "report": "smooth,cusp15",
@@ -120,19 +132,9 @@ def build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"latsamp {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command")
-    csv_help = {
-        "probe": "CSV columns: section,probe_id,n,metric,value",
-        "equiv": ("CSV columns: f_label,n,lhs_continuous,lhs_discrete,"
-                  "rhs_continuous,rhs_discrete,ratio"),
-        "rates": "CSV columns: f_label,measure,slope,intercept,residual,exact",
-        "counterexample": "CSV columns: n,continuous_error,discrete_error,ratio,coeff_max",
-        "onesided": ("CSV columns: f_label,n,error,onesided,ratio_onesided,"
-                     "besov,besov_truncated,ratio_besov,lp_converged,excluded"),
-        "report": "CSV columns: section,label,n,metric,value",
-    }
-    for name in ("probe", "equiv", "rates", "counterexample", "onesided",
-                 "report"):
-        q = sub.add_parser(name, help=csv_help[name], description=csv_help[name])
+    for name, header in _HEADERS.items():
+        csv_help = f"CSV columns: {','.join(header)}"
+        q = sub.add_parser(name, help=csv_help, description=csv_help)
         q.add_argument("--op", help=f"operator: {OP_CHOICES}")
         q.add_argument("--spec", help=f"norm: {SPEC_CHOICES}")
         q.add_argument("--n", help="comma-separated strictly increasing scales")
@@ -196,6 +198,8 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     if min(ns) < 1:
         raise UsageError("--n entries must be positive")
     cfg["n_list"] = ns
+    if int(cfg["trials"]) < 1:
+        raise UsageError(f"--trials must be >= 1, got {cfg['trials']}")
     if 2 * int(cfg["r"]) < int(cfg["s"]):
         raise UsageError(f"need 2r >= s, got r={cfg['r']}, s={cfg['s']}")
     if cfg["gamma"] is not None and cfg["gamma"] <= 0:
@@ -283,12 +287,11 @@ def _cmd_probe(cfg):
     _check(asserts, "converse_per_n_spread", ok, spread, cfg["converse_spread"])
     _check(asserts, "mz_sup_cap", mz.constants["MZ_upper"] < cfg["mz_sup_cap"],
            mz.constants["MZ_upper"], cfg["mz_sup_cap"])
-    if (spec.kind == "lebesgue" and 1.0 < spec.p < np.inf
-            and cfg["scheme"] == "uniform"):
+    if spec.kind == "lebesgue" and spec.p > 1.0 and cfg["scheme"] == "uniform":
         _check(asserts, "mz_inf_floor",
                mz.constants["MZ_lower"] > cfg["mz_inf_floor"],
                mz.constants["MZ_lower"], cfg["mz_inf_floor"])
-    return (["section", "probe_id", "n", "metric", "value"], rows, asserts)
+    return _HEADERS["probe"], rows, asserts
 
 
 def _cmd_equiv(cfg):
@@ -302,8 +305,7 @@ def _cmd_equiv(cfg):
     if not table.rows and table.notes:
         _check(asserts, "study_skipped", True, 0.0, "precondition",
                note="; ".join(table.notes))
-        return (["f_label", "n", "lhs_continuous", "lhs_discrete",
-                 "rhs_continuous", "rhs_discrete", "ratio"], rows, asserts)
+        return _HEADERS["equiv"], rows, asserts
     _check(asserts, "zero_rhs_rows_clean", not table.violations,
            len(table.violations), 0,
            note="rows with rhs=0 must have lhs <= 1e-9")
@@ -311,8 +313,7 @@ def _cmd_equiv(cfg):
            table.min_ratio, 0.0)
     _check(asserts, "equiv_spread", table.spread <= cfg["equiv_spread"],
            table.spread, cfg["equiv_spread"])
-    return (["f_label", "n", "lhs_continuous", "lhs_discrete",
-             "rhs_continuous", "rhs_discrete", "ratio"], rows, asserts)
+    return _HEADERS["equiv"], rows, asserts
 
 
 def _cmd_rates(cfg):
@@ -336,8 +337,7 @@ def _cmd_rates(cfg):
                    err_fit.slope,
                    f"{cfg['rate_slope']} +- {cfg['rate_slope_tol']}")
     rows.sort(key=lambda row: (row[0], row[1]))
-    return (["f_label", "measure", "slope", "intercept", "residual", "exact"],
-            rows, asserts)
+    return _HEADERS["rates"], rows, asserts
 
 
 def _cmd_counterexample(cfg):
@@ -371,8 +371,7 @@ def _cmd_counterexample(cfg):
     _check(asserts, "annihilated_coefficients",
            table.max_coefficient <= cfg["coeff_tol"],
            table.max_coefficient, cfg["coeff_tol"], note=note)
-    return (["n", "continuous_error", "discrete_error", "ratio", "coeff_max"],
-            rows, asserts)
+    return _HEADERS["counterexample"], rows, asserts
 
 
 def _cmd_onesided(cfg):
@@ -399,18 +398,15 @@ def _cmd_onesided(cfg):
         if any(b > a + 1e-9 for a, b in zip(vals, vals[1:])):
             mono_ok = False
     _check(asserts, "onesided_nonincreasing", mono_ok, mono_ok, True)
-    return (["f_label", "n", "error", "onesided", "ratio_onesided", "besov",
-             "besov_truncated", "ratio_besov", "lp_converged", "excluded"],
-            rows, asserts)
+    return _HEADERS["onesided"], rows, asserts
 
 
 def _cmd_report(cfg):
     """Compact battery: every section at the configured (small) scales."""
     asserts: List[dict] = []
     rows = []
-    sub = dict(cfg)
 
-    header, prows, passerts = _cmd_probe(sub)
+    _, prows, passerts = _cmd_probe(cfg)
     rows += [["probe", r[1], r[2], r[3], r[4]] for r in prows]
     asserts += [dict(a, name=f"probe:{a['name']}") for a in passerts]
 
@@ -424,9 +420,7 @@ def _cmd_report(cfg):
     rows += [["equiv", r[0], r[1], "ratio", r[6]] for r in erows]
     asserts += [dict(a, name=f"equiv:{a['name']}") for a in easserts]
 
-    ce_ns = [n for n in cfg["n_list"]]
-    sub_ce = dict(cfg, n_list=ce_ns)
-    _, crows, casserts = _cmd_counterexample(sub_ce)
+    _, crows, casserts = _cmd_counterexample(cfg)
     rows += [["counterexample", "bump_train", r[0], "ratio", r[3]] for r in crows]
     asserts += [dict(a, name=f"counterexample:{a['name']}") for a in casserts]
 
@@ -443,7 +437,7 @@ def _cmd_report(cfg):
              for n, e in zip(cv.n_range, cv.errors)]
     _check(asserts, "convergence:verdicts_agree", cv.agree,
            {"error": cv.error_converges, "modulus": cv.modulus_converges}, True)
-    return (["section", "label", "n", "metric", "value"], rows, asserts)
+    return _HEADERS["report"], rows, asserts
 
 
 _COMMANDS = {

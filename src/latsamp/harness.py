@@ -33,8 +33,7 @@ from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction,
                     build_cache, ensure_window_resolution, make_jittered_nodes,
                     make_uniform_nodes)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
-from .operators import (OperatorSpec, approx_error, parse_operator,
-                        quasi_interp)
+from .operators import approx_error, parse_operator, quasi_interp
 from .smoothness import (default_width, kfunc_vp, realization,
                          semidiscrete_modulus)
 from .steklov import i_minus_a_pow_at
@@ -104,11 +103,13 @@ class ProbeReport:
 def probe_assumptions(op, spec: NormSpec, s: int, n_range: Sequence[int],
                       trials: int = 50, seed: int = 0) -> ProbeReport:
     """Empirical K1/K2 (node-data) and K3/K4 (polynomial) constants."""
-    op = parse_operator(op) if not isinstance(op, OperatorSpec) else op
+    op = parse_operator(op)
     if not op.is_periodic:
         raise ValueError("assumption probes cover the periodic families only")
     if s < 1:
         raise ValueError("smoothness order s must be >= 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n_range = tuple(n_range)
 
     def one_n(n: int) -> dict:
@@ -154,6 +155,8 @@ def mz_probe(spec: NormSpec, scheme: str, n_range: Sequence[int],
     """Discrete/continuous norm ratios for random T, plus a Bernstein ratio."""
     if scheme not in ("uniform", "jittered"):
         raise ValueError("node scheme must be 'uniform' or 'jittered'")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n_range = tuple(n_range)
 
     def one_n(n: int) -> dict:
@@ -240,14 +243,14 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
         raise ValueError(f"unknown study {study!r}; pick from {EQUIV_STUDIES}")
     if 2 * r < s:
         raise ValueError("need 2r >= s")
-    op = parse_operator(op) if not isinstance(op, OperatorSpec) else op
+    op = parse_operator(op)
     table = EquivTable(study=study, rows=[])
     if study == "br_riesz" and not (op.family == "quasi" and op.op_id.startswith("br")):
         raise ValueError("br_riesz expects a Bochner-Riesz operator (br:<alpha>)")
     if study == "br_fejer":
         if op.op_id != "fejer":
             raise ValueError("br_fejer expects the fejer operator")
-        if not (spec.kind == "lebesgue" and 1.0 < spec.p < np.inf):
+        if not (spec.kind == "lebesgue" and spec.p > 1.0):
             table.notes.append(
                 f"skipped: converse for the fejer window needs Lebesgue p in (1, inf); "
                 f"precondition unverified for {spec.id}")
@@ -353,7 +356,7 @@ def rate_study(f: PointwiseFunction, op, spec: NormSpec, n_range: Sequence[int],
                r: int = 1, s: int = 2, gamma: Optional[float] = None,
                expected_order: Optional[float] = None):
     """Decay-rate fits of the interpolation error and the matching modulus."""
-    op = parse_operator(op) if not isinstance(op, OperatorSpec) else op
+    op = parse_operator(op)
     if 2 * r < s:
         raise ValueError("need 2r >= s")
 
@@ -441,7 +444,7 @@ def counterexample_run(n_range: Sequence[int], p: float = 2.0,
         spec = NormSpec("lebesgue", p)
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("the bump-width calibration needs an unweighted norm")
-    op = parse_operator(window) if not isinstance(window, OperatorSpec) else window
+    op = parse_operator(window)
     if op.family != "quasi":
         raise ValueError("counterexample needs a window quasi-interpolant")
     if abs(op.window(np.array([1.0]))[0]) > 1e-15:
@@ -486,7 +489,7 @@ def onesided_study(functions: Dict[str, PointwiseFunction], n_range: Sequence[in
     error and the one-sided value vanish are marked excluded.
     """
     spec = NormSpec("lebesgue", 1.0)
-    op = parse_operator(op) if not isinstance(op, OperatorSpec) else op
+    op = parse_operator(op)
 
     def one_task(item):
         label, f, n = item
@@ -528,7 +531,7 @@ def convergence_criterion(f: PointwiseFunction, op, spec: NormSpec, r: int,
                           gamma: Optional[float] = None) -> ConvergenceVerdict:
     """Factor-4 trend test: the continuous error and the discrete part of the
     modulus should both shrink (or both stall) across a dyadic range."""
-    op = parse_operator(op) if not isinstance(op, OperatorSpec) else op
+    op = parse_operator(op)
     if len(n_range) < 2:
         raise ValueError("need at least two scales for a trend")
 

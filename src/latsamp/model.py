@@ -7,7 +7,7 @@ three types defined here:
   breakpoints and jump values, so sampling at a discontinuity is well defined.
 * :class:`NodeSet` -- sampling nodes on ``[-pi, pi)`` with mesh constants.
 * :class:`DenseGridCache` -- a breakpoint-aware composite Gauss-Legendre panel
-  partition carrying function values and an antiderivative (prefix) table.
+  partition carrying node values and an antiderivative (prefix) table.
 
 The cache is the single quadrature surface of the package: panel integrals are
 5-point Gauss-Legendre, panels are split at declared breakpoints and graded
@@ -89,14 +89,14 @@ class PointwiseFunction:
         return np.asarray(vals)
 
     def _on_partition(self, edges: np.ndarray, resolution: int):
-        """Values at a panel partition's edges and Gauss-Legendre nodes.
+        """(M, 5) values at the Gauss-Legendre nodes of a panel partition.
 
         :func:`build_cache` fills every cache through this hook.  Functions
         with spectral structure override it (trigonometric polynomials are
         synthesised by FFT on the uniform cells of the partition).
         """
         gl_x = panel_gl_points(edges)
-        return self(edges), self(gl_x.ravel()).reshape(gl_x.shape)
+        return self(gl_x.ravel()).reshape(gl_x.shape)
 
     def derivative_order(self, r: int) -> "PointwiseFunction":
         """Return the r-th derivative, chaining :attr:`derivative` r times."""
@@ -249,10 +249,9 @@ class DenseGridCache:
         values hold; partial-panel integrals use the interpolant on every cache.
     edges : (M+1,) float
         Panel edges, ``edges[0] = -pi``, ``edges[-1] = pi``.
-    edge_values : (M+1,) complex
-        Function values at the edges (pointwise convention at breakpoints).
     gl_values : (M, 5) complex
-        Values at the per-panel Gauss-Legendre nodes.
+        Values at the per-panel Gauss-Legendre nodes: every integral, partial
+        panel and interpolated value of the cache is read from these.
     prefix : (M+1,) complex
         ``prefix[j] = int_{-pi}^{edges[j]} f``.
     resolution : int
@@ -262,10 +261,8 @@ class DenseGridCache:
     fn: Optional[PointwiseFunction]
     resolution: int
     edges: np.ndarray
-    edge_values: np.ndarray
     gl_values: np.ndarray
     prefix: np.ndarray
-    breakpoints: tuple = ()
 
     # -- construction helpers ------------------------------------------------
 
@@ -351,20 +348,17 @@ class DenseGridCache:
             acc += m * tab[m][j]
         return acc.reshape(shape)
 
-    def spawn(self, edge_values, gl_values) -> "DenseGridCache":
-        """Derived cache on the same partition from new pointwise values."""
-        return _integrated(None, self.resolution, self.edges, edge_values, gl_values,
-                           self.breakpoints)
+    def spawn(self, gl_values) -> "DenseGridCache":
+        """Derived cache on the same partition from new node values."""
+        return _integrated(None, self.resolution, self.edges, gl_values)
 
 
-def _integrated(fn, resolution, edges, edge_values, gl_values, breakpoints) -> DenseGridCache:
+def _integrated(fn, resolution, edges, gl_values) -> DenseGridCache:
     """A cache on ``edges`` whose prefix table integrates ``gl_values``."""
     gl_values = np.asarray(gl_values)
     panel_int = np.sum(0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :] * gl_values, axis=1)
-    return DenseGridCache(fn=fn, resolution=resolution, edges=edges,
-                          edge_values=np.asarray(edge_values), gl_values=gl_values,
-                          prefix=np.concatenate([[0.0], np.cumsum(panel_int)]),
-                          breakpoints=tuple(breakpoints))
+    return DenseGridCache(fn=fn, resolution=resolution, edges=edges, gl_values=gl_values,
+                          prefix=np.concatenate([[0.0], np.cumsum(panel_int)]))
 
 
 def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
@@ -382,8 +376,7 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
         if n_scale is not None:
             resolution = max(resolution, OVERSAMPLE * int(n_scale))
     edges = _panel_edges(resolution, fn.breakpoints)
-    edge_values, gl_values = fn._on_partition(edges, resolution)
-    return _integrated(fn, resolution, edges, edge_values, gl_values, fn.breakpoints)
+    return _integrated(fn, resolution, edges, fn._on_partition(edges, resolution))
 
 
 def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:

@@ -51,21 +51,16 @@ class NormSpec:
     phi: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind == "lebesgue":
-            if self.p is None or self.p < 1:
-                raise ValueError("lebesgue norm needs exponent p >= 1")
-        elif self.kind == "weighted":
-            if self.p is None or self.p < 1:
-                raise ValueError("weighted norm needs exponent p >= 1")
-            if not (-1.0 < self.beta < self.p - 1.0):
-                raise ValueError("weight exponent must satisfy -1 < beta < p-1")
-        elif self.kind == "orlicz":
-            if self.phi not in ("power", "llogl"):
-                raise ValueError("orlicz norm needs phi in {'power', 'llogl'}")
-            if self.phi == "power" and (self.p is None or self.p < 1):
-                raise ValueError("power Young function needs exponent p >= 1")
-        else:
+        if self.kind not in ("lebesgue", "weighted", "orlicz"):
             raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.kind == "orlicz" and self.phi not in ("power", "llogl"):
+            raise ValueError("orlicz norm needs phi in {'power', 'llogl'}")
+        needs_p = self.kind != "orlicz" or self.phi == "power"
+        if needs_p and not (self.p is not None and 1.0 <= self.p < np.inf):
+            raise ValueError(f"{self.kind} norm needs a finite exponent 1 <= p < inf, "
+                             f"got {self.p}")
+        if self.kind == "weighted" and not (-1.0 < self.beta < self.p - 1.0):
+            raise ValueError("weight exponent must satisfy -1 < beta < p-1")
 
     @property
     def id(self) -> str:

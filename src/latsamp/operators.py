@@ -47,8 +47,13 @@ class OperatorSpec:
         return self.family in PERIODIC_FAMILIES
 
 
-def parse_operator(text: str) -> OperatorSpec:
-    """Parse operator ids: lagrange | fejer | br:<alpha> | wks | linefejer."""
+def parse_operator(text: Union[str, OperatorSpec]) -> OperatorSpec:
+    """Parse operator ids: lagrange | fejer | br:<alpha> | wks | linefejer.
+
+    An :class:`OperatorSpec` is returned unchanged, so callers may pass either.
+    """
+    if isinstance(text, OperatorSpec):
+        return text
     t = text.strip().lower()
     if t == "lagrange":
         return OperatorSpec("lagrange", "lagrange", dirichlet_window())

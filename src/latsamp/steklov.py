@@ -10,8 +10,9 @@ Two backends:
 * TrigPoly -> exact coefficient multipliers;
 * DenseGridCache -> antiderivative differences ``(F(x+h/2) - F(x-h/2))/h``.
   Partial panels integrate the in-panel interpolant on every cache, base or
-  derived; iterated averages materialize one derived cache per level (cost
-  linear in the iteration count r, supported for r <= 4).
+  derived; iterated averages materialize one derived cache per level, its
+  values taken at the 5 Gauss-Legendre nodes of each panel (cost linear in
+  the iteration count r, supported for r <= 4).
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = Tru
 
 
 def _steklov_cache(cache: DenseGridCache, h: float, centered: bool) -> DenseGridCache:
-    edge_vals = steklov_values(cache, h, cache.edges, centered)
-    gl_vals = steklov_values(cache, h, cache.gl_points().ravel(), centered)
-    return cache.spawn(edge_vals, gl_vals.reshape(cache.gl_values.shape))
+    """One averaging level: ``A_h`` at the cache's Gauss-Legendre nodes."""
+    return cache.spawn(steklov_values(cache, h, cache.gl_points(), centered))
 
 
 def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
@@ -111,9 +111,7 @@ def steklov_chain(cache: DenseGridCache, h: float, r: int, centered: bool = True
 
 def _combine(chain, coeffs) -> DenseGridCache:
     """``sum_k coeffs[k] chain[k]`` as a derived cache on the chain's partition."""
-    edge = sum((c * link.edge_values for c, link in zip(coeffs, chain)), 0j)
-    gl = sum((c * link.gl_values for c, link in zip(coeffs, chain)), 0j)
-    return chain[0].spawn(edge, gl)
+    return chain[0].spawn(sum((c * link.gl_values for c, link in zip(coeffs, chain)), 0j))
 
 
 def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:

@@ -13,12 +13,11 @@ error, as ``exp(ikx)`` does, in O(points) memory.  Its adjoint
 
 Polynomial <-> cache transforms run panel by panel.  Almost every panel of a
 cache is a uniform cell of width ``2*pi/R`` (``R`` the cache resolution), so
-its 5 Gauss-Legendre nodes lie on 5 shifted uniform grids of size ``R`` and
-its edges on a sixth.  Synthesis (values of a polynomial at the cache points)
-is one folded FFT per grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any
-degree; analysis (Fourier coefficients of a cache) is its adjoint.  The few
-panels graded toward breakpoints and 0 go through :func:`_horner` and
-:func:`_power_sums`.
+its 5 Gauss-Legendre nodes lie on 5 shifted uniform grids of size ``R``.
+Synthesis (values of a polynomial at the cache nodes) is one folded FFT per
+grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any degree; analysis
+(Fourier coefficients of a cache) is its adjoint.  The few panels graded
+toward breakpoints and 0 go through :func:`_horner` and :func:`_power_sums`.
 
 Window profiles ``phi`` live on ``[-1, 1]`` and act on coefficients as
 ``c_k -> phi(k/n) c_k``; their kernels are ``sum phi(k/n) exp(ikx)``.
@@ -283,31 +282,20 @@ def _gl_starts(resolution: int) -> np.ndarray:
     return -np.pi + 0.5 * (TWO_PI / resolution) * (GL_NODES + 1.0)
 
 
-def _synthesize(poly: TrigPoly, edges: np.ndarray, resolution: int):
-    """Values of ``poly`` at a partition's edges and Gauss-Legendre nodes.
+def _synthesize(poly: TrigPoly, edges: np.ndarray, resolution: int) -> np.ndarray:
+    """(M, 5) values of ``poly`` at a partition's Gauss-Legendre nodes.
 
-    Uniform cells take their node values from 5 folded FFTs and their edge
-    values from a sixth; the graded panels go through :meth:`TrigPoly.at`.
-    Returns ``(edge_values, gl_values)`` shaped like a cache's.
+    Uniform cells take their node values from 5 folded FFTs; the graded
+    panels go through :meth:`TrigPoly.at`.
     """
     panels, cells = uniform_cells(edges, resolution)
     gl = np.empty((edges.size - 1, GL_NODES.size), dtype=complex)
     for g, start in enumerate(_gl_starts(resolution)):
         gl[panels, g] = poly._fold(resolution, start)[cells]
-    ev = np.empty(edges.size, dtype=complex)
-    grid = poly._fold(resolution, -np.pi)
-    ev[panels] = grid[cells]
-    ev[panels + 1] = grid[(cells + 1) % resolution]  # pi wraps to -pi
     graded = np.ones(gl.shape[0], dtype=bool)
     graded[panels] = False
-    loose = np.ones(edges.size, dtype=bool)
-    loose[panels] = loose[panels + 1] = False
-    gx = panel_gl_points(edges)[graded]
-    direct = poly.at(np.concatenate([edges[loose], gx.ravel()]))
-    n_loose = np.count_nonzero(loose)
-    ev[loose] = direct[:n_loose]
-    gl[graded] = direct[n_loose:].reshape(gx.shape)
-    return ev, gl
+    gl[graded] = poly.at(panel_gl_points(edges)[graded])
+    return gl
 
 
 def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
@@ -374,8 +362,7 @@ def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
     ``T`` is synthesised on the partition: folded FFTs on the uniform cells,
     :func:`_horner` on the graded panels.
     """
-    edge, gl = _synthesize(poly, cache.edges, cache.resolution)
-    return cache.spawn(cache.edge_values - edge, cache.gl_values - gl)
+    return cache.spawn(cache.gl_values - _synthesize(poly, cache.edges, cache.resolution))
 
 
 def vp_mean(source: Sourceable, n: int) -> TrigPoly:

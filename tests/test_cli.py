@@ -20,7 +20,12 @@ def read_summary(outdir):
 
 
 def read_rows(path):
+    """Rows of ``<command>_<seed>.csv``, whose first line must be the
+    command's entry in ``cli._HEADERS``."""
+    command = os.path.basename(path).rsplit("_", 1)[0]
     with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.readline() == ",".join(cli._HEADERS[command]) + "\n"
+        fh.seek(0)
         return list(csv.DictReader(fh))
 
 
@@ -50,10 +55,14 @@ def test_missing_seed_is_usage_error(tmp_path, capsys):
     ["probe", "--seed", "1", "--op", "zzz"],
     ["equiv", "--seed", "1", "--functions", "nosuchfn"],
     ["equiv", "--seed", "1", "--study", "bogus"],
+    ["probe", "--seed", "1", "--spec", "lp:inf"],
+    ["probe", "--seed", "1", "--spec", "lp:nan"],
+    ["probe", "--seed", "1", "--trials", "0"],
 ])
 def test_bad_arguments_exit_one(tmp_path, args, capsys):
     assert run(args + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("op", ["wks", "linefejer"])
@@ -232,6 +241,8 @@ def test_report_command_composes(tmp_path, capsys):
     assert any(n.startswith("probe") for n in names)
     assert any(n.startswith("counterexample") for n in names)
     assert summary["all_passed"]
+    assert {r["section"] for r in read_rows(out / "report_1.csv")} >= {
+        "probe", "equiv", "counterexample", "onesided", "convergence"}
 
 
 # ----------------------------------------------------------------------------

@@ -97,6 +97,15 @@ def test_probe_rejects_line_operator_and_bad_s():
         probe_assumptions("fejer", L2, 0, (8,))
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_probes_reject_empty_ensembles(trials):
+    """No trial would leave every constant at +-inf."""
+    with pytest.raises(ValueError, match="trials"):
+        probe_assumptions("fejer", L2, 1, (8,), trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        mz_probe(L2, "uniform", (8,), trials=trials)
+
+
 def test_probe_report_fields():
     rep = probe_assumptions("fejer", L1, 1, (4, 8), trials=5, seed=3)
     assert rep.trials == 5 and rep.seed == 3

@@ -174,6 +174,17 @@ def test_antiderivative_wraps_periodically():
     assert_allclose(jump.real, 2.0 * TWO_PI, rtol=1e-13)
 
 
+def test_build_cache_evaluates_only_the_gauss_legendre_nodes():
+    """A cache holds node values only: f is sampled at the 5 Gauss-Legendre
+    nodes of each of its M panels, and nowhere else."""
+    sq = corpus()["square"]
+    sizes = []
+    counted = PointwiseFunction("counted", lambda x: sizes.append(x.size) or sq(x),
+                                breakpoints=sq.breakpoints)
+    cache = build_cache(counted, resolution=256)
+    assert sum(sizes) == 5 * cache.panel_count
+
+
 def test_breakpoint_panels_present():
     sq = corpus()["square"]
     cache = build_cache(sq, resolution=64)

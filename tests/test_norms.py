@@ -64,6 +64,8 @@ def test_spec_id_roundtrip():
 @pytest.mark.parametrize("bad", [
     "l0", "lp:0.5", "wlp:2:3", "wlp:2:-2", "orlicz:exp", "orlicz:power:0.2",
     "nonsense", "wlp:2", "lp", "",
+    # an infinite exponent would read every norm as 1
+    "lp:inf", "lp:nan", "wlp:inf:0.5", "orlicz:power:inf",
 ])
 def test_parse_spec_invalid(bad):
     with pytest.raises(ValueError):

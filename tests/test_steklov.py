@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latsamp import (
+    DenseGridCache,
     TrigPoly,
     build_cache,
     corpus,
@@ -221,6 +222,23 @@ def test_window_step_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 55e6
+
+
+def test_steklov_level_reads_the_antiderivative_at_the_nodes_only(monkeypatch):
+    """One averaging level takes F at the two window ends of each of the 5M
+    Gauss-Legendre nodes: 10M points, none at the panel edges."""
+    cache = build_cache(corpus()["square"], resolution=1024)
+    sizes = []
+    antiderivative = DenseGridCache.antiderivative
+
+    def counted(self, y):
+        sizes.append(np.size(y))
+        return antiderivative(self, y)
+
+    monkeypatch.setattr(DenseGridCache, "antiderivative", counted)
+    level = steklov(cache, 0.5)
+    assert level.edges is cache.edges
+    assert sum(sizes) == 10 * cache.panel_count
 
 
 def test_steklov_chain_lengths():

@@ -302,7 +302,7 @@ def _transform_caches():
     assert refined.resolution == 16384
     caches["square@16384"] = refined
     base = caches["sawtooth@1024"]
-    caches["spawned@1024"] = base.spawn(base.edge_values ** 2 + 1j, base.gl_values ** 2 + 1j)
+    caches["spawned@1024"] = base.spawn(base.gl_values ** 2 + 1j)
     return caches
 
 
@@ -323,9 +323,7 @@ def test_subtract_poly_matches_direct_sum(name, degree):
     cache = TRANSFORM_CACHES[name]
     p = random_poly(degree, np.random.default_rng(degree))
     resid = subtract_poly(cache, p)
-    edge = direct_synthesis(p, cache.edges)
     gl = direct_synthesis(p, cache.gl_points())
-    assert rel_dev(cache.edge_values - resid.edge_values, edge) <= 1e-12
     assert rel_dev(cache.gl_values - resid.gl_values, gl) <= 1e-12
 
 
@@ -339,7 +337,6 @@ def test_fourier_coefficients_match_direct_sum(name):
 def test_polynomial_cache_is_synthesised_exactly():
     p = random_poly(30, np.random.default_rng(40))
     cache = build_cache(p.as_pointwise(), resolution=1024)
-    assert rel_dev(cache.edge_values, direct_synthesis(p, cache.edges)) <= 1e-12
     assert rel_dev(cache.gl_values, direct_synthesis(p, cache.gl_points())) <= 1e-12
 
 
@@ -351,8 +348,6 @@ def test_synthesis_folds_degrees_above_the_grid():
     resid = subtract_poly(cache, p)
     assert rel_dev(cache.gl_values - resid.gl_values,
                    direct_synthesis(p, cache.gl_points())) <= 1e-12
-    assert rel_dev(cache.edge_values - resid.edge_values,
-                   direct_synthesis(p, cache.edges)) <= 1e-12
 
 
 @pytest.mark.parametrize("spec_id", ["wlp:2:-0.5", "wlp:1.5:0.3", "orlicz:llogl"])
@@ -368,8 +363,7 @@ def test_analysis_is_adjoint_of_synthesis():
     """sum w conj(T) v == 2 pi sum conj(c_k) v_k over the cache quadrature."""
     rng = np.random.default_rng(43)
     base = TRANSFORM_CACHES["rotated@4096"]
-    v = base.spawn(rng.standard_normal(base.edges.size),
-                   rng.standard_normal(base.gl_values.shape)
+    v = base.spawn(rng.standard_normal(base.gl_values.shape)
                    + 1j * rng.standard_normal(base.gl_values.shape))
     p = random_poly(60, rng)
     synth = v.gl_values - subtract_poly(v, p).gl_values
