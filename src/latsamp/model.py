@@ -256,6 +256,10 @@ class DenseGridCache:
         ``prefix[j] = int_{-pi}^{edges[j]} f``.
     resolution : int
         The uniform base resolution used to build the partition.
+
+    F is read at arbitrary points by a panel search (:meth:`antiderivative`),
+    and at all nodes shifted by one offset by fixed per-node functionals on a
+    lazily built cell-to-panel map (:meth:`node_antiderivative`).
     """
 
     fn: Optional[PointwiseFunction]
@@ -301,8 +305,13 @@ class DenseGridCache:
         winding = np.floor((y + np.pi) / TWO_PI)
         yw = y - winding * TWO_PI
         j, width, t = self._locate(yw)
-        partial = self._partial_panel(j, width, t)
-        out = self.prefix[j] + partial + winding * self.total
+        # int_{a_j}^{y} f by Horner in t on the integral table
+        tab = self.integral_table
+        acc = tab[5][j]
+        for m in range(4, -1, -1):
+            acc *= t
+            acc += tab[m][j]
+        out = self.prefix[j] + 0.5 * width * acc + winding * self.total
         return out.reshape(shape)
 
     def _locate(self, x):
@@ -319,14 +328,52 @@ class DenseGridCache:
         ``int_{-1}^{t}`` of its interpolant, so a Horner step gathers one row."""
         return _GL_INTEGRAL @ self.gl_values.T
 
-    def _partial_panel(self, j, width, t):
-        """``int_{a_j}^{y} f`` by Horner in ``t`` on :attr:`integral_table`."""
-        tab = self.integral_table
-        acc = tab[5][j]
-        for m in range(4, -1, -1):
-            acc *= t
-            acc += tab[m][j]
-        return 0.5 * width * acc
+    @cached_property
+    def _cell_map(self):
+        """``(cell_of, panel_of, graded)``: panel -> grid cell (exact on
+        :func:`uniform_cells`, non-decreasing), cell -> panel (-1 if graded)."""
+        panels, cells = uniform_cells(self.edges, self.resolution)
+        cell_of = np.interp(np.arange(self.panel_count), panels, cells).astype(int)
+        panel_of = np.full(self.resolution, -1)
+        panel_of[cells] = panels
+        graded = np.setdiff1d(np.arange(self.panel_count), panels, assume_unique=True)
+        return cell_of, panel_of, graded
+
+    def node_antiderivative(self, shift: float) -> np.ndarray:
+        """(M, 5) values of ``F(x + shift)`` at the Gauss-Legendre nodes ``x``.
+
+        With ``shift / step = q + phi``, node ``g`` of every uniform cell lands
+        ``q + c_g`` cells on, at ``t_g = 2(u_g + phi - c_g) - 1`` where ``u_g =
+        (GL_NODES[g] + 1)/2``.  Where that cell is uniform too, F is a fixed
+        functional of its prefix and :attr:`integral_table` column (plus
+        ``total`` per winding); other nodes take :meth:`antiderivative`.
+        """
+        R = self.resolution
+        q, phi = divmod(shift / (TWO_PI / R), 1.0)
+        s = 0.5 * (GL_NODES + 1.0) + phi
+        c = s >= 1.0
+        at_t = (2.0 * (s - c) - 1.0)[:, None] ** np.arange(6) @ self.integral_table
+        at_t *= 0.5 * self.widths
+        at_t += self.prefix[:-1]
+        cell_of, panel_of, graded = self._cell_map
+        out = np.empty((self.panel_count, 5), dtype=at_t.dtype)
+        lost = []
+        for k in np.unique(q + c):
+            # sources below the split wind ``low`` times, the rest ``low + 1``
+            low, offset = divmod(int(k), R)
+            split = np.searchsorted(cell_of, R - offset)
+            hit = panel_of.take(cell_of + offset, mode="wrap")
+            hit[graded] = -1
+            for col in np.flatnonzero(q + c == k):  # ascending overall, as g assumes
+                out[:, col] = at_t[col].take(hit)
+                for rows, turns in ((slice(None, split), low), (slice(split, None), low + 1)):
+                    if turns:
+                        out[rows, col] += turns * self.total
+                lost.append(np.flatnonzero(hit < 0))
+        j, g = np.concatenate(lost), np.repeat(np.arange(5), [idx.size for idx in lost])
+        a, b = self.edges[j], self.edges[j + 1]
+        out[j, g] = self.antiderivative(a + 0.5 * (b - a) * (GL_NODES[g] + 1.0) + shift)
+        return out
 
     # -- values --------------------------------------------------------------
 
@@ -349,14 +396,17 @@ class DenseGridCache:
         return acc.reshape(shape)
 
     def spawn(self, gl_values) -> "DenseGridCache":
-        """Derived cache on the same partition from new node values."""
-        return _integrated(None, self.resolution, self.edges, gl_values)
+        """Derived cache on the same partition (and cell map) from new node values."""
+        derived = _integrated(None, self.resolution, self.edges, gl_values)
+        if "_cell_map" in self.__dict__:
+            derived._cell_map = self._cell_map
+        return derived
 
 
 def _integrated(fn, resolution, edges, gl_values) -> DenseGridCache:
     """A cache on ``edges`` whose prefix table integrates ``gl_values``."""
     gl_values = np.asarray(gl_values)
-    panel_int = np.sum(0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :] * gl_values, axis=1)
+    panel_int = (gl_values @ GL_WEIGHTS) * (0.5 * np.diff(edges))
     return DenseGridCache(fn=fn, resolution=resolution, edges=edges, gl_values=gl_values,
                           prefix=np.concatenate([[0.0], np.cumsum(panel_int)]))
 

@@ -12,7 +12,9 @@ Two backends:
   Partial panels integrate the in-panel interpolant on every cache, base or
   derived; iterated averages materialize one derived cache per level, its
   values taken at the 5 Gauss-Legendre nodes of each panel (cost linear in
-  the iteration count r, supported for r <= 4).
+  the iteration count r, supported for r <= 4).  A level reads both window
+  ends by fixed per-node functionals on the uniform cells
+  (:meth:`DenseGridCache.node_antiderivative`), not by a panel search.
 """
 
 from __future__ import annotations
@@ -70,16 +72,14 @@ def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = Tru
     """Window average of a cached function at arbitrary points."""
     _check_h(h)
     x = np.asarray(points, dtype=float)
-    if centered:
-        lo, hi = x - 0.5 * h, x + 0.5 * h
-    else:
-        lo, hi = x, x + h
-    return (cache.antiderivative(hi) - cache.antiderivative(lo)) / h
+    lo, hi = (-0.5 * h, 0.5 * h) if centered else (0.0, h)
+    return (cache.antiderivative(x + hi) - cache.antiderivative(x + lo)) / h
 
 
 def _steklov_cache(cache: DenseGridCache, h: float, centered: bool) -> DenseGridCache:
     """One averaging level: ``A_h`` at the cache's Gauss-Legendre nodes."""
-    return cache.spawn(steklov_values(cache, h, cache.gl_points(), centered))
+    lo, hi = (-0.5 * h, 0.5 * h) if centered else (0.0, h)
+    return cache.spawn((cache.node_antiderivative(hi) - cache.node_antiderivative(lo)) / h)
 
 
 def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:

@@ -21,6 +21,7 @@ from latsamp import (
     steklov,
     steklov_chain,
 )
+from latsamp.model import uniform_cells
 
 
 def sinc_factor(k, h):
@@ -224,10 +225,12 @@ def test_window_step_memory():
     assert peak <= 55e6
 
 
-def test_steklov_level_reads_the_antiderivative_at_the_nodes_only(monkeypatch):
-    """One averaging level takes F at the two window ends of each of the 5M
-    Gauss-Legendre nodes: 10M points, none at the panel edges."""
-    cache = build_cache(corpus()["square"], resolution=1024)
+def test_steklov_level_sends_only_graded_nodes_to_the_antiderivative(monkeypatch):
+    """A shifted level at R = 65536 takes F at the uniform cells' nodes by
+    fixed per-node functionals: only nodes of graded panels, and nodes whose
+    window end lands in one, reach the general antiderivative (10*M before)."""
+    cache = build_cache(corpus()["square"], resolution=65536)
+    graded = cache.panel_count - uniform_cells(cache.edges, cache.resolution)[0].size
     sizes = []
     antiderivative = DenseGridCache.antiderivative
 
@@ -236,9 +239,62 @@ def test_steklov_level_reads_the_antiderivative_at_the_nodes_only(monkeypatch):
         return antiderivative(self, y)
 
     monkeypatch.setattr(DenseGridCache, "antiderivative", counted)
-    level = steklov(cache, 0.5)
+    level = steklov(cache, np.pi / 257, centered=False)
     assert level.edges is cache.edges
-    assert sum(sizes) == 10 * cache.panel_count
+    assert sum(sizes) <= 10 * graded + 200
+
+
+def _level_or_base(label, resolution):
+    cache = build_cache(corpus()[label.removesuffix("-level")], resolution=resolution)
+    if label.endswith("-level"):
+        # a window of 64 grid steps keeps the resolution: a derived cache
+        cache = steklov(cache, 64 * 2 * np.pi / resolution)
+        assert cache.fn is None and cache.resolution == resolution
+    return cache
+
+
+@pytest.mark.parametrize("resolution", [256, 1024, 65536])
+@pytest.mark.parametrize("label", ["square", "cusp15", "sawtooth", "exp3", "square-level"])
+def test_node_antiderivative_matches_the_general_route(label, resolution):
+    """F(x + d) at the Gauss-Legendre nodes by fixed per-node functionals,
+    against :meth:`antiderivative` at ``gl_points() + d``: exact cell
+    multiples, a node landing on a cell edge (``step/2`` moves the middle
+    node to ``t = -1`` of the next cell) and windings past +-pi included."""
+    cache = _level_or_base(label, resolution)
+    h, step = np.pi / 257, 2 * np.pi / resolution
+    x = cache.gl_points()
+    for d in (0.0, h, -h, h / 2, -h / 2, 8 * step, step / 2, -step / 2, 3.0,
+              2 * np.pi, -2 * np.pi):
+        want = cache.antiderivative(x + d)
+        got = cache.node_antiderivative(d)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 4e-15 * max(1.0, np.max(np.abs(want))), d
+    if np.isrealobj(cache.gl_values):
+        assert cache.node_antiderivative(h).dtype == np.float64
+
+
+# measured max |error| at the nodes, (r = 1, 2, 4), centered then shifted
+_SMOOTH_CACHE_ROUTE_ERRORS = {
+    (True, 8): (1.8e-14, 3.5e-14, 1.3e-13), (True, 64): (2.2e-13, 3.0e-13, 1.0e-12),
+    (True, 256): (8.6e-13, 1.9e-12, 5.7e-12), (True, 512): (2.0e-12, 3.1e-12, 1.3e-11),
+    (False, 8): (1.8e-14, 3.4e-14, 1.2e-13), (False, 64): (2.2e-13, 3.8e-13, 1.4e-12),
+    (False, 256): (8.6e-13, 1.6e-12, 6.3e-12), (False, 512): (2.0e-12, 3.6e-12, 1.3e-11),
+}
+
+
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("n", [8, 64, 256, 512])
+def test_i_minus_a_pow_cache_route_against_spectral(n, centered):
+    """``(I - A_h)^r`` of ``smooth`` on its window-refined cache, against the
+    spectral route (frozen against mpmath above), at every cache node; each
+    bound is twice the measured error."""
+    h = np.pi / (2 * n + 1)
+    cache = build_cache(corpus()["smooth"])
+    poly = _poly_forms()["smooth"]
+    for r, err in zip((1, 2, 4), _SMOOTH_CACHE_ROUTE_ERRORS[centered, n]):
+        level = i_minus_a_pow(cache, h, r, centered)
+        exact = i_minus_a_pow(poly, h, r, centered).at(level.gl_points())
+        assert np.max(np.abs(level.gl_values - exact)) <= 2 * err, r
 
 
 def test_steklov_chain_lengths():
