@@ -1,13 +1,14 @@
 """Pointwise function model, node sets, and dense quadrature caches on the circle.
 
 Everything downstream (norms, window averages, sampling operators) consumes the
-three types defined here:
+types defined here:
 
 * :class:`PointwiseFunction` -- an exact vectorized evaluator with declared
   breakpoints and jump values, so sampling at a discontinuity is well defined.
 * :class:`NodeSet` -- sampling nodes on ``[-pi, pi)`` with mesh constants.
-* :class:`DenseGridCache` -- a breakpoint-aware composite Gauss-Legendre panel
-  partition carrying node values and an antiderivative (prefix) table.
+* :class:`Partition` -- a breakpoint-aware Gauss-Legendre panel partition, built
+  once by the memoized :func:`partition` and shared read-only by every cache on it.
+* :class:`DenseGridCache` -- node values and an antiderivative (prefix) table.
 
 The cache is the single quadrature surface of the package: panel integrals are
 5-point Gauss-Legendre, panels are split at declared breakpoints and graded
@@ -19,7 +20,7 @@ accuracy without adaptive quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,14 +89,14 @@ class PointwiseFunction:
         vals = self.evaluator(np.asarray(x, dtype=float))
         return np.asarray(vals)
 
-    def _on_partition(self, edges: np.ndarray, resolution: int):
+    def _on_partition(self, part: "Partition"):
         """(M, 5) values at the Gauss-Legendre nodes of a panel partition.
 
         :func:`build_cache` fills every cache through this hook.  Functions
         with spectral structure override it (trigonometric polynomials are
         synthesised by FFT on the uniform cells of the partition).
         """
-        gl_x = panel_gl_points(edges)
+        gl_x = part.gl_points()
         return self(gl_x.ravel()).reshape(gl_x.shape)
 
     def derivative_order(self, r: int) -> "PointwiseFunction":
@@ -181,6 +182,8 @@ def make_jittered_nodes(n: int, jitter: float, seed) -> NodeSet:
 
 GRADE_PER_DECADE = 40
 GRADE_FLOOR = 1e-10
+#: Partitions kept alive by :func:`partition` for reuse.
+PARTITION_MEMO = 2
 
 
 def _graded_offsets(step: float) -> np.ndarray:
@@ -191,14 +194,21 @@ def _graded_offsets(step: float) -> np.ndarray:
     return np.geomspace(GRADE_FLOOR, step, num=max(num, 2))
 
 
-def _panel_edges(resolution: int, breakpoints) -> np.ndarray:
+def partition(resolution, breakpoints=()) -> "Partition":
+    """The :class:`Partition` of an integer ``resolution >= 1`` and breakpoints,
+    memoized on ``int(resolution)`` and the sorted unique breakpoints."""
+    if type(resolution) is bool or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
+    return _partition(int(resolution), tuple(sorted({float(b) for b in breakpoints})))
+
+
+@lru_cache(maxsize=PARTITION_MEMO)
+def _partition(resolution: int, breakpoints: tuple) -> "Partition":
     """Uniform edges split at breakpoints and graded toward them and 0."""
     edges = np.linspace(-np.pi, np.pi, resolution + 1)
     step = TWO_PI / resolution
-    special = set(float(b) for b in breakpoints)
-    special.add(0.0)
     extra = []
-    for b in sorted(special):
+    for b in sorted({*breakpoints, 0.0}):
         offs = _graded_offsets(2 * step)
         extra.append(b + offs)
         extra.append(b - offs)
@@ -206,21 +216,18 @@ def _panel_edges(resolution: int, breakpoints) -> np.ndarray:
         if np.isclose(b, -np.pi):
             # the same corner seen from the right end of the period
             extra.append(np.pi - offs)
-    if extra:
-        edges = np.concatenate([edges] + extra)
+    edges = np.concatenate([edges] + extra)
     edges = edges[(edges >= -np.pi) & (edges <= np.pi)]
     edges = np.unique(edges)
     # drop panels thinner than floating noise
     keep = np.concatenate([[True], np.diff(edges) > 1e-13])
     edges = edges[keep]
     edges[0], edges[-1] = -np.pi, np.pi
-    return edges
+    edges.setflags(write=False)
+    return Partition(resolution, edges)
 
 
-def panel_gl_points(edges: np.ndarray) -> np.ndarray:
-    """(M, 5) abscissae of the Gauss-Legendre nodes of the panels ``edges``."""
-    widths = np.diff(edges)
-    return edges[:-1, None] + 0.5 * widths[:, None] * (GL_NODES[None, :] + 1.0)
+partition.cache_info, partition.cache_clear = _partition.cache_info, _partition.cache_clear
 
 
 def uniform_cells(edges: np.ndarray, resolution: int):
@@ -228,13 +235,52 @@ def uniform_cells(edges: np.ndarray, resolution: int):
 
     Returns ``(panels, cells)``: panel ``panels[m]`` spans cell ``cells[m]``
     of the ``resolution``-cell grid, ``step = 2*pi/resolution``.  The grid is
-    the ``linspace`` that :func:`_panel_edges` starts from, so edges compare
+    the ``linspace`` that :func:`partition` starts from, so edges compare
     exactly; every other panel is graded toward a breakpoint or 0.
     """
     grid = np.linspace(-np.pi, np.pi, resolution + 1)
     cells = np.minimum(np.searchsorted(grid, edges[:-1]), resolution - 1)
     whole = (grid[cells] == edges[:-1]) & (grid[cells + 1] == edges[1:])
     return np.flatnonzero(whole), cells[whole]
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Edges of ``resolution`` uniform cells split at breakpoints and graded toward
+    them and 0 (see :func:`partition`); the cell map, graded points and weighted
+    masses (by ``beta``) are built on first use.  Every array is read-only."""
+
+    resolution: int
+    edges: np.ndarray
+    weighted_mass: dict = field(default_factory=dict, init=False, repr=False)
+
+    def gl_points(self) -> np.ndarray:
+        """(M, 5) abscissae of the panel Gauss-Legendre nodes."""
+        return self.edges[:-1, None] + 0.5 * np.diff(self.edges)[:, None] * (GL_NODES + 1.0)
+
+    def gl_weights(self) -> np.ndarray:
+        return 0.5 * np.diff(self.edges)[:, None] * GL_WEIGHTS[None, :]
+
+    @cached_property
+    def cell_map(self):
+        """``(cell_of, panel_of, graded)``: panel -> grid cell (exact on
+        :func:`uniform_cells`, non-decreasing), cell -> panel (-1 where the
+        cell is not one whole panel), and the graded panels."""
+        panels, cells = uniform_cells(self.edges, self.resolution)
+        cell_of = np.interp(np.arange(self.edges.size - 1), panels, cells).astype(int)
+        panel_of = np.full(self.resolution, -1)
+        panel_of[cells] = panels
+        graded = np.setdiff1d(np.arange(self.edges.size - 1), panels, assume_unique=True)
+        for a in (cell_of, panel_of, graded):
+            a.setflags(write=False)
+        return cell_of, panel_of, graded
+
+    @cached_property
+    def graded_points(self) -> np.ndarray:
+        """(G, 5) Gauss-Legendre abscissae of the graded panels."""
+        points = self.gl_points()[self.cell_map[2]]
+        points.setflags(write=False)
+        return points
 
 
 @dataclass
@@ -247,28 +293,29 @@ class DenseGridCache:
         The exact evaluator of a base cache, ``None`` on derived caches (e.g.
         window averages).  :meth:`values_at` samples it, so declared jump
         values hold; partial-panel integrals use the interpolant on every cache.
-    edges : (M+1,) float
-        Panel edges, ``edges[0] = -pi``, ``edges[-1] = pi``.
+    partition : Partition
+        The shared panel partition; the cache reads its ``edges`` (M+1,),
+        ``edges[0] = -pi``, ``edges[-1] = pi``, and base ``resolution``.
     gl_values : (M, 5) complex
         Values at the per-panel Gauss-Legendre nodes: every integral, partial
         panel and interpolated value of the cache is read from these.
     prefix : (M+1,) complex
         ``prefix[j] = int_{-pi}^{edges[j]} f``.
-    resolution : int
-        The uniform base resolution used to build the partition.
 
     F is read at arbitrary points by a panel search (:meth:`antiderivative`),
-    and at all nodes shifted by one offset by fixed per-node functionals on a
-    lazily built cell-to-panel map (:meth:`node_antiderivative`).
+    and at all nodes shifted by one offset by fixed per-node functionals on
+    the partition's cell-to-panel map (:meth:`node_antiderivative`).
     """
 
     fn: Optional[PointwiseFunction]
-    resolution: int
-    edges: np.ndarray
+    partition: Partition
     gl_values: np.ndarray
     prefix: np.ndarray
 
     # -- construction helpers ------------------------------------------------
+
+    edges = property(lambda self: self.partition.edges)
+    resolution = property(lambda self: self.partition.resolution)
 
     @property
     def panel_count(self) -> int:
@@ -280,10 +327,10 @@ class DenseGridCache:
 
     def gl_points(self) -> np.ndarray:
         """(M, 5) abscissae of the panel Gauss-Legendre nodes."""
-        return panel_gl_points(self.edges)
+        return self.partition.gl_points()
 
     def gl_weights(self) -> np.ndarray:
-        return 0.5 * self.widths[:, None] * GL_WEIGHTS[None, :]
+        return self.partition.gl_weights()
 
     @property
     def total(self) -> complex:
@@ -328,17 +375,6 @@ class DenseGridCache:
         ``int_{-1}^{t}`` of its interpolant, so a Horner step gathers one row."""
         return _GL_INTEGRAL @ self.gl_values.T
 
-    @cached_property
-    def _cell_map(self):
-        """``(cell_of, panel_of, graded)``: panel -> grid cell (exact on
-        :func:`uniform_cells`, non-decreasing), cell -> panel (-1 if graded)."""
-        panels, cells = uniform_cells(self.edges, self.resolution)
-        cell_of = np.interp(np.arange(self.panel_count), panels, cells).astype(int)
-        panel_of = np.full(self.resolution, -1)
-        panel_of[cells] = panels
-        graded = np.setdiff1d(np.arange(self.panel_count), panels, assume_unique=True)
-        return cell_of, panel_of, graded
-
     def node_antiderivative(self, shift: float) -> np.ndarray:
         """(M, 5) values of ``F(x + shift)`` at the Gauss-Legendre nodes ``x``.
 
@@ -355,7 +391,7 @@ class DenseGridCache:
         at_t = (2.0 * (s - c) - 1.0)[:, None] ** np.arange(6) @ self.integral_table
         at_t *= 0.5 * self.widths
         at_t += self.prefix[:-1]
-        cell_of, panel_of, graded = self._cell_map
+        cell_of, panel_of, graded = self.partition.cell_map
         out = np.empty((self.panel_count, 5), dtype=at_t.dtype)
         lost = []
         for k in np.unique(q + c):
@@ -396,18 +432,15 @@ class DenseGridCache:
         return acc.reshape(shape)
 
     def spawn(self, gl_values) -> "DenseGridCache":
-        """Derived cache on the same partition (and cell map) from new node values."""
-        derived = _integrated(None, self.resolution, self.edges, gl_values)
-        if "_cell_map" in self.__dict__:
-            derived._cell_map = self._cell_map
-        return derived
+        """Derived cache on the same partition from new node values."""
+        return _integrated(None, self.partition, gl_values)
 
 
-def _integrated(fn, resolution, edges, gl_values) -> DenseGridCache:
-    """A cache on ``edges`` whose prefix table integrates ``gl_values``."""
+def _integrated(fn, part: Partition, gl_values) -> DenseGridCache:
+    """A cache on ``part`` whose prefix table integrates ``gl_values``."""
     gl_values = np.asarray(gl_values)
-    panel_int = (gl_values @ GL_WEIGHTS) * (0.5 * np.diff(edges))
-    return DenseGridCache(fn=fn, resolution=resolution, edges=edges, gl_values=gl_values,
+    panel_int = (gl_values @ GL_WEIGHTS) * (0.5 * np.diff(part.edges))
+    return DenseGridCache(fn=fn, partition=part, gl_values=gl_values,
                           prefix=np.concatenate([[0.0], np.cumsum(panel_int)]))
 
 
@@ -425,8 +458,8 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
         resolution = DEFAULT_RESOLUTION
         if n_scale is not None:
             resolution = max(resolution, OVERSAMPLE * int(n_scale))
-    edges = _panel_edges(resolution, fn.breakpoints)
-    return _integrated(fn, resolution, edges, fn._on_partition(edges, resolution))
+    part = partition(resolution, fn.breakpoints)
+    return _integrated(fn, part, fn._on_partition(part))
 
 
 def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:

@@ -235,18 +235,21 @@ def _cache_mass(cache: DenseGridCache, spec: NormSpec) -> np.ndarray:
     its singularity at 0 than eight panel widths (two widths away it is
     1.2e-10 off at beta = -0.9).  Such panels carry their exact weight
     integral, split among their nodes in proportion to the Gauss-Legendre
-    masses.
+    masses.  A weighted mass is kept read-only on the partition, by ``beta``.
     """
-    gw = cache.gl_weights()
     if spec.kind != "weighted":
-        return gw
-    mass = gw * spec.weight(cache.gl_points())
+        return cache.gl_weights()
+    mass = cache.partition.weighted_mass.get(spec.beta)
+    if mass is not None:
+        return mass
+    mass = cache.gl_weights() * spec.weight(cache.gl_points())
     if spec.beta != 0.0:
         lo, hi, widths = cache.edges[:-1], cache.edges[1:], cache.widths
         near = 8.0 * widths > np.minimum(np.abs(lo), np.abs(hi))
         exact = weight_cell_integrals(lo[near], widths[near], spec.beta)
         mass[near] *= (exact / mass[near].sum(axis=1))[:, None]
-    return mass
+    mass.setflags(write=False)
+    return cache.partition.weighted_mass.setdefault(spec.beta, mass)
 
 
 # ----------------------------------------------------------------------------

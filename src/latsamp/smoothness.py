@@ -24,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (GL_WEIGHTS, TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
-                    _panel_edges, build_cache, ensure_window_resolution,
-                    make_uniform_nodes, panel_gl_points)
+from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction, build_cache,
+                    ensure_window_resolution, make_uniform_nodes, partition)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
 from .steklov import i_minus_a_pow, i_minus_a_pow_at
@@ -86,13 +85,12 @@ def _difference_norm(f: PointwiseFunction, r: int, h: float, spec: NormSpec,
     for b in f.breakpoints:
         for nu in range(r + 1):
             shifted.append(float(np.mod(b - nu * h + np.pi, TWO_PI) - np.pi))
-    edges = _panel_edges(resolution, tuple(shifted))
-    gx = panel_gl_points(edges)
-    gw = 0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :]
+    part = partition(resolution, shifted)
+    gx = part.gl_points()
     diff = np.zeros_like(gx, dtype=complex)
     for nu in range(r + 1):
         diff += ((-1.0) ** nu) * comb(r, nu) * f(gx + (r - nu) * h)
-    return _measure_norm(np.abs(diff), gw, spec)
+    return _measure_norm(np.abs(diff), part.gl_weights(), spec)
 
 
 def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,

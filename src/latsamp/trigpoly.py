@@ -30,8 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import (GL_NODES, TWO_PI, DenseGridCache, PointwiseFunction,
-                    build_cache, panel_gl_points, uniform_cells)
+from .model import GL_NODES, TWO_PI, DenseGridCache, Partition, PointwiseFunction, build_cache
 
 MAX_DEGREE = 4096
 
@@ -191,8 +190,8 @@ class _PolyFunction(PointwiseFunction):
 
     poly: Optional[TrigPoly] = field(default=None, compare=False, repr=False)
 
-    def _on_partition(self, edges: np.ndarray, resolution: int):
-        return _synthesize(self.poly, edges, resolution)
+    def _on_partition(self, part: Partition):
+        return _synthesize(self.poly, part)
 
 
 def zero_poly(n: int = 0) -> TrigPoly:
@@ -282,19 +281,17 @@ def _gl_starts(resolution: int) -> np.ndarray:
     return -np.pi + 0.5 * (TWO_PI / resolution) * (GL_NODES + 1.0)
 
 
-def _synthesize(poly: TrigPoly, edges: np.ndarray, resolution: int) -> np.ndarray:
+def _synthesize(poly: TrigPoly, part: Partition) -> np.ndarray:
     """(M, 5) values of ``poly`` at a partition's Gauss-Legendre nodes.
 
-    Uniform cells take their node values from 5 folded FFTs; the graded
-    panels go through :meth:`TrigPoly.at`.
+    Uniform cells take their node values from 5 folded FFTs, read through the
+    partition's cell map; the graded panels go through :meth:`TrigPoly.at`.
     """
-    panels, cells = uniform_cells(edges, resolution)
-    gl = np.empty((edges.size - 1, GL_NODES.size), dtype=complex)
-    for g, start in enumerate(_gl_starts(resolution)):
-        gl[panels, g] = poly._fold(resolution, start)[cells]
-    graded = np.ones(gl.shape[0], dtype=bool)
-    graded[panels] = False
-    gl[graded] = poly.at(panel_gl_points(edges)[graded])
+    cell_of, _, graded = part.cell_map
+    gl = np.empty((cell_of.size, GL_NODES.size), dtype=complex)
+    for g, start in enumerate(_gl_starts(part.resolution)):
+        gl[:, g] = poly._fold(part.resolution, start)[cell_of]
+    gl[graded] = poly.at(part.graded_points)
     return gl
 
 
@@ -307,16 +304,15 @@ def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
     graded panels go through :func:`_power_sums`.
     """
     ks = np.arange(-kmax, kmax + 1)
-    panels, cells = uniform_cells(cache.edges, cache.resolution)
+    _, panel_of, graded = cache.partition.cell_map
+    cells = np.flatnonzero(panel_of >= 0)
     wv = cache.gl_weights() * cache.gl_values
     out = np.zeros(ks.size, dtype=complex)
     u = np.zeros(cache.resolution, dtype=complex)
     for g, start in enumerate(_gl_starts(cache.resolution)):
-        u[cells] = wv[panels, g]
+        u[cells] = wv[panel_of[cells], g]
         out += np.exp(-1j * ks * start) * np.fft.fft(u)[np.mod(ks, cache.resolution)]
-    graded = np.ones(cache.panel_count, dtype=bool)
-    graded[panels] = False
-    return out + _power_sums(cache.gl_points()[graded].ravel(), wv[graded].ravel(), kmax)
+    return out + _power_sums(cache.partition.graded_points.ravel(), wv[graded].ravel(), kmax)
 
 
 def _as_cache(source: Union[DenseGridCache, PointwiseFunction], n_scale: int) -> DenseGridCache:
@@ -362,7 +358,7 @@ def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
     ``T`` is synthesised on the partition: folded FFTs on the uniform cells,
     :func:`_horner` on the graded panels.
     """
-    return cache.spawn(cache.gl_values - _synthesize(poly, cache.edges, cache.resolution))
+    return cache.spawn(cache.gl_values - _synthesize(poly, cache.partition))
 
 
 def vp_mean(source: Sourceable, n: int) -> TrigPoly:

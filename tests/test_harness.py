@@ -123,6 +123,18 @@ def test_probe_deterministic_across_thread_counts(monkeypatch):
         assert ra == rb
 
 
+def test_weighted_probe_deterministic_across_thread_counts(monkeypatch):
+    """Weighted norms share memoized partitions and masses across threads."""
+    spec = parse_spec("wlp:2:-0.5")
+    monkeypatch.delenv("LATSAMP_THREADS", raising=False)
+    a = probe_assumptions("fejer", spec, 1, (4, 8), trials=8, seed=5)
+    monkeypatch.setenv("LATSAMP_THREADS", "4")
+    b = probe_assumptions("fejer", spec, 1, (4, 8), trials=8, seed=5)
+    assert len(a.per_n) == len(b.per_n) == 2
+    for ra, rb in zip(a.per_n, b.per_n):
+        assert ra == rb
+
+
 # ----------------------------------------------------------------------------
 # MZ probes
 # ----------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the domain model: functions, node sets, and the panel cache."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,13 +10,19 @@ from numpy.testing import assert_allclose
 from latsamp import (
     PointwiseFunction,
     NodeSet,
+    TrigPoly,
     build_cache,
     corpus,
     ensure_window_resolution,
     make_jittered_nodes,
     make_uniform_nodes,
+    norm,
+    parse_spec,
+    poly_norm,
     wrap_angle,
 )
+from latsamp.model import PARTITION_MEMO, partition
+from latsamp.norms import _cache_mass
 
 TWO_PI = 2.0 * np.pi
 
@@ -267,3 +276,93 @@ def test_cusp_powers():
     x = np.linspace(-np.pi, np.pi, 101)
     assert_allclose(c["cusp05"](x), np.abs(np.sin(x)) ** 0.5, atol=1e-15)
     assert_allclose(c["cusp15"](x), np.abs(np.sin(x)) ** 1.5, atol=1e-15)
+
+
+# ----------------------------------------------------------------------------
+# Shared partitions
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("resolution", [0, -4, 1024.0, True, np.True_, 1.5, "1024"])
+def test_partition_rejects_bad_resolution(resolution):
+    with pytest.raises(ValueError):
+        partition(resolution, ())
+    with pytest.raises(ValueError):
+        build_cache(corpus()["sine"], resolution=resolution)
+    with pytest.raises(ValueError):
+        partition(None, ())
+
+
+def test_partition_accepts_numpy_integers():
+    part = partition(np.int64(512), (np.float64(0.0),))
+    assert part is partition(512, [0.0, 0.0])
+    assert type(part.resolution) is int
+
+
+def test_equal_partitions_are_shared():
+    square = corpus()["square"]
+    reordered = PointwiseFunction("square2", square.evaluator,
+                                  breakpoints=(np.float64(0.0), np.float64(-np.pi), 0.0))
+    a = build_cache(square, resolution=1024)
+    b = build_cache(reordered, resolution=1024)
+    assert a.partition is b.partition
+    assert a.edges is b.edges
+    assert a.spawn(a.gl_values).edges is a.edges
+    assert build_cache(square, resolution=2048).edges is not a.edges
+
+
+def test_partition_arrays_are_read_only():
+    spec = parse_spec("wlp:2:-0.5")
+    cache = build_cache(corpus()["cusp05"], resolution=1024)
+    part = cache.partition
+    mass = _cache_mass(cache, spec)
+    assert mass is part.weighted_mass[spec.beta]
+    assert _cache_mass(cache, spec) is mass
+    for arr in (cache.edges, *part.cell_map, part.graded_points, mass):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_partition_memo_is_bounded():
+    sine = corpus()["sine"]
+    for resolution in (256, 512, 1024, 2048, 512, 4096):
+        build_cache(sine, resolution=resolution)
+        assert partition.cache_info().currsize <= PARTITION_MEMO
+    assert PARTITION_MEMO == 2
+
+
+@pytest.mark.parametrize("spec_id", ["wlp:2:-0.5", "wlp:1.5:0.3", "orlicz:llogl"])
+def test_memoized_norms_equal_fresh(spec_id):
+    spec = parse_spec(spec_id)
+    rng = np.random.default_rng(3)
+    polys = [TrigPoly(rng.standard_normal(2 * d + 1) + 1j * rng.standard_normal(2 * d + 1))
+             for d in (3, 8, 40)]
+    warm = [poly_norm(p, spec) for p in polys]
+    warm_again = [poly_norm(p, spec) for p in polys]
+    fresh = []
+    for p in polys:
+        partition.cache_clear()
+        fresh.append(poly_norm(p, spec))
+    assert warm == warm_again == fresh
+
+
+def test_shared_partition_under_threads():
+    """Eight threads on two cores build, map and weigh one partition at once."""
+    spec = parse_spec("wlp:2:-0.5")
+    square = corpus()["square"]
+    want = norm(build_cache(square, resolution=2048), spec)
+
+    def task(_):
+        return norm(build_cache(square, resolution=2048), spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            partition.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(task, i) for i in range(16)]
+                got = [f.result(timeout=60) for f in futures]
+            assert got == [want] * 16
+    finally:
+        sys.setswitchinterval(interval)

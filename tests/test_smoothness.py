@@ -35,6 +35,30 @@ def test_default_width():
 # ----------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("label, r, spec_id", [("square", 1, "l1"), ("square", 2, "l2"),
+                                              ("cusp05", 3, "lp:1.5"),
+                                              ("sawtooth", 2, "orlicz:llogl")])
+def test_difference_norm_reads_the_partition_quadrature(label, r, spec_id):
+    """The shared partition's nodes and weights give the same bits as the
+    Gauss-Legendre formula applied to the split edges directly."""
+    from math import comb
+
+    from latsamp.model import GL_NODES, GL_WEIGHTS, partition
+    from latsamp.norms import _measure_norm
+    from latsamp.smoothness import _difference_norm
+
+    f, spec, h = C[label], parse_spec(spec_id), 0.137
+    shifted = [float(np.mod(b - nu * h + np.pi, 2 * np.pi) - np.pi)
+               for b in f.breakpoints for nu in range(r + 1)]
+    edges = partition(2048, shifted).edges.copy()
+    gx = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (GL_NODES[None, :] + 1.0)
+    gw = 0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :]
+    diff = np.zeros_like(gx, dtype=complex)
+    for nu in range(r + 1):
+        diff += ((-1.0) ** nu) * comb(r, nu) * f(gx + (r - nu) * h)
+    assert _difference_norm(f, r, h, spec, 2048) == _measure_norm(np.abs(diff), gw, spec)
+
+
 def test_modulus_square_l1_linear():
     """Two jumps of height 2 sweep width h: omega_1(square, d)_1 = 2 d / pi."""
     for delta in (0.1, 0.3):
