@@ -19,8 +19,7 @@ from .model import (DenseGridCache, NodeSet, PointwiseFunction, build_cache,
                     make_uniform_nodes, wrap_angle)
 from .trigpoly import (TrigPoly, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, fourier_coefficients,
-                       kernel_eval, partial_sum, subtract_poly, table_window,
-                       vp_mean, zero_poly)
+                       kernel_eval, partial_sum, subtract_poly, vp_mean)
 from .norms import (NormSpec, StepFunction, dilation_norm, dilation_norm_info,
                     discrete_seminorm, norm, parse_spec, poly_norm,
                     steklov_bound_probe)
@@ -49,8 +48,7 @@ __all__ = [
     "wrap_angle",
     "TrigPoly", "analyze", "apply_window", "br_window", "dirichlet_window",
     "fejer_window", "fourier_coefficients", "kernel_eval", "partial_sum",
-    "subtract_poly", "table_window",
-    "vp_mean", "zero_poly",
+    "subtract_poly", "vp_mean",
     "NormSpec", "StepFunction", "dilation_norm", "dilation_norm_info",
     "discrete_seminorm", "norm", "parse_spec", "poly_norm",
     "steklov_bound_probe",

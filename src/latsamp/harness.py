@@ -14,15 +14,13 @@ quasi-interpolant annihilates), the one-sided/dilation-sum comparisons, and a
 factor-4 convergence-trend check.
 
 Everything is deterministic given a seed: per-n generators are spawned from
-``SeedSequence([seed, tag, n])`` so thread scheduling cannot change results.
-``parallel_map`` fans tasks over a thread pool capped by ``LATSAMP_THREADS``
-(serial when unset).
+``SeedSequence([seed, tag, n])``, so a scale's row does not depend on which
+other scales run with it.  Studies run their ``(f, n)`` tasks serially
+through :func:`parallel_map`.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -30,8 +28,7 @@ import numpy as np
 
 from .bestapprox import besov_sum, one_sided_best
 from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction,
-                    build_cache, ensure_window_resolution, make_jittered_nodes,
-                    make_uniform_nodes)
+                    build_cache, make_jittered_nodes, make_uniform_nodes)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
 from .operators import approx_error, parse_operator, quasi_interp
 from .smoothness import (default_width, kfunc_vp, realization,
@@ -45,30 +42,14 @@ _TAG_POLY = 12
 _TAG_MZ = 13
 
 
-def thread_count() -> int:
-    """Worker cap from LATSAMP_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("LATSAMP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order, threaded when LATSAMP_THREADS > 1.
+    """``[fn(item) for item in items]``: the one place a study maps its tasks.
 
-    Results are collected in submission order, so the output is identical to
-    the serial map regardless of scheduling.
+    It stays a named call because ``perfbench/layers.py`` wraps it to time
+    each ``(f, n)`` task and count the items, and ``perfbench/selftest.py``
+    needs that count on three workloads.
     """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, it) for it in items]
-        return [f.result() for f in futures]
+    return [fn(item) for item in items]
 
 
 def random_real_poly(n: int, rng: np.random.Generator) -> TrigPoly:
@@ -539,9 +520,7 @@ def convergence_criterion(f: PointwiseFunction, op, spec: NormSpec, r: int,
         cache = build_cache(f, n_scale=max(2 * n, 8))
         err = approx_error(f, op, n, spec, cache=cache).continuous
         nodes = make_uniform_nodes(n)
-        h = default_width(n, gamma)
-        cache = ensure_window_resolution(cache, h)
-        vals = i_minus_a_pow_at(cache, h, r, nodes.nodes)
+        vals = i_minus_a_pow_at(cache, default_width(n, gamma), r, nodes.nodes)
         mod = discrete_seminorm(np.abs(vals), nodes, spec)
         return err, mod
 

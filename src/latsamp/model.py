@@ -337,10 +337,6 @@ class DenseGridCache:
         """Integral over the full period."""
         return self.prefix[-1]
 
-    def integrate_values(self, gl_vals: np.ndarray) -> complex:
-        """Integrate a pointwise transform given at the panel GL nodes."""
-        return np.sum(self.gl_weights() * gl_vals)
-
     # -- antiderivative ------------------------------------------------------
 
     def antiderivative(self, y) -> np.ndarray:

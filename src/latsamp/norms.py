@@ -289,7 +289,7 @@ class StepFunction:
 # ----------------------------------------------------------------------------
 
 
-def poly_norm(poly: TrigPoly, spec: NormSpec, oversample: int = 32) -> float:
+def poly_norm(poly: TrigPoly, spec: NormSpec) -> float:
     """Norm of a trigonometric polynomial.
 
     Plain Lebesgue norms (and power Orlicz norms, which equal them) use the
@@ -299,8 +299,7 @@ def poly_norm(poly: TrigPoly, spec: NormSpec, oversample: int = 32) -> float:
     """
     deg = max(poly.degree, 1)
     if spec.kind == "lebesgue" or spec.phi == "power":
-        m = max(1024, oversample * deg)
-        vals = np.abs(poly.on_uniform_grid(m))
+        vals = np.abs(poly.on_uniform_grid(max(1024, 32 * deg)))
         return float(np.mean(vals ** spec.p) ** (1.0 / spec.p))
     return norm(build_cache(poly.as_pointwise(), resolution=max(1024, 16 * deg)), spec)
 
@@ -404,8 +403,7 @@ class SteklovBoundReport:
     seed: int
 
 
-def steklov_bound_probe(spec: NormSpec, trials: int = 24, seed: int = 0,
-                        hs=(0.1, 0.5, 1.0, np.pi / 3)) -> SteklovBoundReport:
+def steklov_bound_probe(spec: NormSpec, trials: int = 24, seed: int = 0) -> SteklovBoundReport:
     """Empirical norm bound of the window average ``A_h`` on this space.
 
     Ratios ``||A_h f|| / ||f||`` over a seeded ensemble of random polynomials
@@ -425,7 +423,7 @@ def steklov_bound_probe(spec: NormSpec, trials: int = 24, seed: int = 0,
     rough = [corpus()[lbl] for lbl in ("square", "cusp05", "sawtooth")]
 
     per_h = {}
-    for h in hs:
+    for h in (0.1, 0.5, 1.0, np.pi / 3):
         worst = 0.0
         for poly in ensemble:
             den = poly_norm(poly, spec)

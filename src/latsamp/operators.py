@@ -201,16 +201,16 @@ def _wks_tail_bound(f: PointwiseFunction, sigma: float, trunc: int, x: np.ndarra
     return edge * (2.0 / np.pi) * (1.0 + np.log1p(4.0 * trunc / dist))
 
 
-def line_kernel(window: Window, x, quad_points: int = 400) -> np.ndarray:
+def line_kernel(window: Window, x) -> np.ndarray:
     """Transform kernel ``(1/2pi) int_{-1}^{1} phi(xi) exp(-i x xi) dxi``.
 
     The triangle profile has the closed form ``(1/2pi) (sin(x/2)/(x/2))^2``;
-    other windows use Gauss-Legendre on [0, 1] (profiles are even).
+    other windows use 400-point Gauss-Legendre on [0, 1] (profiles are even).
     """
     x = np.asarray(x, dtype=float)
     if window.name == "fejer":
         return np.sinc(x / (2.0 * np.pi)) ** 2 / TWO_PI
-    gx, gw = np.polynomial.legendre.leggauss(quad_points)
+    gx, gw = np.polynomial.legendre.leggauss(400)
     xi = 0.5 * (gx + 1.0)
     w = 0.5 * gw * np.asarray(window(xi))
     shape = x.shape

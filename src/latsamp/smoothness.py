@@ -58,11 +58,10 @@ class ModulusReport:
         return self.continuous + self.discrete
 
 
-def classical_modulus(f: PointwiseFunction, r: int, delta: float, spec: NormSpec,
-                      h_points: int = 32, resolution: int = 2048) -> float:
+def classical_modulus(f: PointwiseFunction, r: int, delta: float, spec: NormSpec) -> float:
     """Translation modulus ``sup_{0<h<=delta} ||Delta_h^r f||_p``.
 
-    The sup runs over a geometric grid of 32 widths in ``(delta/64, delta]``.
+    The sup runs over a geometric grid of 32 widths in ``[delta/64, delta]``.
     Only Lebesgue norms are translation invariant, so others are rejected.
     """
     if spec.kind != "lebesgue":
@@ -71,10 +70,10 @@ def classical_modulus(f: PointwiseFunction, r: int, delta: float, spec: NormSpec
         raise ValueError("difference order must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    hs = delta * (1.0 / 64.0) ** (np.arange(h_points) / (h_points - 1))
+    hs = delta * (1.0 / 64.0) ** (np.arange(32) / 31)
     best = 0.0
     for h in hs:
-        best = max(best, _difference_norm(f, r, float(h), spec, resolution))
+        best = max(best, _difference_norm(f, r, float(h), spec, 2048))
     return best
 
 

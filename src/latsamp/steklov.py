@@ -82,6 +82,15 @@ def _steklov_cache(cache: DenseGridCache, h: float, centered: bool) -> DenseGrid
     return cache.spawn((cache.node_antiderivative(hi) - cache.node_antiderivative(lo)) / h)
 
 
+def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> DenseGridCache:
+    """``obj`` as a cache resolving the window ``h``: a function is cached, a
+    base cache refined (:func:`ensure_window_resolution`); a derived cache
+    passes through as it is."""
+    if isinstance(obj, PointwiseFunction):
+        obj = build_cache(obj)
+    return obj if obj.fn is None else ensure_window_resolution(obj, h)
+
+
 def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
     """Apply the window average once; the result has the input's type.
 
@@ -91,19 +100,14 @@ def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
     _check_h(h)
     if isinstance(obj, TrigPoly):
         return TrigPoly(obj.coeffs * multiplier(h, obj.freqs, centered))
-    if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj)
-    if obj.fn is not None:
-        obj = ensure_window_resolution(obj, h)
-    return _steklov_cache(obj, h, centered)
+    return _steklov_cache(_window_cache(obj, h), h, centered)
 
 
-def steklov_chain(cache: DenseGridCache, h: float, r: int, centered: bool = True):
+def steklov_chain(obj: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
+                  centered: bool = True):
     """``[f, A_h f, A_h^2 f, ..., A_h^r f]`` as materialized caches."""
     _check_h(h, r)
-    if cache.fn is not None:
-        cache = ensure_window_resolution(cache, h)
-    chain = [cache]
+    chain = [_window_cache(obj, h)]
     for _ in range(r):
         chain.append(_steklov_cache(chain[-1], h, centered))
     return chain
@@ -120,22 +124,19 @@ def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> 
     _check_h(h, r)
     if isinstance(obj, TrigPoly):
         return TrigPoly(obj.coeffs * _one_minus_multiplier(h, obj.freqs, centered) ** r)
-    if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj)
     chain = steklov_chain(obj, h, r, centered)
     return _combine(chain, [(-1.0) ** k * comb(r, k) for k in range(r + 1)])
 
 
-def i_minus_a_pow_at(cache: DenseGridCache, h: float, r: int, points,
-                     centered: bool = True) -> np.ndarray:
+def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
+                     points, centered: bool = True) -> np.ndarray:
     """``(I - A_h)^r f`` evaluated at arbitrary points.
 
     The zeroth term uses the exact evaluator when the cache has one, so node
     samples honor declared jump values.
     """
     _check_h(h, r)
-    if cache.fn is not None:
-        cache = ensure_window_resolution(cache, h)
+    cache = _window_cache(cache, h)
     pts = np.asarray(points, dtype=float)
     out = cache.values_at(pts).astype(complex)
     level = cache
@@ -154,7 +155,5 @@ def smoothed(obj: Averageable, h: float, r: int, centered: bool = True) -> Avera
     _check_h(h)
     if isinstance(obj, TrigPoly):
         return obj - i_minus_a_pow(obj, h, r, centered)
-    if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj)
     chain = steklov_chain(obj, h, r, centered)
     return _combine(chain[1:], [(-1.0) ** (k + 1) * comb(r, k) for k in range(1, r + 1)])

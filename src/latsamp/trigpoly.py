@@ -128,11 +128,11 @@ class TrigPoly:
         np.add.at(d, np.mod(ks, m), self.coeffs * np.exp(1j * ks * start))
         return np.fft.ifft(d) * m
 
-    def on_uniform_grid(self, m: int, start: float = -np.pi) -> np.ndarray:
-        """Values at ``start + 2*pi*j/m`` for ``j = 0..m-1`` via zero-padded FFT."""
+    def on_uniform_grid(self, m: int) -> np.ndarray:
+        """Values at ``-pi + 2*pi*j/m`` for ``j = 0..m-1`` via zero-padded FFT."""
         if m < 2 * self.degree + 1:
             raise ValueError("grid must oversample the degree")
-        return self._fold(m, start)
+        return self._fold(m, -np.pi)
 
     def sample_uniform(self, n_nodes: int) -> np.ndarray:
         """Values at ``t_j = 2*pi*j/n_nodes`` (folded FFT, any degree)."""
@@ -194,10 +194,6 @@ class _PolyFunction(PointwiseFunction):
         return _synthesize(self.poly, part)
 
 
-def zero_poly(n: int = 0) -> TrigPoly:
-    return TrigPoly(np.zeros(2 * n + 1, dtype=complex))
-
-
 def analyze(values) -> TrigPoly:
     """Exact Fourier analysis of samples on the 2n+1 equispaced points.
 
@@ -248,15 +244,6 @@ def br_window(alpha: float) -> Window:
     return Window(f"br:{alpha:g}", lambda xi: (1.0 - xi * xi) ** alpha)
 
 
-def table_window(grid, values, name: str = "table") -> Window:
-    """Window from tabulated values on a grid spanning [-1, 1] (linear interp)."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid[0] != -1.0 or grid[-1] != 1.0:
-        raise ValueError("table must span [-1, 1]")
-    return Window(name, lambda xi: np.interp(xi, grid, values))
-
-
 def apply_window(poly: TrigPoly, window: Window, n: int) -> TrigPoly:
     """Multiply coefficients by ``phi(k/n)``."""
     if n < 1:
@@ -266,6 +253,8 @@ def apply_window(poly: TrigPoly, window: Window, n: int) -> TrigPoly:
 
 def kernel_eval(window: Window, n: int, x) -> np.ndarray:
     """Kernel values ``sum_{|k|<=n} phi(k/n) exp(ikx)``, shaped like ``x``."""
+    if n < 1:
+        raise ValueError("window scale n must be >= 1")
     return _horner(window(np.arange(-n, n + 1) / n).astype(complex), x)
 
 
@@ -349,7 +338,7 @@ def partial_sum(source: Sourceable, m: int) -> TrigPoly:
         raise ValueError("partial sum order must be >= 0")
     if isinstance(source, TrigPoly):
         return source.truncate(m)
-    return TrigPoly(fourier_coefficients(source, m, oversample=8))
+    return TrigPoly(fourier_coefficients(source, m))
 
 
 def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:
@@ -370,8 +359,7 @@ def vp_mean(source: Sourceable, n: int) -> TrigPoly:
     """
     if n < 1:
         raise ValueError("vp order must be >= 1")
-    coeffs = fourier_coefficients(source, 2 * n, oversample=16) \
-        if not isinstance(source, TrigPoly) else fourier_coefficients(source, 2 * n)
+    coeffs = fourier_coefficients(source, 2 * n, oversample=16)
     ks = np.arange(-2 * n, 2 * n + 1)
     taper = np.minimum(1.0, (2 * n + 1 - np.abs(ks)) / (n + 1))
     return TrigPoly(coeffs * taper)

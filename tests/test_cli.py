@@ -262,16 +262,6 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (out / "summary.json").read_bytes() == first_json
 
 
-def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    base = ["probe", "--seed", "9", "--n", "4,8", "--trials", "6", "--out"]
-    monkeypatch.delenv("LATSAMP_THREADS", raising=False)
-    assert run(base + [str(out1)]) == 0
-    monkeypatch.setenv("LATSAMP_THREADS", "4")
-    assert run(base + [str(out2)]) == 0
-    assert (out1 / "probe_9.csv").read_bytes() == (out2 / "probe_9.csv").read_bytes()
-
-
 def test_threshold_failure_exits_two_and_keeps_outputs(tmp_path, capsys):
     cfgfile = tmp_path / "tight.cfg"
     cfgfile.write_text("functions = square\nequiv_spread = 1.0000001\n")

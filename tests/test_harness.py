@@ -20,7 +20,6 @@ from latsamp.harness import (
     random_real_poly,
     rate_study,
     smooth_bump,
-    thread_count,
 )
 
 L1 = parse_spec("l1")
@@ -28,17 +27,35 @@ L2 = parse_spec("l2")
 C = corpus()
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("LATSAMP_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("LATSAMP_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("LATSAMP_THREADS", "0")
-    assert thread_count() == 1
+def test_public_names():
+    """The exported names, frozen: removing or adding one is a visible edit."""
+    assert sorted(latsamp.__all__) == [
+        "ApproxError", "BesovSum", "BestApprox", "ConvergenceVerdict",
+        "CounterexampleTable", "DenseGridCache", "EquivTable", "LemderCheck",
+        "ModulusReport", "NodeSet", "NormSpec", "OneSided", "OperatorSpec",
+        "PointwiseFunction", "ProbeReport", "RateFit", "RealizationReport",
+        "StepFunction", "TrigPoly", "__version__", "analyze", "apply_operator",
+        "apply_window", "approx_error", "bandlimited_signal", "besov_sum",
+        "best_approx", "br_window", "build_cache", "bump_train",
+        "classical_modulus", "convergence_criterion", "corpus",
+        "counterexample_run", "default_width", "dilation_norm",
+        "dilation_norm_info", "dirichlet_window", "discrete_seminorm",
+        "ensure_window_resolution", "equivalence_study", "fejer_window",
+        "fit_loglog", "fourier_coefficients", "i_minus_a_pow",
+        "i_minus_a_pow_at", "kernel_eval", "kfunc_vp", "lagrange",
+        "lemder_check", "line_kernel", "line_quasi", "make_jittered_nodes",
+        "make_uniform_nodes", "multiplier", "mz_probe", "norm", "omega2_star",
+        "one_sided_best", "onesided_study", "parallel_map", "parse_operator",
+        "parse_spec", "partial_sum", "poly_norm", "probe_assumptions",
+        "quasi_interp", "rate_study", "realization", "semidiscrete_modulus",
+        "smooth_bump", "smoothed", "steklov", "steklov_bound_probe",
+        "steklov_chain", "subtract_poly", "vp_mean", "wks", "wrap_angle",
+    ]
+    for name in latsamp.__all__:
+        assert getattr(latsamp, name) is not None
 
 
-def test_parallel_map_keeps_submission_order(monkeypatch):
-    monkeypatch.setenv("LATSAMP_THREADS", "3")
+def test_parallel_map_keeps_submission_order():
     import time
 
     def job(k):
@@ -114,25 +131,20 @@ def test_probe_report_fields():
     assert {"K1", "K2", "K3", "K4"} <= set(rep.constants)
 
 
-def test_probe_deterministic_across_thread_counts(monkeypatch):
-    monkeypatch.delenv("LATSAMP_THREADS", raising=False)
-    a = probe_assumptions("fejer", L2, 1, (4, 8), trials=8, seed=5)
-    monkeypatch.setenv("LATSAMP_THREADS", "4")
-    b = probe_assumptions("fejer", L2, 1, (4, 8), trials=8, seed=5)
-    for ra, rb in zip(a.per_n, b.per_n):
-        assert ra == rb
-
-
-def test_weighted_probe_deterministic_across_thread_counts(monkeypatch):
-    """Weighted norms share memoized partitions and masses across threads."""
+def test_probe_rows_do_not_depend_on_the_other_scales():
+    """Each scale draws from ``SeedSequence([seed, tag, n])``: its row is the
+    same whether it runs alone or after other scales, which share memoized
+    partitions and weighted masses."""
     spec = parse_spec("wlp:2:-0.5")
-    monkeypatch.delenv("LATSAMP_THREADS", raising=False)
-    a = probe_assumptions("fejer", spec, 1, (4, 8), trials=8, seed=5)
-    monkeypatch.setenv("LATSAMP_THREADS", "4")
-    b = probe_assumptions("fejer", spec, 1, (4, 8), trials=8, seed=5)
-    assert len(a.per_n) == len(b.per_n) == 2
-    for ra, rb in zip(a.per_n, b.per_n):
-        assert ra == rb
+    probes = (
+        lambda ns: probe_assumptions("fejer", spec, 1, ns, trials=8, seed=5),
+        lambda ns: mz_probe(spec, "jittered", ns, trials=8, seed=5),
+    )
+    for probe in probes:
+        together = probe((4, 8, 16)).per_n
+        assert [row["n"] for row in together] == [4, 8, 16]
+        for row in together:
+            assert probe((row["n"],)).per_n == [row]
 
 
 # ----------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from latsamp import (
     parse_operator,
     parse_spec,
     quasi_interp,
-    table_window,
     wks,
 )
+from latsamp.trigpoly import Window
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -232,7 +232,7 @@ def test_line_kernel_triangle_closed_form():
 def test_line_kernel_quadrature_route_matches():
     """A tabulated triangle forces the Gauss-Legendre path; same kernel."""
     grid = np.linspace(-1, 1, 4001)
-    tri = table_window(grid, 1.0 - np.abs(grid), name="tri-table")
+    tri = Window("tri-table", lambda xi: np.interp(xi, grid, 1.0 - np.abs(grid)))
     x = np.linspace(-8, 8, 101)
     assert_allclose(line_kernel(tri, x), line_kernel(fejer_window(), x), atol=1e-7)
 

@@ -307,6 +307,24 @@ def test_steklov_chain_lengths():
         assert_allclose(link.values_at(x).real, m ** j * np.sin(x), atol=1e-9)
 
 
+def test_every_cache_route_takes_a_function():
+    """A function is cached and refined for the window, as its base cache is;
+    a derived cache is used as it is, even below the window resolution."""
+    f = corpus()["square"]
+    h = 0.05
+    from_fn = steklov_chain(f, h, 2)
+    from_cache = steklov_chain(build_cache(f), h, 2)
+    assert from_fn[0].resolution == from_cache[0].resolution > build_cache(f).resolution
+    for a, b in zip(from_fn, from_cache):
+        assert np.array_equal(a.gl_values, b.gl_values)
+    x = np.array([0.3, -2.0])
+    assert np.array_equal(i_minus_a_pow_at(f, h, 2, x),
+                          i_minus_a_pow_at(build_cache(f), h, 2, x))
+    derived = smoothed(build_cache(f, resolution=128), 0.7, 1)
+    assert derived.fn is None
+    assert steklov_chain(derived, 1e-3, 1)[0] is derived
+
+
 def test_smoothed_reproduces_band():
     """g_h = f - (I-A_h)^r f has spectral factor 1 - (1-m)^r -> 1 as h -> 0."""
     rng = np.random.default_rng(3)

@@ -20,9 +20,7 @@ from latsamp import (
     kernel_eval,
     partial_sum,
     subtract_poly,
-    table_window,
     vp_mean,
-    zero_poly,
 )
 
 
@@ -69,7 +67,7 @@ def test_derivative_multiplier():
     assert_allclose(d.coeffs, p.coeffs * 1j * p.freqs, atol=0)
     # second derivative by two routes
     assert_allclose(p.derivative(2).coeffs, d.derivative(1).coeffs, atol=0)
-    assert zero_poly().derivative(1).degree == 0
+    assert TrigPoly(np.zeros(1)).derivative(1).degree == 0
 
 
 def test_truncate():
@@ -141,15 +139,6 @@ def test_br_window_validates_alpha():
         br_window(-1.0)
 
 
-def test_table_window_interpolates():
-    grid = np.linspace(-1, 1, 201)
-    w = table_window(grid, 1.0 - np.abs(grid), name="tri")
-    xi = np.linspace(-1, 1, 57)
-    assert_allclose(w(xi), fejer_window()(xi), atol=1e-12)
-    with pytest.raises(ValueError):
-        table_window(np.linspace(-0.5, 1, 11), np.ones(11))
-
-
 def test_apply_window_scales_coefficients():
     rng = np.random.default_rng(8)
     n = 5
@@ -158,6 +147,13 @@ def test_apply_window_scales_coefficients():
     assert_allclose(g.coeffs, p.coeffs * (1 - np.abs(p.freqs) / n), atol=1e-15)
     # band-edge coefficients die under the triangle profile
     assert g.coeff(n) == 0.0 and g.coeff(-n) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_kernel_eval_rejects_scale_below_one(n):
+    """n = 0 once gave a silent all-zero kernel (0/0), n = -2 an IndexError."""
+    with pytest.raises(ValueError, match="window scale n must be >= 1"):
+        kernel_eval(dirichlet_window(), n, np.array([0.0, 1.0]))
 
 
 def test_fejer_kernel_nonnegative_unit_mean():
