@@ -5,11 +5,12 @@ approximation error to smoothness.
 Quick tour::
 
     import numpy as np
-    from latsamp import corpus, parse_spec, approx_error, semidiscrete_modulus
+    from latsamp import (approx_error, corpus, parse_operator, parse_spec,
+                         semidiscrete_modulus)
 
     f = corpus()["square"]
     spec = parse_spec("l2")
-    err = approx_error(f, "lagrange", 32, spec)     # continuous + node error
+    err = approx_error(f, parse_operator("lagrange"), 32, spec)  # continuous + node error
     mod = semidiscrete_modulus(f, 32, r=1, s=2, spec=spec)
     print(err.total / mod.total)                    # bounded ratio
 """
@@ -20,7 +21,7 @@ from .model import (DenseGridCache, NodeSet, PointwiseFunction, build_cache,
 from .trigpoly import (TrigPoly, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, fourier_coefficients,
                        kernel_eval, partial_sum, subtract_poly, vp_mean)
-from .norms import (NormSpec, StepFunction, dilation_norm, dilation_norm_info,
+from .norms import (NormSpec, dilation_norm, dilation_norm_info,
                     discrete_seminorm, norm, parse_spec, poly_norm,
                     steklov_bound_probe)
 from .steklov import (i_minus_a_pow, i_minus_a_pow_at, multiplier, smoothed,
@@ -49,7 +50,7 @@ __all__ = [
     "TrigPoly", "analyze", "apply_window", "br_window", "dirichlet_window",
     "fejer_window", "fourier_coefficients", "kernel_eval", "partial_sum",
     "subtract_poly", "vp_mean",
-    "NormSpec", "StepFunction", "dilation_norm", "dilation_norm_info",
+    "NormSpec", "dilation_norm", "dilation_norm_info",
     "discrete_seminorm", "norm", "parse_spec", "poly_norm",
     "steklov_bound_probe",
     "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "smoothed", "steklov",

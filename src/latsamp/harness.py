@@ -30,11 +30,11 @@ from .bestapprox import besov_sum, one_sided_best
 from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction,
                     build_cache, make_jittered_nodes, make_uniform_nodes)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
-from .operators import approx_error, parse_operator, quasi_interp
+from .operators import apply_operator, approx_error, parse_operator
 from .smoothness import (default_width, kfunc_vp, realization,
                          semidiscrete_modulus)
 from .steklov import i_minus_a_pow_at
-from .trigpoly import TrigPoly, analyze, apply_window
+from .trigpoly import TrigPoly
 
 # entropy tags keeping the per-purpose random streams disjoint
 _TAG_NODE_DATA = 11
@@ -103,8 +103,7 @@ def probe_assumptions(op, spec: NormSpec, s: int, n_range: Sequence[int],
             denom = discrete_seminorm(data, nodes, spec)
             if denom <= 1e-12:
                 continue
-            g = apply_window(analyze(data), op.window, n)
-            ratio = poly_norm(g, spec) / denom
+            ratio = poly_norm(apply_operator(op, data, n), spec) / denom
             k1 = max(k1, ratio)
             k2 = min(k2, ratio)
         k3, k4 = -np.inf, np.inf
@@ -113,7 +112,7 @@ def probe_assumptions(op, spec: NormSpec, s: int, n_range: Sequence[int],
             denom = poly_norm(t.derivative(s), spec)
             if denom <= 1e-12:
                 continue
-            err = poly_norm(t - quasi_interp(t, n, op.window), spec)
+            err = poly_norm(t - apply_operator(op, t, n), spec)
             ratio = float(n) ** s * err / denom
             k3 = max(k3, ratio)
             k4 = min(k4, ratio)
@@ -440,7 +439,7 @@ def counterexample_run(n_range: Sequence[int], p: float = 2.0,
         f = bump_train(n, n, width)
         nodes = make_uniform_nodes(n)
         samples = f(nodes.nodes)
-        g = apply_window(analyze(samples), op.window, n)
+        g = apply_operator(op, samples, n)
         coeff_max = float(np.max(np.abs(g.coeffs)))
         disc = discrete_seminorm(np.abs(samples), nodes, spec)
         # m bumps of width ``width``: u = (x - t_j)/width scales dx to width du

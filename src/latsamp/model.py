@@ -44,6 +44,11 @@ OVERSAMPLE = 64
 #: A window average must span at least this many uniform grid steps.
 MIN_PANELS_PER_WINDOW = 64
 
+#: Largest partition resolution: the window resolution of the default width
+#: ``pi/(2n+1)`` at the degree cap n = 4096.  A tiny mesh parameter asks for
+#: far more (2^32 cells at gamma = 1e-6, n = 8: 34 GB of edges alone).
+MAX_RESOLUTION = 1 << 21
+
 
 def wrap_angle(x):
     """Map angles to the canonical period ``[-pi, pi)``."""
@@ -195,10 +200,12 @@ def _graded_offsets(step: float) -> np.ndarray:
 
 
 def partition(resolution, breakpoints=()) -> "Partition":
-    """The :class:`Partition` of an integer ``resolution >= 1`` and breakpoints,
-    memoized on ``int(resolution)`` and the sorted unique breakpoints."""
+    """The :class:`Partition` of an integer ``1 <= resolution <= MAX_RESOLUTION``
+    and breakpoints, memoized on ``int(resolution)`` and the sorted unique breakpoints."""
     if type(resolution) is bool or not isinstance(resolution, (int, np.integer)) or resolution < 1:
         raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution {resolution} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}")
     return _partition(int(resolution), tuple(sorted({float(b) for b in breakpoints})))
 
 

@@ -31,7 +31,7 @@ from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
 from .trigpoly import TrigPoly
 
 __all__ = [
-    "NormSpec", "parse_spec", "StepFunction", "norm", "discrete_seminorm",
+    "NormSpec", "parse_spec", "norm", "discrete_seminorm",
     "luxemburg", "dilation_norm", "dilation_norm_info", "steklov_bound_probe",
 ]
 
@@ -253,38 +253,6 @@ def _cache_mass(cache: DenseGridCache, spec: NormSpec) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Step functions
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class StepFunction:
-    """Piecewise constant on circle cells ``[lefts_k, lefts_k + widths_k)``."""
-
-    lefts: np.ndarray
-    widths: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.lefts = np.asarray(self.lefts, dtype=float)
-        self.widths = np.asarray(self.widths, dtype=float)
-        self.values = np.asarray(self.values)
-        if not (self.lefts.size == self.widths.size == self.values.size):
-            raise ValueError("lefts, widths, values must have equal length")
-        if np.any(self.widths <= 0):
-            raise ValueError("cell widths must be positive")
-        if abs(self.widths.sum() - TWO_PI) > 1e-9:
-            raise ValueError("cells must tile the circle")
-
-    @classmethod
-    def from_nodes(cls, values, nodes: NodeSet) -> "StepFunction":
-        values = np.asarray(values)
-        if values.size != nodes.count:
-            raise ValueError("one value per node required")
-        return cls(lefts=nodes.nodes, widths=nodes.gaps(), values=values)
-
-
-# ----------------------------------------------------------------------------
 # Norms of the package's types
 # ----------------------------------------------------------------------------
 
@@ -304,35 +272,29 @@ def poly_norm(poly: TrigPoly, spec: NormSpec) -> float:
     return norm(build_cache(poly.as_pointwise(), resolution=max(1024, 16 * deg)), spec)
 
 
-Normable = Union[StepFunction, DenseGridCache, TrigPoly, PointwiseFunction]
-
-
-def norm(obj: Normable, spec: NormSpec, resolution: Optional[int] = None,
-         n_scale: Optional[int] = None) -> float:
+def norm(obj: Union[DenseGridCache, TrigPoly, PointwiseFunction], spec: NormSpec) -> float:
     """Norm dispatcher for the types the package works with.
 
-    Step functions use exact cell sums; caches integrate over their panels;
-    polynomials use :func:`poly_norm`; bare pointwise functions are cached
-    first (at ``resolution`` / ``n_scale``, see :func:`build_cache`).
+    Caches integrate over their panels; polynomials use :func:`poly_norm`;
+    bare pointwise functions are cached first (see :func:`build_cache`).
+    Node data are measured by :func:`discrete_seminorm`.
     """
-    if isinstance(obj, StepFunction):
-        mass = (weight_cell_integrals(obj.lefts, obj.widths, spec.beta)
-                if spec.kind == "weighted" else obj.widths)
-        return _measure_norm(np.abs(obj.values).astype(float), mass, spec)
     if isinstance(obj, TrigPoly):
         return poly_norm(obj, spec)
     if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj, resolution=resolution, n_scale=n_scale)
+        obj = build_cache(obj)
     if isinstance(obj, DenseGridCache):
         return _measure_norm(np.abs(obj.gl_values), _cache_mass(obj, spec), spec)
     raise TypeError(f"cannot take a norm of {type(obj).__name__}")
 
 
 def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
-    """Norm of the step function carrying ``|f(x_k)|`` on the node cells.
+    """Norm of the step function carrying ``|f(x_k)|`` on the node cell
+    ``[x_k, x_{k+1})``: an exact sum over the cells ``nodes.gaps()``, each
+    weighted by its closed-form weight integral when the norm is weighted.
 
     ``f`` may be a PointwiseFunction (sampled exactly, honoring declared jump
-    values), a TrigPoly, or a plain value array matching the nodes.
+    values), a TrigPoly, or a plain value array in the order of ``nodes.nodes``.
     """
     if isinstance(f, PointwiseFunction):
         values = f(nodes.nodes)
@@ -342,7 +304,10 @@ def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
         values = np.asarray(f)
         if values.size != nodes.count:
             raise ValueError("value array must match the node count")
-    return norm(StepFunction.from_nodes(values, nodes), spec)
+    mass = nodes.gaps()
+    if spec.kind == "weighted":
+        mass = weight_cell_integrals(nodes.nodes, mass, spec.beta)
+    return _measure_norm(np.abs(values).astype(float), mass, spec)
 
 
 # ----------------------------------------------------------------------------
@@ -350,14 +315,13 @@ def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
 # ----------------------------------------------------------------------------
 
 
-def dilation_norm_info(spec: NormSpec, r: float, trials: int = 48, seed: int = 0):
+def dilation_norm_info(spec: NormSpec, r: float):
     """Operator norm of ``f -> f(r .)`` with the method used to obtain it.
 
     Returns ``(value, method)`` where method is 'closed-form' (Lebesgue and
-    unweighted cases, r^(-1/p)), 'grid-sup' (Orlicz: sup of
-    ``phi^{-1}(t)/phi^{-1}(rt)`` over a log grid), or 'empirical' (weighted
-    with beta != 0: sup over a seeded ensemble of dilated polynomials —
-    an estimate, not a certified bound).
+    unweighted cases, r^(-1/p)) or 'grid-sup' (Orlicz: sup of
+    ``phi^{-1}(t)/phi^{-1}(rt)`` over a log grid).  A weighted norm with
+    beta != 0 has no certified value here and raises ``ValueError``.
     """
     if r <= 0:
         raise ValueError("dilation factor must be positive")
@@ -369,20 +333,7 @@ def dilation_norm_info(spec: NormSpec, r: float, trials: int = 48, seed: int = 0
         t = np.geomspace(1e-8, 1e8, 400)
         vals = spec.young_inverse(t) / spec.young_inverse(r * t)
         return float(np.max(vals)), "grid-sup"
-    # weighted, beta != 0: seeded empirical estimate
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 911]))
-    best = 0.0
-    for _ in range(trials):
-        deg = int(rng.integers(1, 12))
-        c = rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1)
-        poly = TrigPoly(c)
-        dil = PointwiseFunction(
-            "dilated", lambda x, P=poly: P.at(r * np.asarray(x)))
-        num = norm(dil, spec, resolution=2048)
-        den = poly_norm(poly, spec)
-        if den > 0:
-            best = max(best, num / den)
-    return best, "empirical"
+    raise ValueError(f"no certified dilation norm for {spec.id} (weight exponent != 0)")
 
 
 def dilation_norm(spec: NormSpec, r: float) -> float:

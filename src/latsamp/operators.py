@@ -1,7 +1,10 @@
 """Sampling operators: periodic interpolation and quasi-interpolation, and
 their truncated analogues on the line.
 
-Periodic operators act on the 2n+1 equispaced samples ``f(2*pi*j/(2n+1))``:
+Periodic operators act on the 2n+1 equispaced samples ``f(2*pi*j/(2n+1))``.
+Node data passed as an array are read in the order of
+``make_uniform_nodes(n).nodes`` (sorted on ``[-pi, pi)``), the order
+:func:`~latsamp.norms.discrete_seminorm` pairs with the node cells:
 
 * ``lagrange`` -- the unique degree-n interpolant (Fourier analysis of the
   samples, an exact bijection);
@@ -12,7 +15,7 @@ Periodic operators act on the 2n+1 equispaced samples ``f(2*pi*j/(2n+1))``:
 Line operators sum translated kernels against samples ``f(k/sigma)``:
 
 * ``wks`` -- truncated cardinal (sinc) series, with a certified tail bound
-  when the signal carries a quadratic decay certificate;
+  when the signal carries a quadratic decay certificate (``inf`` otherwise);
 * ``line_quasi`` -- kernel given by the transform of the window profile
   (closed form for the triangle profile, numeric transform otherwise).
 """
@@ -26,7 +29,7 @@ import numpy as np
 
 from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
                     build_cache, make_uniform_nodes)
-from .norms import NormSpec, discrete_seminorm, norm, poly_norm
+from .norms import NormSpec, discrete_seminorm, norm
 from .trigpoly import (TrigPoly, Window, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, subtract_poly)
 
@@ -76,6 +79,10 @@ Samples = Union[np.ndarray, PointwiseFunction, TrigPoly]
 
 
 def _node_samples(f: Samples, n: int) -> np.ndarray:
+    """f at ``t_j = 2*pi*j/(2n+1)``, j = 0..2n, the order :func:`analyze` reads.
+
+    An array holds the data in ``make_uniform_nodes(n).nodes`` order.
+    """
     if isinstance(f, PointwiseFunction):
         return np.asarray(f(TWO_PI * np.arange(2 * n + 1) / (2 * n + 1)), dtype=complex)
     if isinstance(f, TrigPoly):
@@ -83,7 +90,8 @@ def _node_samples(f: Samples, n: int) -> np.ndarray:
     values = np.asarray(f, dtype=complex)
     if values.size != 2 * n + 1:
         raise ValueError(f"need 2n+1 = {2 * n + 1} samples, got {values.size}")
-    return values
+    # the sorted nodes are t_{n+1}, ..., t_{2n} (wrapped below 0), t_0, ..., t_n
+    return np.roll(values, n + 1)
 
 
 def lagrange(f: Samples, n: int) -> TrigPoly:
@@ -97,10 +105,9 @@ def quasi_interp(f: Samples, n: int, window: Window) -> TrigPoly:
 
 
 def apply_operator(op: OperatorSpec, f: Samples, n: int) -> TrigPoly:
+    """``G_n f``, the window-weighted interpolant (``lagrange``'s window is 1)."""
     if not op.is_periodic:
         raise ValueError(f"{op.op_id} is not a periodic sampling operator")
-    if op.family == "lagrange":
-        return lagrange(f, n)
     return quasi_interp(f, n, op.window)
 
 
@@ -126,15 +133,13 @@ def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec,
     """
     if nodes is None:
         nodes = make_uniform_nodes(n)
-    g = apply_operator(op, f, n)
     if isinstance(f, TrigPoly):
-        cont = poly_norm(f - g, spec)
-        node_vals = (f - g).at(nodes.nodes)
-    else:
-        if cache is None:
-            cache = build_cache(f, n_scale=n)
-        cont = norm(subtract_poly(cache, g), spec)
-        node_vals = f(nodes.nodes) - g.at(nodes.nodes)
+        f = f.as_pointwise()
+    g = apply_operator(op, f, n)
+    if cache is None:
+        cache = build_cache(f, n_scale=n)
+    cont = norm(subtract_poly(cache, g), spec)
+    node_vals = f(nodes.nodes) - g.at(nodes.nodes)
     disc = discrete_seminorm(node_vals, nodes, spec)
     return ApproxError(continuous=float(cont), discrete=float(disc))
 
@@ -164,8 +169,9 @@ def wks(f: PointwiseFunction, sigma: float, trunc: int, x):
     """Truncated cardinal series ``sum_{|k|<=trunc} f(k/sigma) sinc(sigma x - k)``.
 
     Returns ``(values, tail_bound)``.  The bound is certified when f carries a
-    quadratic decay certificate ``|f(t)| <= C/t^2``; entries where the bound is
-    not valid (evaluation too close to the truncation edge) are ``inf``.
+    quadratic decay certificate ``|f(t)| <= C/t^2``; without one, and where
+    the bound is not valid (evaluation too close to the truncation edge), the
+    entries are ``inf``.
     """
     if sigma <= 0:
         raise ValueError("sampling rate sigma must be positive")
@@ -185,20 +191,16 @@ def wks(f: PointwiseFunction, sigma: float, trunc: int, x):
 
 
 def _wks_tail_bound(f: PointwiseFunction, sigma: float, trunc: int, x: np.ndarray) -> np.ndarray:
-    if f.decay is not None and f.decay[1] == 2.0:
-        c2 = float(f.decay[0])
-        # sum_{k>K} C sigma^2/k^2 * 1/(pi (k - sigma x)) and mirror image
-        margin_r = trunc + 1.0 - sigma * x
-        margin_l = trunc + 1.0 + sigma * x
-        with np.errstate(divide="ignore"):
-            br = np.where(margin_r > 0, 1.0 / margin_r, np.inf)
-            bl = np.where(margin_l > 0, 1.0 / margin_l, np.inf)
-        return c2 * sigma ** 2 / (np.pi * trunc) * (br + bl)
-    # no certificate: crude estimate from the edge sample magnitudes
-    edge = abs(complex(np.asarray(f((trunc + 1.0) / sigma)).ravel()[0])) + \
-        abs(complex(np.asarray(f(-(trunc + 1.0) / sigma)).ravel()[0]))
-    dist = np.maximum(trunc + 1.0 - sigma * np.abs(x), 1.0)
-    return edge * (2.0 / np.pi) * (1.0 + np.log1p(4.0 * trunc / dist))
+    if f.decay is None or f.decay[1] != 2.0:
+        return np.full(x.shape, np.inf)
+    c2 = float(f.decay[0])
+    # sum_{k>K} C sigma^2/k^2 * 1/(pi (k - sigma x)) and mirror image
+    margin_r = trunc + 1.0 - sigma * x
+    margin_l = trunc + 1.0 + sigma * x
+    with np.errstate(divide="ignore"):
+        br = np.where(margin_r > 0, 1.0 / margin_r, np.inf)
+        bl = np.where(margin_l > 0, 1.0 / margin_l, np.inf)
+    return c2 * sigma ** 2 / (np.pi * trunc) * (br + bl)
 
 
 def line_kernel(window: Window, x) -> np.ndarray:

@@ -147,13 +147,11 @@ def kfunc_vp(f, delta: float, s: int, spec: NormSpec,
         raise ValueError("order s must be >= 1")
     n = int(np.ceil(1.0 / delta))
     if isinstance(f, TrigPoly):
-        v = vp_mean(f, n)
-        resid = poly_norm(f - v, spec)
-    else:
-        if cache is None:
-            cache = build_cache(f, n_scale=2 * n)
-        v = vp_mean(cache, n)
-        resid = norm(subtract_poly(cache, v), spec)
+        f = f.as_pointwise()
+    if cache is None:
+        cache = build_cache(f, n_scale=2 * n)
+    v = vp_mean(cache, n)
+    resid = norm(subtract_poly(cache, v), spec)
     return float(resid + delta ** s * poly_norm(v.derivative(s), spec))
 
 

@@ -18,6 +18,7 @@ from latsamp import (
     poly_norm,
     subtract_poly,
 )
+from latsamp import bestapprox
 from latsamp.bestapprox import (LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix,
                                 _real_coeffs_to_poly)
 from latsamp.model import TWO_PI
@@ -193,6 +194,26 @@ def test_l1_active_set_matches_the_full_lp(label, n):
     assert_allclose(res.value, oracle, rtol=1e-12)
     assert_allclose(res.value, -full.fun / TWO_PI, rtol=1e-12)
     assert res.gap <= 1e-12
+
+
+@pytest.mark.parametrize("label,n", [("square", 6), ("cusp15", 4), ("sawtooth", 2)])
+def test_l1_active_set_doubles_until_feasible(monkeypatch, label, n):
+    """With one free node per unknown the first LP is infeasible; the loop
+    doubles the free nodes and reaches the default run's value and gap."""
+    want = best_approx(C[label], n, L1, method="refined")
+    statuses = []
+
+    def recording_linprog(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(bestapprox, "LP_START_COLUMNS", 1)
+    monkeypatch.setattr(bestapprox, "linprog", recording_linprog)
+    res = best_approx(C[label], n, L1, method="refined")
+    assert statuses[0] == 2 and statuses[-1] == 0
+    assert_allclose(res.value, want.value, rtol=1e-12)
+    assert res.gap <= bestapprox.GAP_TOL
 
 
 @pytest.mark.parametrize("spec_id", ["l1", "lp:1.5"])

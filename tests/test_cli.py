@@ -58,6 +58,7 @@ def test_missing_seed_is_usage_error(tmp_path, capsys):
     ["probe", "--seed", "1", "--spec", "lp:inf"],
     ["probe", "--seed", "1", "--spec", "lp:nan"],
     ["probe", "--seed", "1", "--trials", "0"],
+    ["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6"],  # 2^32 cells
 ])
 def test_bad_arguments_exit_one(tmp_path, args, capsys):
     assert run(args + ["--out", str(tmp_path / "o")]) == 1

@@ -34,7 +34,7 @@ def test_public_names():
         "CounterexampleTable", "DenseGridCache", "EquivTable", "LemderCheck",
         "ModulusReport", "NodeSet", "NormSpec", "OneSided", "OperatorSpec",
         "PointwiseFunction", "ProbeReport", "RateFit", "RealizationReport",
-        "StepFunction", "TrigPoly", "__version__", "analyze", "apply_operator",
+        "TrigPoly", "__version__", "analyze", "apply_operator",
         "apply_window", "approx_error", "bandlimited_signal", "besov_sum",
         "best_approx", "br_window", "build_cache", "bump_train",
         "classical_modulus", "convergence_criterion", "corpus",
@@ -209,6 +209,18 @@ def test_equivalence_reproduction_rows_are_excluded():
                               n_range=(4, 8))
     assert len(table.rows) == 0
     assert len(table.excluded) == 2
+    assert not table.violations
+
+
+@pytest.mark.parametrize("study", ["modulus", "kfunc", "realization"])
+def test_equivalence_constant_rows_are_below_both_floors(study):
+    """f = 1 is reproduced exactly and has nothing to measure: every row
+    leaves the table as "both sides below 1e-12", none as a violation."""
+    one = latsamp.PointwiseFunction("one", lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    table = equivalence_study(study, {"one": one}, "lagrange", L2, 1, 2, (4, 8))
+    assert table.rows == []
+    assert [(row["n"], row["note"]) for row in table.excluded] == [
+        (4, "both sides below 1e-12"), (8, "both sides below 1e-12")]
     assert not table.violations
 
 

@@ -21,8 +21,10 @@ from latsamp import (
     poly_norm,
     wrap_angle,
 )
-from latsamp.model import PARTITION_MEMO, partition
+from latsamp.model import (MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO,
+                           partition)
 from latsamp.norms import _cache_mass
+from latsamp.trigpoly import MAX_DEGREE
 
 TWO_PI = 2.0 * np.pi
 
@@ -297,6 +299,30 @@ def test_partition_accepts_numpy_integers():
     part = partition(np.int64(512), (np.float64(0.0),))
     assert part is partition(512, [0.0, 0.0])
     assert type(part.resolution) is int
+
+
+def test_partition_resolution_is_capped():
+    """The cap is the window resolution of the default width at the degree
+    cap; one cell more is refused."""
+    h = np.pi / (2 * MAX_DEGREE + 1)
+    assert 1 << int(np.ceil(np.log2(MIN_PANELS_PER_WINDOW * TWO_PI / h))) == MAX_RESOLUTION
+    with pytest.raises(ValueError, match=str(MAX_RESOLUTION + 1)):
+        partition(MAX_RESOLUTION + 1, ())
+
+
+def test_tiny_window_raises_before_allocating():
+    """A 1e-6 window would need 2^29 cells: the refinement raises at once."""
+    import tracemalloc
+
+    cache = build_cache(corpus()["square"], resolution=1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_RESOLUTION"):
+            ensure_window_resolution(cache, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_equal_partitions_are_shared():

@@ -8,8 +8,8 @@ from scipy.special import gamma as gamma_fn
 
 import latsamp as ls
 from latsamp import (
+    NodeSet,
     NormSpec,
-    StepFunction,
     TrigPoly,
     corpus,
     dilation_norm,
@@ -253,7 +253,9 @@ def test_llogl_norm_of_a_narrow_spike():
     mpmath = pytest.importorskip("mpmath")
     widths = np.array([1e-9, 2 * np.pi - 1e-9])
     values = np.array([1e9, 1.0])
-    got = norm(StepFunction(lefts=np.array([0.0, 1e-9]), widths=widths, values=values), LLOGL)
+    nodes = NodeSet(np.array([0.0, 1e-9]), n=1, gamma=1e-9, gamma_prime=widths[1])
+    assert_allclose(nodes.gaps(), widths, rtol=0)
+    got = discrete_seminorm(values, nodes, LLOGL)
     with mpmath.workdps(30):
         assert float(abs(got / _llogl_root(mpmath, values, widths) - 1)) <= 1e-15
 
@@ -261,15 +263,15 @@ def test_llogl_norm_of_a_narrow_spike():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_llogl_norm_propagates_nan_and_inf(bad):
     """NaN and inf samples give the norm the Lebesgue route gives, not 0."""
-    cells = np.full(4, np.pi / 2)
-    step = StepFunction(lefts=np.arange(4) * np.pi / 2, widths=cells,
-                        values=np.array([1.0, 2.0, bad, 1.0]))
+    nodes = NodeSet(np.arange(-2, 2) * np.pi / 2, n=2, gamma=np.pi, gamma_prime=np.pi)
+    values = np.array([1.0, 2.0, bad, 1.0])
     f = ls.PointwiseFunction(
         "bad", lambda x: np.where(np.abs(np.asarray(x) - 1.0) < 0.05, bad, 1.0))
     cache = ls.build_cache(f, resolution=1024)
-    for obj in (step, cache):
-        np.testing.assert_equal(norm(obj, LLOGL), norm(obj, L2))
-        np.testing.assert_equal(norm(obj, LLOGL), bad)
+    for route in (lambda spec: discrete_seminorm(values, nodes, spec),
+                  lambda spec: norm(cache, spec)):
+        np.testing.assert_equal(route(LLOGL), route(L2))
+        np.testing.assert_equal(route(LLOGL), bad)
 
 
 def test_llogl_inverse_against_mpmath():
@@ -337,13 +339,6 @@ def test_discrete_seminorm_size_mismatch():
     nodes = make_uniform_nodes(3)
     with pytest.raises(ValueError):
         discrete_seminorm(np.ones(5), nodes, L2)
-
-
-def test_stepfunction_from_nodes():
-    nodes = make_uniform_nodes(2)
-    sf = StepFunction.from_nodes(np.arange(5.0), nodes)
-    assert sf.values.size == 5
-    assert_allclose(sf.widths.sum(), 2 * np.pi, rtol=1e-14)
 
 
 def test_weight_cell_integrals_partition():
@@ -475,6 +470,16 @@ def test_dilation_llogl_frozen_values(r, want):
     value, method = dilation_norm_info(parse_spec("orlicz:llogl"), r)
     assert method == "grid-sup"
     assert_allclose(value, want, rtol=1e-14)
+
+
+def test_dilation_has_no_uncertified_weighted_value():
+    """A weight with beta != 0 has no closed form or grid sup: it raises
+    rather than return an estimate; beta = 0 is the Lebesgue closed form."""
+    with pytest.raises(ValueError, match="wlp:2:-0.5"):
+        dilation_norm_info(parse_spec("wlp:2:-0.5"), 0.5)
+    with pytest.raises(ValueError):
+        dilation_norm(parse_spec("wlp:1.5:0.25"), 0.25)
+    assert dilation_norm_info(parse_spec("wlp:2:0"), 0.25) == (2.0, "closed-form")
 
 
 def test_dilation_rejects_bad_factor():

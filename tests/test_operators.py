@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from latsamp import (
+    PointwiseFunction,
     TrigPoly,
     apply_operator,
     approx_error,
@@ -12,6 +13,7 @@ from latsamp import (
     build_cache,
     corpus,
     dirichlet_window,
+    discrete_seminorm,
     fejer_window,
     lagrange,
     line_kernel,
@@ -19,10 +21,12 @@ from latsamp import (
     make_uniform_nodes,
     parse_operator,
     parse_spec,
+    poly_norm,
     quasi_interp,
     wks,
 )
-from latsamp.trigpoly import Window
+from latsamp.norms import weight_cell_integrals
+from latsamp.trigpoly import MAX_DEGREE, Window
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -123,6 +127,35 @@ def test_apply_operator_dispatch():
                     quasi_interp(f, n, fejer_window()).coeffs, atol=0)
 
 
+def test_node_data_are_read_in_node_order():
+    """An array of node data is in ``make_uniform_nodes(n).nodes`` order: the
+    interpolant takes the k-th datum at the k-th node, up to MAX_DEGREE."""
+    rng = np.random.default_rng(3)
+    op = parse_operator("lagrange")
+    for n, tol in [*((n, 1e-12) for n in range(1, 65)), (MAX_DEGREE, 5e-11)]:
+        d = rng.standard_normal(2 * n + 1)
+        got = apply_operator(op, d, n).at(make_uniform_nodes(n).nodes)
+        assert np.max(np.abs(got - d)) <= tol, n
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_unit_datum_sits_on_its_own_cell(n):
+    """On wlp:2:-0.5, the K1/K2 ratio of a unit datum at node x_k is the norm
+    of the fundamental polynomial peaked at x_k over the norm of the step
+    on x_k's own cell ``[x_k, x_{k+1})``."""
+    spec = parse_spec("wlp:2:-0.5")
+    nodes = make_uniform_nodes(n)
+    op = parse_operator("lagrange")
+    for k, (x_k, gap) in enumerate(zip(nodes.nodes, nodes.gaps())):
+        datum = np.zeros(nodes.count)
+        datum[k] = 1.0
+        got = poly_norm(apply_operator(op, datum, n), spec) / discrete_seminorm(datum, nodes, spec)
+        fundamental = TrigPoly(np.exp(-1j * np.arange(-n, n + 1) * x_k) / nodes.count)
+        cell = np.sqrt(weight_cell_integrals(np.array([x_k]), np.array([gap]), spec.beta)[0]
+                       / (2 * np.pi))
+        assert_allclose(got, poly_norm(fundamental, spec) / cell, rtol=1e-12)
+
+
 def test_apply_operator_rejects_line_families():
     with pytest.raises(ValueError):
         apply_operator(parse_operator("wks"), C["sine"], 8)
@@ -212,6 +245,15 @@ def test_wks_bound_inf_past_certified_zone():
     _, bound = wks(f, 32.0, 16, np.array([0.0, 100.0]))
     assert np.isfinite(bound[0])
     assert np.isinf(bound[1])  # sigma*x beyond the truncation edge
+
+
+def test_wks_bound_inf_without_decay_certificate():
+    """Without a certificate there is no bound, only ``inf``."""
+    f = bandlimited_signal(8.0)
+    bare = PointwiseFunction(label="bare", evaluator=f.evaluator, domain="line")
+    vals, bound = wks(bare, 32.0, 64, np.array([0.0, 0.5]))
+    assert_allclose(vals, wks(f, 32.0, 64, np.array([0.0, 0.5]))[0], atol=0)
+    assert np.all(np.isinf(bound))
 
 
 def test_wks_validation():
