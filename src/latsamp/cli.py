@@ -33,7 +33,7 @@ from . import __version__
 from .harness import (convergence_criterion, counterexample_run,
                       equivalence_study, mz_probe, onesided_study,
                       probe_assumptions, rate_study)
-from .model import corpus
+from .model import MAX_RESOLUTION, _window_resolution, corpus
 from .norms import parse_spec
 from .operators import parse_operator
 
@@ -202,8 +202,15 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         raise UsageError(f"--trials must be >= 1, got {cfg['trials']}")
     if 2 * int(cfg["r"]) < int(cfg["s"]):
         raise UsageError(f"need 2r >= s, got r={cfg['r']}, s={cfg['s']}")
-    if cfg["gamma"] is not None and cfg["gamma"] <= 0:
-        raise UsageError("--gamma must be positive")
+    if cfg["gamma"] is not None:
+        if cfg["gamma"] <= 0:
+            raise UsageError("--gamma must be positive")
+        # the window gamma/n of the largest scale sets the finest partition
+        needed = _window_resolution(cfg["gamma"] / ns[-1])
+        if needed > MAX_RESOLUTION:
+            raise UsageError(
+                f"--gamma {cfg['gamma']:g} is too small for n = {ns[-1]}: its window "
+                f"gamma/n needs {needed} grid cells, above MAX_RESOLUTION = {MAX_RESOLUTION}")
     try:
         cfg["spec_obj"] = parse_spec(str(cfg["spec"]))
         cfg["op_obj"] = parse_operator(str(cfg["op"]))

@@ -254,12 +254,14 @@ def uniform_cells(edges: np.ndarray, resolution: int):
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Edges of ``resolution`` uniform cells split at breakpoints and graded toward
-    them and 0 (see :func:`partition`); the cell map, graded points and weighted
-    masses (by ``beta``) are built on first use.  Every array is read-only."""
+    them and 0 (see :func:`partition`); the cell map, graded points, weighted
+    masses and their moments (both by ``beta``) are built on first use.  Every
+    array is read-only."""
 
     resolution: int
     edges: np.ndarray
     weighted_mass: dict = field(default_factory=dict, init=False, repr=False)
+    weighted_moments: dict = field(default_factory=dict, init=False, repr=False)
 
     def gl_points(self) -> np.ndarray:
         """(M, 5) abscissae of the panel Gauss-Legendre nodes."""
@@ -465,15 +467,19 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
     return _integrated(fn, part, fn._on_partition(part))
 
 
+def _window_resolution(h: float) -> int:
+    """Smallest power of two whose grid puts >= 64 steps in a window ``h``."""
+    return 1 << int(np.ceil(np.log2(int(np.ceil(MIN_PANELS_PER_WINDOW * TWO_PI / h)))))
+
+
 def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:
-    """Refine a base cache until the window ``h`` spans >= 64 uniform steps."""
-    needed = int(np.ceil(MIN_PANELS_PER_WINDOW * TWO_PI / h))
-    if cache.resolution >= needed:
+    """Refine a base cache until the window ``h`` spans >= 64 uniform steps
+    (to :func:`_window_resolution`)."""
+    if cache.resolution >= MIN_PANELS_PER_WINDOW * TWO_PI / h:
         return cache
     if cache.fn is None:
         raise ValueError("cannot refine a derived cache; rebuild the base cache")
-    resolution = 1 << int(np.ceil(np.log2(needed)))
-    return build_cache(cache.fn, resolution=resolution)
+    return build_cache(cache.fn, resolution=_window_resolution(h))
 
 
 # ----------------------------------------------------------------------------

@@ -8,9 +8,12 @@ on the log of its modular, ``t^p`` as the Lebesgue norm it equals.
 
 Norms run through one kernel, ``_measure_norm(|f|, mass, spec)``, on a
 measure: the Gauss-Legendre nodes of a cache, the cells of a node set, or any
-quadrature a caller supplies; only the Lebesgue norm of a polynomial is a mean
-over an FFT grid (:func:`poly_norm`).  Weighted masses come from the closed
-form of the weight's integral over a cell, an incomplete beta function.
+quadrature a caller supplies.  Two polynomial norms never evaluate the
+polynomial on a cache (:func:`poly_norm`): the Lebesgue norm is a mean over
+an FFT grid, and the weighted ``L^2`` norm is a Toeplitz form in the moments
+of the weighted cache masses, which equals that cache's quadrature.  Weighted
+masses come from the closed form of the weight's integral over a cell, an
+incomplete beta function.
 
 The discrete seminorm of a function over a node set is the norm of the step
 function ``sum_k |f(x_k)| chi_[x_k, x_{k+1})``.  Step-function norms are exact
@@ -27,8 +30,8 @@ import numpy as np
 from scipy.special import beta as beta_fn, betainc
 
 from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
-                    build_cache)
-from .trigpoly import TrigPoly
+                    build_cache, partition)
+from .trigpoly import TrigPoly, _analyze_cache
 
 __all__ = [
     "NormSpec", "parse_spec", "norm", "discrete_seminorm",
@@ -252,6 +255,25 @@ def _cache_mass(cache: DenseGridCache, spec: NormSpec) -> np.ndarray:
     return cache.partition.weighted_mass.setdefault(spec.beta, mass)
 
 
+def _weight_moments(resolution: int, spec: NormSpec) -> np.ndarray:
+    """``mu_k = sum_i m_i exp(-ik x_i)`` for ``|k| <= resolution // 8``.
+
+    ``x_i`` are the nodes of ``partition(resolution)`` and ``m_i`` their
+    weighted masses (:func:`_cache_mass`), so ``sum_i m_i |T(x_i)|^2`` is
+    ``Re sum_k A_k conj(mu_k)`` with ``A`` the autocorrelation of ``T``'s
+    coefficients.  Analysed once from the constant-1 cache and kept
+    read-only on the partition, by ``beta``.
+    """
+    part = partition(resolution)
+    mu = part.weighted_moments.get(spec.beta)
+    if mu is None:
+        one = build_cache(PointwiseFunction("one", np.ones_like), resolution=resolution)
+        mu = _analyze_cache(one, resolution // 8, _cache_mass(one, spec))
+        mu.setflags(write=False)
+        mu = part.weighted_moments.setdefault(spec.beta, mu)
+    return mu
+
+
 # ----------------------------------------------------------------------------
 # Norms of the package's types
 # ----------------------------------------------------------------------------
@@ -262,14 +284,25 @@ def poly_norm(poly: TrigPoly, spec: NormSpec) -> float:
 
     Plain Lebesgue norms (and power Orlicz norms, which equal them) use the
     uniform rectangle rule on an oversampled FFT grid (exact for even integer
-    p once the grid resolves ``p * degree``); weighted and ``t log(1+t)``
-    Orlicz norms go through the graded panel cache.
+    p once the grid resolves ``p * degree``).  Other norms use the graded
+    panel cache at resolution ``R = max(1024, 16 * degree)``: a weighted
+    ``L^2`` norm as the Toeplitz form ``Re sum_k A_k conj(mu_k) / 2pi`` of
+    the coefficients' autocorrelation ``A`` against the cache's weight
+    moments ``mu`` (:func:`_weight_moments`; ``|k| <= 2 degree <= R // 8``),
+    which is the cache's quadrature of ``w |T|^2``; other weighted and
+    ``t log(1+t)`` Orlicz norms are taken on a cache of the polynomial.
     """
     deg = max(poly.degree, 1)
     if spec.kind == "lebesgue" or spec.phi == "power":
         vals = np.abs(poly.on_uniform_grid(max(1024, 32 * deg)))
         return float(np.mean(vals ** spec.p) ** (1.0 / spec.p))
-    return norm(build_cache(poly.as_pointwise(), resolution=max(1024, 16 * deg)), spec)
+    resolution = max(1024, 16 * deg)
+    if spec.kind == "weighted" and spec.p == 2.0:
+        kmax, band = resolution // 8, 2 * poly.degree
+        mu = _weight_moments(resolution, spec)[kmax - band: kmax + band + 1]
+        form = np.correlate(poly.coeffs, poly.coeffs, "full") @ np.conj(mu)
+        return float(np.sqrt(form.real / TWO_PI))
+    return norm(build_cache(poly.as_pointwise(), resolution=resolution), spec)
 
 
 def norm(obj: Union[DenseGridCache, TrigPoly, PointwiseFunction], spec: NormSpec) -> float:

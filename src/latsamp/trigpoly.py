@@ -284,18 +284,20 @@ def _synthesize(poly: TrigPoly, part: Partition) -> np.ndarray:
     return gl
 
 
-def _analyze_cache(cache: DenseGridCache, kmax: int) -> np.ndarray:
-    """``sum w * f * exp(-ikx)`` over a cache's quadrature nodes, ``|k| <= kmax``.
+def _analyze_cache(cache: DenseGridCache, kmax: int, mass=None) -> np.ndarray:
+    """``sum m * f * exp(-ikx)`` over a cache's quadrature nodes, ``|k| <= kmax``.
 
-    The adjoint of :func:`_synthesize`: the weighted values of the uniform
-    cells go through 5 FFTs of size ``R``, phase-shifted by
-    ``exp(-ik*start)`` (exact for every k, which folds as ``k mod R``); the
-    graded panels go through :func:`_power_sums`.
+    ``mass`` is the (M, 5) mass of each node, the Gauss-Legendre weights
+    unless given (a weighted norm passes its weighted masses).  The adjoint of
+    :func:`_synthesize`: the weighted values of the uniform cells go through
+    5 FFTs of size ``R``, phase-shifted by ``exp(-ik*start)`` (exact for
+    every k, which folds as ``k mod R``); the graded panels go through
+    :func:`_power_sums`.
     """
     ks = np.arange(-kmax, kmax + 1)
     _, panel_of, graded = cache.partition.cell_map
     cells = np.flatnonzero(panel_of >= 0)
-    wv = cache.gl_weights() * cache.gl_values
+    wv = (cache.gl_weights() if mass is None else mass) * cache.gl_values
     out = np.zeros(ks.size, dtype=complex)
     u = np.zeros(cache.resolution, dtype=complex)
     for g, start in enumerate(_gl_starts(cache.resolution)):

@@ -66,6 +66,28 @@ def test_bad_arguments_exit_one(tmp_path, args, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
+    """A window gamma/n finer than MAX_RESOLUTION cells allow is refused by name
+    while the config is merged, before any cache is built."""
+    from latsamp.model import MAX_RESOLUTION, _window_resolution
+
+    parse = cli.build_parser().parse_args
+    with pytest.raises(cli.UsageError, match="--gamma"):
+        cli.merge_config(parse(["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6"]))
+    # the smallest power-of-two gamma/8 still within the cap is accepted
+    gamma = 8 * 64 * 2 * np.pi / MAX_RESOLUTION
+    assert _window_resolution(gamma / 8) == MAX_RESOLUTION
+    assert cli.merge_config(parse(["equiv", "--seed", "7", "--n", "4,8",
+                                   "--gamma", repr(gamma)]))["gamma"] == gamma
+    with pytest.raises(cli.UsageError, match="n = 8"):
+        cli.merge_config(parse(["equiv", "--seed", "7", "--n", "4,8",
+                                "--gamma", repr(gamma * 0.999)]))
+    out = tmp_path / "o"
+    assert run(["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6", "--out", str(out)]) == 1
+    assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("op", ["wks", "linefejer"])
 def test_line_operator_is_usage_error(tmp_path, op, capsys):
     out = tmp_path / "o"

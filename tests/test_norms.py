@@ -147,6 +147,77 @@ def test_poly_norm_l2_is_coefficient_norm():
         assert_allclose(poly_norm(p, L2), np.linalg.norm(p.coeffs), rtol=1e-12)
 
 
+WEIGHT_BETAS = (-0.9, -0.5, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("beta", WEIGHT_BETAS)
+def test_weighted_l2_poly_norm_is_the_cache_quadrature(beta):
+    """The Toeplitz form in the weight moments is the cache route's
+    ``sum m |T|^2`` on the same partition, for real and non-Hermitian
+    coefficients and their derivatives."""
+    spec = parse_spec(f"wlp:2:{beta}")
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for n in (1, 2, 7, 63, 64, 65, 129, 300):
+        for imag in (0.0, 1.0):
+            p = TrigPoly(rng.standard_normal(2 * n + 1) + imag * rng.standard_normal(2 * n + 1))
+            for q in (p, p.derivative()):
+                cache = ls.build_cache(q.as_pointwise(), resolution=max(1024, 16 * n))
+                want = norm(cache, spec)
+                worst = max(worst, abs(poly_norm(q, spec) - want) / want)
+    assert worst <= 4e-15
+
+
+def test_weighted_l2_norms_on_one_partition_build_one_cache(monkeypatch):
+    """The moments are analysed once per (partition, beta) and kept read-only."""
+    built = []
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("resolution"))
+        return ls.build_cache(*args, **kwargs)
+
+    monkeypatch.setattr(ls.norms, "build_cache", counting)
+    ls.model.partition.cache_clear()
+    spec = parse_spec("wlp:2:-0.5")
+    rng = np.random.default_rng(18)
+    for _ in range(25):
+        n = int(rng.integers(1, 64))
+        assert poly_norm(TrigPoly(rng.standard_normal(2 * n + 1)), spec) > 0.0
+    assert built == [1024]
+    mu = ls.model.partition(1024).weighted_moments[spec.beta]
+    assert mu.shape == (1024 // 4 + 1,)
+    with pytest.raises(ValueError):
+        mu[0] = 0
+
+
+# twice the largest deviation measured over |k| <= R/8, relative to mu_0; the
+# deviation is the cache quadrature's error on the singular weight, largest
+# for beta near -1
+MOMENT_TOLERANCES = {
+    (-0.9, 1024): 8e-12, (-0.9, 4096): 7e-12,
+    (-0.5, 1024): 1.1e-12, (-0.5, 4096): 5.5e-13,
+    (0.5, 1024): 4e-15, (0.5, 4096): 1.2e-14,
+    (0.9, 1024): 3.4e-15, (0.9, 4096): 1.25e-14,
+}
+
+
+@pytest.mark.parametrize("beta,resolution", sorted(MOMENT_TOLERANCES))
+def test_weight_moments_against_mpmath(beta, resolution):
+    """``mu_k / 2pi`` against the closed form of the weight's Fourier
+    coefficients, ``(-1)^k Gamma(beta+1) / (Gamma(1+beta/2+k) Gamma(1+beta/2-k))``."""
+    mpmath = pytest.importorskip("mpmath")
+    from latsamp.norms import _weight_moments
+
+    kmax = resolution // 8
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        exact = np.array([float((-1) ** k * mpmath.gamma(b + 1)
+                                / (mpmath.gamma(1 + b / 2 + k) * mpmath.gamma(1 + b / 2 - k)))
+                          for k in range(kmax + 1)])
+    exact = np.concatenate([exact[:0:-1], exact])
+    mu = _weight_moments(resolution, parse_spec(f"wlp:2:{beta}")) / (2 * np.pi)
+    assert np.max(np.abs(mu - exact)) <= MOMENT_TOLERANCES[beta, resolution] * exact[kmax]
+
+
 # ----------------------------------------------------------------------------
 # Luxemburg functional
 # ----------------------------------------------------------------------------
