@@ -20,15 +20,13 @@ from .model import (DenseGridCache, NodeSet, PointwiseFunction, build_cache,
                     make_uniform_nodes, wrap_angle)
 from .trigpoly import (TrigPoly, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, fourier_coefficients,
-                       kernel_eval, partial_sum, subtract_poly, vp_mean)
+                       kernel_eval, subtract_poly, vp_mean)
 from .norms import (NormSpec, dilation_norm, dilation_norm_info,
-                    discrete_seminorm, norm, parse_spec, poly_norm,
-                    steklov_bound_probe)
-from .steklov import (i_minus_a_pow, i_minus_a_pow_at, multiplier, smoothed,
-                      steklov, steklov_chain)
-from .smoothness import (ModulusReport, RealizationReport, classical_modulus,
-                         default_width, kfunc_vp, omega2_star, realization,
-                         semidiscrete_modulus)
+                    discrete_seminorm, norm, parse_spec, poly_norm)
+from .steklov import (i_minus_a_pow, i_minus_a_pow_at, multiplier, steklov,
+                      steklov_chain)
+from .smoothness import (ModulusReport, RealizationReport, default_width,
+                         kfunc_vp, realization, semidiscrete_modulus)
 from .operators import (ApproxError, OperatorSpec, apply_operator,
                         approx_error, bandlimited_signal, lagrange,
                         line_kernel, line_quasi, parse_operator, quasi_interp,
@@ -48,15 +46,14 @@ __all__ = [
     "ensure_window_resolution", "make_jittered_nodes", "make_uniform_nodes",
     "wrap_angle",
     "TrigPoly", "analyze", "apply_window", "br_window", "dirichlet_window",
-    "fejer_window", "fourier_coefficients", "kernel_eval", "partial_sum",
-    "subtract_poly", "vp_mean",
+    "fejer_window", "fourier_coefficients", "kernel_eval", "subtract_poly",
+    "vp_mean",
     "NormSpec", "dilation_norm", "dilation_norm_info",
     "discrete_seminorm", "norm", "parse_spec", "poly_norm",
-    "steklov_bound_probe",
-    "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "smoothed", "steklov",
+    "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "steklov",
     "steklov_chain",
-    "ModulusReport", "RealizationReport", "classical_modulus", "default_width",
-    "kfunc_vp", "omega2_star", "realization", "semidiscrete_modulus",
+    "ModulusReport", "RealizationReport", "default_width",
+    "kfunc_vp", "realization", "semidiscrete_modulus",
     "ApproxError", "OperatorSpec", "apply_operator", "approx_error",
     "bandlimited_signal", "lagrange", "line_kernel", "line_quasi",
     "parse_operator", "quasi_interp", "wks",

@@ -67,9 +67,10 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
                 cache: Optional[DenseGridCache] = None) -> BestApprox:
     """Degree-n best (or near-best) approximation in the given norm.
 
-    In L2 the Fourier partial sum is the exact minimizer.  Elsewhere the
-    detrended de la Vallee Poussin mean ``V_{floor(n/2)}`` (degree <= n) is a
-    near-best start; ``method='refined'`` minimizes the norm of the residual
+    In L2, ``method='auto'`` returns the exact minimizer, the Fourier partial
+    sum (labelled ``'projection'``).  Elsewhere the detrended de la Vallee
+    Poussin mean ``V_{floor(n/2)}`` (degree <= n) is a near-best start;
+    ``method='refined'`` minimizes the norm of the residual
     on the cache's quadrature nodes from that start: an active-set linear
     program for L1 norms of real samples (:func:`_l1_active_set`),
     iteratively reweighted least squares otherwise (:func:`_irls`).
@@ -78,7 +79,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
         raise ValueError("degree must be >= 0")
     if n > MAX_DEGREE:
         raise ValueError(f"degree exceeds cap {MAX_DEGREE}")
-    if method not in ("auto", "projection", "vp", "refined"):
+    if method not in ("auto", "vp", "refined"):
         raise ValueError(f"unknown method {method!r}")
     if isinstance(f, TrigPoly):
         source = f
@@ -87,10 +88,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
             cache = build_cache(f, n_scale=max(2 * n, 1))
         source = cache
 
-    exact_l2 = spec.kind == "lebesgue" and spec.p == 2.0
-    if method == "projection" and not exact_l2:
-        raise ValueError("projection is exact only in L2")
-    if (method in ("auto", "projection")) and exact_l2:
+    if method == "auto" and spec.kind == "lebesgue" and spec.p == 2.0:
         poly = TrigPoly(fourier_coefficients(source, n))
         return BestApprox(poly, _resid_norm(f, cache, poly, spec), "projection")
 

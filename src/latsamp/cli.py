@@ -30,12 +30,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
+from .bestapprox import LP_MAX_DEGREE
 from .harness import (convergence_criterion, counterexample_run,
                       equivalence_study, mz_probe, onesided_study,
                       probe_assumptions, rate_study)
 from .model import MAX_RESOLUTION, _window_resolution, corpus
 from .norms import parse_spec
 from .operators import parse_operator
+from .steklov import MAX_ITERATES
 
 OP_CHOICES = "lagrange|fejer|br:<alpha>"
 SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl|orlicz:power:<p>"
@@ -138,8 +140,9 @@ def build_parser() -> _Parser:
         q.add_argument("--op", help=f"operator: {OP_CHOICES}")
         q.add_argument("--spec", help=f"norm: {SPEC_CHOICES}")
         q.add_argument("--n", help="comma-separated strictly increasing scales")
-        q.add_argument("--r", type=int, help="Steklov iterate count (discrete part)")
-        q.add_argument("--s", type=int, help="smoothness order (2r >= s)")
+        q.add_argument("--r", type=int,
+                       help=f"Steklov iterate count, 1..{MAX_ITERATES} (discrete part)")
+        q.add_argument("--s", type=int, help="smoothness order, 1..2r")
         q.add_argument("--seed", type=int, help="RNG seed (required; no clock default)")
         q.add_argument("--trials", type=int, help="ensemble size per scale")
         q.add_argument("--gamma", type=float, help="Steklov width factor: h = gamma/n")
@@ -200,8 +203,11 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     cfg["n_list"] = ns
     if int(cfg["trials"]) < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg['trials']}")
-    if 2 * int(cfg["r"]) < int(cfg["s"]):
-        raise UsageError(f"need 2r >= s, got r={cfg['r']}, s={cfg['s']}")
+    r, s = int(cfg["r"]), int(cfg["s"])
+    if not 1 <= r <= MAX_ITERATES:
+        raise UsageError(f"--r must lie in 1..{MAX_ITERATES}, got {r}")
+    if not 1 <= s <= 2 * r:
+        raise UsageError(f"--s must lie in 1..2r = 1..{2 * r}, got {s}")
     if cfg["gamma"] is not None:
         if cfg["gamma"] <= 0:
             raise UsageError("--gamma must be positive")
@@ -382,8 +388,8 @@ def _cmd_counterexample(cfg):
 
 
 def _cmd_onesided(cfg):
-    if max(cfg["n_list"]) > 32:
-        raise UsageError("onesided scales are capped at n = 32 (LP size)")
+    if max(cfg["n_list"]) > LP_MAX_DEGREE:
+        raise UsageError(f"onesided scales are capped at n = {LP_MAX_DEGREE} (LP size)")
     rows_raw = onesided_study(cfg["functions_map"], cfg["n_list"],
                               op=cfg["op_obj"], eps=float(cfg["eps"]),
                               besov_cap=int(cfg["besov_cap"]))
@@ -431,7 +437,7 @@ def _cmd_report(cfg):
     rows += [["counterexample", "bump_train", r[0], "ratio", r[3]] for r in crows]
     asserts += [dict(a, name=f"counterexample:{a['name']}") for a in casserts]
 
-    os_ns = [n for n in cfg["n_list"] if n <= 32] or [4, 8, 16]
+    os_ns = [n for n in cfg["n_list"] if n <= LP_MAX_DEGREE] or [4, 8, 16]
     sub_os = dict(cfg, n_list=os_ns)
     _, orows, oasserts = _cmd_onesided(sub_os)
     rows += [["onesided", r[0], r[1], "ratio_onesided", r[4]] for r in orows]

@@ -299,11 +299,9 @@ class RateFit:
     n_range: tuple
     values: tuple = ()
     exact: bool = False
-    endpoint_inconclusive: bool = False
 
 
-def fit_loglog(ns: Sequence[int], values: Sequence[float],
-               expected_order: Optional[float] = None) -> RateFit:
+def fit_loglog(ns: Sequence[int], values: Sequence[float]) -> RateFit:
     """Least-squares slope of log(value) against log(n).
 
     Values at or below 1e-13 are floored at 1e-16; if every value is floored
@@ -323,18 +321,13 @@ def fit_loglog(ns: Sequence[int], values: Sequence[float],
         np.log(ns), np.log(safe), 1, full=True)
     resid_arr = stats[0]
     residual = float(np.sqrt(resid_arr[0] / ns.size)) if resid_arr.size else 0.0
-    slope = float(coeff[1])
-    inconclusive = (expected_order is not None
-                    and abs(-slope - expected_order) < 0.1)
-    return RateFit(slope=slope, intercept=float(coeff[0]), residual=residual,
+    return RateFit(slope=float(coeff[1]), intercept=float(coeff[0]), residual=residual,
                    n_range=tuple(int(v) for v in ns),
-                   values=tuple(float(v) for v in vals),
-                   endpoint_inconclusive=bool(inconclusive))
+                   values=tuple(float(v) for v in vals))
 
 
 def rate_study(f: PointwiseFunction, op, spec: NormSpec, n_range: Sequence[int],
-               r: int = 1, s: int = 2, gamma: Optional[float] = None,
-               expected_order: Optional[float] = None):
+               r: int = 1, s: int = 2, gamma: Optional[float] = None):
     """Decay-rate fits of the interpolation error and the matching modulus."""
     op = parse_operator(op)
     if 2 * r < s:
@@ -349,8 +342,7 @@ def rate_study(f: PointwiseFunction, op, spec: NormSpec, n_range: Sequence[int],
     pairs = parallel_map(one_n, list(n_range))
     errors = [p[0] for p in pairs]
     moduli = [p[1] for p in pairs]
-    return (fit_loglog(n_range, errors, expected_order),
-            fit_loglog(n_range, moduli, expected_order))
+    return fit_loglog(n_range, errors), fit_loglog(n_range, moduli)
 
 
 # ----------------------------------------------------------------------------

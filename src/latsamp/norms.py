@@ -33,11 +33,6 @@ from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
                     build_cache, partition)
 from .trigpoly import TrigPoly, _analyze_cache
 
-__all__ = [
-    "NormSpec", "parse_spec", "norm", "discrete_seminorm",
-    "luxemburg", "dilation_norm", "dilation_norm_info", "steklov_bound_probe",
-]
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -371,56 +366,3 @@ def dilation_norm_info(spec: NormSpec, r: float):
 
 def dilation_norm(spec: NormSpec, r: float) -> float:
     return dilation_norm_info(spec, r)[0]
-
-
-# ----------------------------------------------------------------------------
-# Window-average boundedness probe
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class SteklovBoundReport:
-    spec_id: str
-    sup_ratio: float
-    per_h: dict
-    trials: int
-    seed: int
-
-
-def steklov_bound_probe(spec: NormSpec, trials: int = 24, seed: int = 0) -> SteklovBoundReport:
-    """Empirical norm bound of the window average ``A_h`` on this space.
-
-    Ratios ``||A_h f|| / ||f||`` over a seeded ensemble of random polynomials
-    plus the non-smooth corpus entries.  On Lebesgue spaces the average is a
-    contraction, so the sup is a quadrature sanity check as much as a bound.
-    """
-    from .steklov import steklov as apply_average
-    from .model import corpus
-
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 417]))
-    ensemble = []
-    for _ in range(trials):
-        deg = int(rng.integers(1, 24))
-        decay = 1.0 / (1.0 + np.abs(np.arange(-deg, deg + 1)))
-        c = decay * (rng.standard_normal(2 * deg + 1) + 1j * rng.standard_normal(2 * deg + 1))
-        ensemble.append(TrigPoly(c))
-    rough = [corpus()[lbl] for lbl in ("square", "cusp05", "sawtooth")]
-
-    per_h = {}
-    for h in (0.1, 0.5, 1.0, np.pi / 3):
-        worst = 0.0
-        for poly in ensemble:
-            den = poly_norm(poly, spec)
-            if den == 0.0:
-                continue
-            num = poly_norm(apply_average(poly, h), spec)
-            worst = max(worst, num / den)
-        for f in rough:
-            cache = build_cache(f, resolution=2048)
-            den = norm(cache, spec)
-            num = norm(apply_average(cache, h), spec)
-            worst = max(worst, num / den)
-        per_h[float(h)] = worst
-    return SteklovBoundReport(
-        spec_id=spec.id, sup_ratio=max(per_h.values()), per_h=per_h,
-        trials=trials, seed=int(seed))

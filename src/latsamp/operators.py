@@ -27,8 +27,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
-                    build_cache, make_uniform_nodes)
+from .model import (TWO_PI, DenseGridCache, PointwiseFunction, build_cache,
+                    make_uniform_nodes)
 from .norms import NormSpec, discrete_seminorm, norm
 from .trigpoly import (TrigPoly, Window, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, subtract_poly)
@@ -124,15 +124,14 @@ class ApproxError:
 
 
 def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec,
-                 nodes: Optional[NodeSet] = None,
                  cache: Optional[DenseGridCache] = None) -> ApproxError:
     """Both error components of the sampling operator at scale n.
 
-    The discrete component samples ``f - G_n f`` exactly at the nodes (the
-    declared jump values of f matter here) and takes the step-function norm.
+    The discrete component samples ``f - G_n f`` exactly at the 2n+1 uniform
+    nodes ``G_n`` reads (the declared jump values of f matter here) and takes
+    the step-function norm.
     """
-    if nodes is None:
-        nodes = make_uniform_nodes(n)
+    nodes = make_uniform_nodes(n)
     if isinstance(f, TrigPoly):
         f = f.as_pointwise()
     g = apply_operator(op, f, n)

@@ -113,11 +113,6 @@ def steklov_chain(obj: Union[DenseGridCache, PointwiseFunction], h: float, r: in
     return chain
 
 
-def _combine(chain, coeffs) -> DenseGridCache:
-    """``sum_k coeffs[k] chain[k]`` as a derived cache on the chain's partition."""
-    return chain[0].spawn(sum((c * link.gl_values for c, link in zip(coeffs, chain)), 0j))
-
-
 def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:
     """``(I - A_h)^r f``: the multiplier ``(1 - m)^r`` on polynomials, the
     binomial expansion over iterated averages on caches."""
@@ -125,7 +120,8 @@ def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> 
     if isinstance(obj, TrigPoly):
         return TrigPoly(obj.coeffs * _one_minus_multiplier(h, obj.freqs, centered) ** r)
     chain = steklov_chain(obj, h, r, centered)
-    return _combine(chain, [(-1.0) ** k * comb(r, k) for k in range(r + 1)])
+    return chain[0].spawn(sum(((-1.0) ** k * comb(r, k) * link.gl_values
+                               for k, link in enumerate(chain)), 0j))
 
 
 def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
@@ -145,15 +141,3 @@ def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, 
         if k < r:
             level = _steklov_cache(level, h, centered)
     return out
-
-
-def smoothed(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:
-    """``g_h = f - (I - A_h)^r f``, the polynomial-reproducing smoothing step.
-
-    Equals ``sum_{k=1}^{r} (-1)^{k+1} C(r,k) A_h^k f``.
-    """
-    _check_h(h)
-    if isinstance(obj, TrigPoly):
-        return obj - i_minus_a_pow(obj, h, r, centered)
-    chain = steklov_chain(obj, h, r, centered)
-    return _combine(chain[1:], [(-1.0) ** (k + 1) * comb(r, k) for k in range(1, r + 1)])

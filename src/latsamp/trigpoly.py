@@ -176,13 +176,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def truncate(self, m: int) -> "TrigPoly":
-        """Drop coefficients with ``|k| > m``."""
-        n = self.degree
-        if m >= n:
-            return TrigPoly(self.coeffs.copy())
-        return TrigPoly(self.coeffs[n - m: n + m + 1])
-
 
 @dataclass(frozen=True)
 class _PolyFunction(PointwiseFunction):
@@ -259,7 +252,7 @@ def kernel_eval(window: Window, n: int, x) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Fourier coefficients by quadrature, partial sums, de la Vallee Poussin means
+# Fourier coefficients by quadrature, residuals, de la Vallee Poussin means
 # ----------------------------------------------------------------------------
 
 Sourceable = Union[TrigPoly, DenseGridCache, PointwiseFunction]
@@ -332,15 +325,6 @@ def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> 
             f"cache resolution {cache.resolution} too coarse for |k| <= {kmax} "
             f"(need >= {oversample * kmax})")
     return _analyze_cache(cache, kmax) / (2.0 * np.pi)
-
-
-def partial_sum(source: Sourceable, m: int) -> TrigPoly:
-    """Fourier partial sum ``S_m f`` as a degree-m polynomial."""
-    if m < 0:
-        raise ValueError("partial sum order must be >= 0")
-    if isinstance(source, TrigPoly):
-        return source.truncate(m)
-    return TrigPoly(fourier_coefficients(source, m))
 
 
 def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:

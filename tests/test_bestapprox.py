@@ -124,8 +124,9 @@ def test_refined_value_is_the_norm_of_its_residual():
 
 
 def test_best_approx_methods_and_validation():
-    with pytest.raises(ValueError):
-        best_approx(C["sine"], 4, L2, method="magic")
+    for method in ("magic", "projection"):
+        with pytest.raises(ValueError):
+            best_approx(C["sine"], 4, L2, method=method)
     res = best_approx(C["sine"], 4, L2, method="auto")
     assert res.method in ("l2-projection", "projection", "auto", "vp", "exact")
     assert np.isnan(res.gap)

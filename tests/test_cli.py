@@ -66,6 +66,21 @@ def test_bad_arguments_exit_one(tmp_path, args, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["equiv", "--r", "5", "--s", "2"], "--r"),   # above steklov.MAX_ITERATES
+    (["equiv", "--r", "0", "--s", "1"], "--r"),
+    (["probe", "--s", "0"], "--s"),
+    (["equiv", "--r", "2", "--s", "5"], "--s"),    # above 2r
+])
+def test_orders_out_of_range_are_usage_errors(tmp_path, args, flag, capsys):
+    """``--r`` and ``--s`` are checked against the library's ranges while the
+    config is merged, and the error names the flag."""
+    out = tmp_path / "o"
+    assert run(args + ["--seed", "7", "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
     """A window gamma/n finer than MAX_RESOLUTION cells allow is refused by name
     while the config is merged, before any cache is built."""

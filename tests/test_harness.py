@@ -37,18 +37,18 @@ def test_public_names():
         "TrigPoly", "__version__", "analyze", "apply_operator",
         "apply_window", "approx_error", "bandlimited_signal", "besov_sum",
         "best_approx", "br_window", "build_cache", "bump_train",
-        "classical_modulus", "convergence_criterion", "corpus",
+        "convergence_criterion", "corpus",
         "counterexample_run", "default_width", "dilation_norm",
         "dilation_norm_info", "dirichlet_window", "discrete_seminorm",
         "ensure_window_resolution", "equivalence_study", "fejer_window",
         "fit_loglog", "fourier_coefficients", "i_minus_a_pow",
         "i_minus_a_pow_at", "kernel_eval", "kfunc_vp", "lagrange",
         "lemder_check", "line_kernel", "line_quasi", "make_jittered_nodes",
-        "make_uniform_nodes", "multiplier", "mz_probe", "norm", "omega2_star",
+        "make_uniform_nodes", "multiplier", "mz_probe", "norm",
         "one_sided_best", "onesided_study", "parallel_map", "parse_operator",
-        "parse_spec", "partial_sum", "poly_norm", "probe_assumptions",
+        "parse_spec", "poly_norm", "probe_assumptions",
         "quasi_interp", "rate_study", "realization", "semidiscrete_modulus",
-        "smooth_bump", "smoothed", "steklov", "steklov_bound_probe",
+        "smooth_bump", "steklov",
         "steklov_chain", "subtract_poly", "vp_mean", "wks", "wrap_angle",
     ]
     for name in latsamp.__all__:
@@ -224,6 +224,41 @@ def test_equivalence_constant_rows_are_below_both_floors(study):
     assert not table.violations
 
 
+def test_zero_rhs_rule_fires(monkeypatch, tmp_path, capsys):
+    """A row whose modulus is exactly 0 while its error is not is excluded as
+    "rhs zero", counted as a violation, and fails the CLI's
+    ``zero_rhs_rows_clean`` assertion (exit 2)."""
+    import json
+
+    from latsamp import cli, harness
+    from latsamp.smoothness import ModulusReport
+
+    real = harness.semidiscrete_modulus
+
+    def zero_on_square(f, n, r, s, spec, **kwargs):
+        if f.label != "square":
+            return real(f, n, r, s, spec, **kwargs)
+        return ModulusReport(continuous=0.0, discrete=0.0, n=n, r=r, s=s,
+                             h=np.pi / (2 * n + 1), spec_id=spec.id)
+
+    monkeypatch.setattr(harness, "semidiscrete_modulus", zero_on_square)
+    fns = {"square": C["square"], "sawtooth": C["sawtooth"]}
+    table = equivalence_study("error_vs_modulus", fns, "lagrange", L2, 1, 2, (8,))
+    assert [(row["f_label"], row["note"]) for row in table.excluded] == [("square", "rhs zero")]
+    assert [row["f_label"] for row in table.violations] == ["square"]
+    assert [row["f_label"] for row in table.rows] == ["sawtooth"]
+
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("functions = square,sawtooth\n")
+    out = tmp_path / "o"
+    assert cli.main(["equiv", "--seed", "7", "--n", "8", "--config", str(cfgfile),
+                     "--out", str(out)]) == 2
+    assert "FAIL zero_rhs_rows_clean" in capsys.readouterr().out
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        failed = [a["name"] for a in json.load(fh)["assertions"] if not a["passed"]]
+    assert failed == ["zero_rhs_rows_clean"]
+
+
 def test_equivalence_alias_names():
     fns = {"sawtooth": C["sawtooth"]}
     a = equivalence_study("modulus", fns, "br:1", L2, 1, 2, (8,))
@@ -291,15 +326,6 @@ def test_fit_loglog_flags_floored_sequences():
 def test_fit_loglog_needs_five_points():
     with pytest.raises(ValueError):
         fit_loglog((8, 16, 32), [1.0, 0.5, 0.25])
-
-
-def test_fit_loglog_endpoint_flag():
-    ns = (8, 16, 32, 64, 128)
-    vals = [n ** -0.5 for n in ns]
-    fit = fit_loglog(ns, vals, expected_order=0.5)
-    assert fit.endpoint_inconclusive
-    fit2 = fit_loglog(ns, vals, expected_order=1.5)
-    assert not fit2.endpoint_inconclusive
 
 
 def test_rate_study_square_lagrange():

@@ -20,7 +20,6 @@ from latsamp import (
     norm,
     parse_spec,
     poly_norm,
-    steklov_bound_probe,
 )
 from latsamp.norms import luxemburg, weight_cell_integrals
 
@@ -558,13 +557,3 @@ def test_dilation_rejects_bad_factor():
         dilation_norm(L2, 0.0)
     with pytest.raises(ValueError):
         dilation_norm(L2, -1.0)
-
-
-def test_steklov_bound_probe_reports():
-    rep = steklov_bound_probe(L2, trials=8, seed=0)
-    assert rep.spec_id == "l2"
-    assert np.isfinite(rep.sup_ratio)
-    # averaging contracts L2 (multiplier magnitudes <= 1)
-    assert rep.sup_ratio <= 1.0 + 1e-9
-    assert len(rep.per_h) == 4
-    print("steklov bound probe:", rep.sup_ratio)

@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose
 from latsamp import (
     TrigPoly,
     build_cache,
-    classical_modulus,
     corpus,
     default_width,
     kfunc_vp,
-    omega2_star,
     parse_operator,
     parse_spec,
     realization,
@@ -28,66 +26,6 @@ def test_default_width():
     assert_allclose(default_width(10, gamma=2.0), 0.2)
     with pytest.raises(ValueError):
         default_width(10, gamma=-1.0)
-
-
-# ----------------------------------------------------------------------------
-# classical translation modulus
-# ----------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("label, r, spec_id", [("square", 1, "l1"), ("square", 2, "l2"),
-                                              ("cusp05", 3, "lp:1.5"),
-                                              ("sawtooth", 2, "orlicz:llogl")])
-def test_difference_norm_reads_the_partition_quadrature(label, r, spec_id):
-    """The shared partition's nodes and weights give the same bits as the
-    Gauss-Legendre formula applied to the split edges directly."""
-    from math import comb
-
-    from latsamp.model import GL_NODES, GL_WEIGHTS, partition
-    from latsamp.norms import _measure_norm
-    from latsamp.smoothness import _difference_norm
-
-    f, spec, h = C[label], parse_spec(spec_id), 0.137
-    shifted = [float(np.mod(b - nu * h + np.pi, 2 * np.pi) - np.pi)
-               for b in f.breakpoints for nu in range(r + 1)]
-    edges = partition(2048, shifted).edges.copy()
-    gx = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (GL_NODES[None, :] + 1.0)
-    gw = 0.5 * np.diff(edges)[:, None] * GL_WEIGHTS[None, :]
-    diff = np.zeros_like(gx, dtype=complex)
-    for nu in range(r + 1):
-        diff += ((-1.0) ** nu) * comb(r, nu) * f(gx + (r - nu) * h)
-    assert _difference_norm(f, r, h, spec, 2048) == _measure_norm(np.abs(diff), gw, spec)
-
-
-def test_modulus_square_l1_linear():
-    """Two jumps of height 2 sweep width h: omega_1(square, d)_1 = 2 d / pi."""
-    for delta in (0.1, 0.3):
-        got = classical_modulus(C["square"], 1, delta, L1)
-        assert_allclose(got, 2 * delta / np.pi, rtol=1e-8)
-
-
-def test_modulus_sine_second_order():
-    # Delta_h^2 e^{ix} = e^{ix} (e^{ih} - 1)^2, so the sup sits at h = delta
-    delta = 0.5
-    got = classical_modulus(C["sine"], 2, delta, L2)
-    assert_allclose(got, 4 * np.sin(delta / 2) ** 2 / np.sqrt(2), rtol=1e-9)
-
-
-def test_modulus_monotone_in_delta():
-    vals = [classical_modulus(C["cusp05"], 1, d, L2) for d in (0.05, 0.2, 0.8)]
-    assert vals[0] <= vals[1] <= vals[2]
-
-
-def test_modulus_rejects_non_lebesgue():
-    with pytest.raises(ValueError):
-        classical_modulus(C["sine"], 1, 0.1, parse_spec("wlp:2:0.5"))
-
-
-def test_modulus_argument_validation():
-    with pytest.raises(ValueError):
-        classical_modulus(C["sine"], 0, 0.1, L2)
-    with pytest.raises(ValueError):
-        classical_modulus(C["sine"], 1, 0.0, L2)
 
 
 # ----------------------------------------------------------------------------
@@ -142,15 +80,6 @@ def test_semidiscrete_shrinks_with_n():
     vals = [semidiscrete_modulus(C["cusp15"], n, 1, 2, L2).total for n in (4, 16, 64)]
     print("cusp15 semidiscrete:", vals)
     assert vals[2] < vals[1] < vals[0]
-
-
-def test_omega2_star_sine():
-    n = 6
-    h = np.pi / (2 * n + 1)
-    rep = omega2_star(C["sine"], n, L2)
-    want = (1 - np.sinc(h / (2 * np.pi))) / np.sqrt(2)
-    assert_allclose(rep.continuous, want, rtol=1e-9)
-    assert_allclose(rep.discrete, want, rtol=1e-6)
 
 
 # ----------------------------------------------------------------------------

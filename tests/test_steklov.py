@@ -17,7 +17,6 @@ from latsamp import (
     multiplier,
     poly_norm,
     parse_spec,
-    smoothed,
     steklov,
     steklov_chain,
 )
@@ -320,18 +319,9 @@ def test_every_cache_route_takes_a_function():
     x = np.array([0.3, -2.0])
     assert np.array_equal(i_minus_a_pow_at(f, h, 2, x),
                           i_minus_a_pow_at(build_cache(f), h, 2, x))
-    derived = smoothed(build_cache(f, resolution=128), 0.7, 1)
+    derived = steklov(build_cache(f, resolution=128), 0.7)
     assert derived.fn is None
     assert steklov_chain(derived, 1e-3, 1)[0] is derived
-
-
-def test_smoothed_reproduces_band():
-    """g_h = f - (I-A_h)^r f has spectral factor 1 - (1-m)^r -> 1 as h -> 0."""
-    rng = np.random.default_rng(3)
-    p = TrigPoly(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    h = 1e-3
-    g = smoothed(p, h, 2)
-    assert_allclose(g.coeffs, p.coeffs, rtol=1e-5)
 
 
 def test_averaging_contracts_lebesgue():

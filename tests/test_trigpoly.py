@@ -18,7 +18,6 @@ from latsamp import (
     fejer_window,
     fourier_coefficients,
     kernel_eval,
-    partial_sum,
     subtract_poly,
     vp_mean,
 )
@@ -68,14 +67,6 @@ def test_derivative_multiplier():
     # second derivative by two routes
     assert_allclose(p.derivative(2).coeffs, d.derivative(1).coeffs, atol=0)
     assert TrigPoly(np.zeros(1)).derivative(1).degree == 0
-
-
-def test_truncate():
-    rng = np.random.default_rng(3)
-    p = random_poly(6, rng)
-    t = p.truncate(2)
-    assert t.degree == 2
-    assert_allclose(t.coeffs, p.coeffs[4:9], atol=0)
 
 
 def test_on_uniform_grid_matches_at():
@@ -206,14 +197,6 @@ def test_fourier_coefficients_of_poly_exact():
     assert_allclose(got, p.coeffs, atol=1e-12)
 
 
-def test_partial_sum_square():
-    sq = corpus()["square"]
-    s = partial_sum(sq, 5)
-    assert s.degree == 5
-    assert_allclose(s.coeff(3), 2.0 / (3j * np.pi), atol=1e-10)
-    assert abs(s.coeff(2)) < 1e-10
-
-
 @pytest.mark.parametrize("n", [2, 5])
 def test_vp_mean_reproduces_low_degrees(n):
     rng = np.random.default_rng(21 + n)
@@ -235,7 +218,7 @@ def test_vp_mean_from_cache():
 def test_subtract_poly_residual():
     f = corpus()["smooth"]  # sin x + cos 2x, a degree-2 polynomial
     cache = build_cache(f, resolution=256)
-    p = partial_sum(cache, 2)
+    p = TrigPoly(fourier_coefficients(cache, 2))
     resid = subtract_poly(cache, p)
     assert abs(complex(resid.total)) < 1e-9
     x = np.linspace(-np.pi, np.pi, 40)
