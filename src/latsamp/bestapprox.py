@@ -354,6 +354,12 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
               cache: Optional[DenseGridCache] = None) -> BesovSum:
     """``sum_{nu>=1} ||dilation(2^-nu)|| E_{2^(nu-1) n}(f)``.
 
+    Each level, ``terms[i]["best"]``, is ``best_approx(method='auto')``: exact
+    in L2, the de la Vallee Poussin near-best value (not ``E_d``) in any other
+    norm.  A level d with ``32 d`` above the cache's resolution uses a cache
+    built at ``max(4096, 32 d)``; levels are memoized by ``(d, spec)`` in the
+    given cache's ``best``, so callers sharing that cache compute each once.
+
     Stops once a term falls below ``eps`` (converged) or the next degree would
     exceed ``max_degree`` (truncated -- the divergence signal).  Only
     rearrangement-invariant norms (Lebesgue, Orlicz) carry a dilation norm.
@@ -365,6 +371,7 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     max_degree = min(max_degree, MAX_DEGREE)
     if not isinstance(f, TrigPoly) and cache is None:
         cache = build_cache(f, n_scale=max(2 * n, 1))
+    memo = {} if isinstance(f, TrigPoly) else cache.best
     terms = []
     total = 0.0
     nu = 1
@@ -374,9 +381,11 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
         if deg > max_degree:
             truncated = True
             break
-        if not isinstance(f, TrigPoly) and cache.resolution < 16 * (2 * deg):
-            cache = build_cache(f, resolution=max(4096, 32 * deg))
-        e = best_approx(f, deg, spec, cache=cache).value
+        e = memo.get((deg, spec))
+        if e is None:
+            if not isinstance(f, TrigPoly) and cache.resolution < 32 * deg:
+                cache = build_cache(f, resolution=max(4096, 32 * deg))
+            e = memo[deg, spec] = best_approx(f, deg, spec, cache=cache).value
         w = dilation_norm(spec, 2.0 ** (-nu))
         term = w * e
         terms.append({"nu": nu, "degree": deg, "dilation": w, "best": e, "term": term})

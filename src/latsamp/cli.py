@@ -437,11 +437,15 @@ def _cmd_report(cfg):
     rows += [["counterexample", "bump_train", r[0], "ratio", r[3]] for r in crows]
     asserts += [dict(a, name=f"counterexample:{a['name']}") for a in casserts]
 
+    dropped = [n for n in cfg["n_list"] if n > LP_MAX_DEGREE]
     os_ns = [n for n in cfg["n_list"] if n <= LP_MAX_DEGREE] or [4, 8, 16]
-    sub_os = dict(cfg, n_list=os_ns)
-    _, orows, oasserts = _cmd_onesided(sub_os)
+    note = f"scales {dropped} above the LP cap n = {LP_MAX_DEGREE} dropped" if dropped else ""
+    if len(dropped) == len(cfg["n_list"]):
+        note += f"; ran at n = {os_ns} in their place"
+    _, orows, oasserts = _cmd_onesided(dict(cfg, n_list=os_ns))
     rows += [["onesided", r[0], r[1], "ratio_onesided", r[4]] for r in orows]
-    asserts += [dict(a, name=f"onesided:{a['name']}") for a in oasserts]
+    asserts += [dict(a, name=f"onesided:{a['name']}", **({"note": note} if note else {}))
+                for a in oasserts]
 
     cv = convergence_criterion(next(iter(cfg["functions_map"].values())),
                                cfg["op_obj"], cfg["spec_obj"], int(cfg["r"]),

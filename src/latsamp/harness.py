@@ -16,7 +16,7 @@ factor-4 convergence-trend check.
 Everything is deterministic given a seed: per-n generators are spawned from
 ``SeedSequence([seed, tag, n])``, so a scale's row does not depend on which
 other scales run with it.  Studies run their ``(f, n)`` tasks serially
-through :func:`parallel_map`.
+through :func:`parallel_map`; the one-sided study shares each function's cache.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .bestapprox import besov_sum, one_sided_best
-from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction,
-                    build_cache, make_jittered_nodes, make_uniform_nodes)
+from .model import (DEFAULT_RESOLUTION, GL_NODES, GL_WEIGHTS, OVERSAMPLE, TWO_PI,
+                    PointwiseFunction, build_cache, make_jittered_nodes, make_uniform_nodes)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
 from .operators import apply_operator, approx_error, parse_operator
 from .smoothness import (default_width, kfunc_vp, realization,
@@ -458,14 +458,18 @@ def onesided_study(functions: Dict[str, PointwiseFunction], n_range: Sequence[in
     """Interpolation error against the one-sided gap and the dilation sum.
 
     All quantities in L1 (the one-sided solver's norm).  Rows where both the
-    error and the one-sided value vanish are marked excluded.
+    error and the one-sided value vanish are marked excluded.  A function's tasks
+    share its cache per resolution (freed on return), and with it the levels
+    :func:`besov_sum` memoizes there, so each is computed once per function.
     """
     spec = NormSpec("lebesgue", 1.0)
     op = parse_operator(op)
+    caches = {}
 
     def one_task(item):
         label, f, n = item
-        cache = build_cache(f, n_scale=max(2 * n, 8))
+        key = label, max(DEFAULT_RESOLUTION, OVERSAMPLE * max(2 * n, 8))
+        cache = caches[key] = caches.get(key) or build_cache(f, resolution=key[1])
         err = approx_error(f, op, n, spec, cache=cache).continuous
         os_res = one_sided_best(f, n, spec)
         bs = besov_sum(f, n, spec, eps=eps, max_degree=besov_cap, cache=cache)

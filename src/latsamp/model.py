@@ -310,6 +310,8 @@ class DenseGridCache:
         panel and interpolated value of the cache is read from these.
     prefix : (M+1,) complex
         ``prefix[j] = int_{-pi}^{edges[j]} f``.
+    best : dict
+        ``besov_sum``'s level values by ``(d, spec)``; empty on a new or spawned cache.
 
     F is read at arbitrary points by a panel search (:meth:`antiderivative`),
     and at all nodes shifted by one offset by fixed per-node functionals on
@@ -320,6 +322,7 @@ class DenseGridCache:
     partition: Partition
     gl_values: np.ndarray
     prefix: np.ndarray
+    best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction helpers ------------------------------------------------
 

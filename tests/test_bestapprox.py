@@ -373,6 +373,19 @@ def test_besov_sum_converges_for_smooth_nonpolynomial():
     assert res.value < 0.2
 
 
+def test_besov_sum_memo_is_keyed_by_norm():
+    """One cache shared by three norms: each sum equals its fresh-cache value,
+    so no norm reads a level memoized for another; a spawned cache starts empty."""
+    f = C["square"]
+    shared = build_cache(f, n_scale=16)
+    specs = [parse_spec(s) for s in ("l1", "lp:1.5", "orlicz:llogl")]
+    for spec in specs:
+        fresh = besov_sum(f, 8, spec, max_degree=64, cache=build_cache(f, n_scale=16))
+        assert besov_sum(f, 8, spec, max_degree=64, cache=shared) == fresh
+    assert {key for key in shared.best} == {(d, s) for s in specs for d in (8, 16, 32, 64)}
+    assert shared.spawn(shared.gl_values).best == {}
+
+
 def test_besov_sum_rejects_weighted():
     with pytest.raises(ValueError):
         besov_sum(C["square"], 8, parse_spec("wlp:2:0.5"))

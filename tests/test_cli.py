@@ -279,8 +279,31 @@ def test_report_command_composes(tmp_path, capsys):
     assert any(n.startswith("probe") for n in names)
     assert any(n.startswith("counterexample") for n in names)
     assert summary["all_passed"]
+    assert not any("note" in a for a in summary["assertions"]
+                   if a["name"].startswith("onesided:"))
     assert {r["section"] for r in read_rows(out / "report_1.csv")} >= {
         "probe", "equiv", "counterexample", "onesided", "convergence"}
+
+
+@pytest.mark.parametrize("ns, onesided_ns, note", [
+    ("8,40", {"8"}, "scales [40] above the LP cap n = 32 dropped"),
+    ("40,64", {"4", "8", "16"}, "scales [40, 64] above the LP cap n = 32 dropped; "
+                                "ran at n = [4, 8, 16] in their place"),
+])
+def test_report_names_the_onesided_scales_it_changed(tmp_path, ns, onesided_ns, note):
+    """Scales above the LP cap leave the one-sided section, and a run with
+    none left falls back to 4, 8, 16; every onesided assertion says which."""
+    cfgfile = tmp_path / "r.cfg"
+    cfgfile.write_text("functions = square\nbesov_cap = 32\n")
+    out = tmp_path / "o"
+    run(["report", "--seed", "1", "--n", ns, "--trials", "4",
+         "--config", str(cfgfile), "--out", str(out)])
+    assertions = read_summary(out)["assertions"]
+    assert {a["name"]: a.get("note") for a in assertions if a["name"].startswith("onesided:")} == {
+        "onesided:lp_converged": note, "onesided:error_vs_onesided_bounded": note,
+        "onesided:onesided_nonincreasing": note}
+    rows = read_rows(out / "report_1.csv")
+    assert {r["n"] for r in rows if r["section"] == "onesided"} == onesided_ns
 
 
 # ----------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Experiment harness: probes, equivalence tables, rate fits, counterexamples."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import latsamp
-from latsamp import corpus, parse_operator, parse_spec
+from latsamp import (approx_error, bestapprox, besov_sum, build_cache, corpus, harness,
+                     one_sided_best, parse_operator, parse_spec)
 from latsamp.harness import (
     EQUIV_STUDIES,
     bump_train,
@@ -401,6 +404,42 @@ def test_onesided_study_rows():
         assert row["ratio_onesided"] <= 1.0 + 1e-9
         assert row["besov_truncated"]  # the square wave sum diverges
         assert row["lp_converged"]
+
+
+@pytest.mark.parametrize("cap", [64, 256])
+def test_onesided_study_computes_each_level_once(monkeypatch, cap):
+    """Rows equal, bit for bit, those built task by task on fresh caches, while
+    each ``E_d`` runs once per function and each cache is built once per
+    function and resolution (cap 256 takes E_256 on a finer cache)."""
+    fns = {label: C[label] for label in ("sine", "square", "sawtooth")}
+    op = parse_operator("lagrange")
+    expected = []
+    for label, f in fns.items():
+        for n in (4, 8, 16):
+            cache = build_cache(f, n_scale=max(2 * n, 8))
+            bs = besov_sum(f, n, L1, max_degree=cap, cache=cache)
+            expected.append((label, n, approx_error(f, op, n, L1, cache=cache).continuous,
+                             one_sided_best(f, n, L1).value, bs.value, bs.truncated))
+    levels, builds = Counter(), Counter()
+    best, build = bestapprox.best_approx, harness.build_cache
+
+    def counted_best(f, n, *args, **kwargs):
+        levels[f.label, n] += 1
+        return best(f, n, *args, **kwargs)
+
+    def counted_build(f, resolution):
+        builds[f.label, resolution] += 1
+        return build(f, resolution=resolution)
+
+    monkeypatch.setattr(bestapprox, "best_approx", counted_best)
+    for module in (harness, bestapprox):
+        monkeypatch.setattr(module, "build_cache", counted_build)
+    rows = onesided_study(fns, (4, 8, 16), besov_cap=cap)
+    assert [(r["f_label"], r["n"], r["error"], r["onesided"], r["besov"], r["besov_truncated"])
+            for r in rows] == sorted(expected)
+    assert levels and set(levels.values()) == {1}
+    assert set(builds.values()) == {1}
+    assert (("square", 8192) in builds) == (cap == 256)
 
 
 def test_onesided_study_excludes_members():
