@@ -25,11 +25,10 @@ import numpy as np
 from scipy.linalg import solve_toeplitz
 from scipy.optimize import linprog, minimize_scalar
 
-from .model import (TWO_PI, DenseGridCache, PointwiseFunction, build_cache,
+from .model import (TWO_PI, DenseGridCache, Partition, PointwiseFunction, build_cache,
                     wrap_angle)
-from .norms import (NormSpec, _cache_mass, _measure_norm, dilation_norm, norm,
-                    poly_norm)
-from .trigpoly import (MAX_DEGREE, TrigPoly, _horner, _power_sums,
+from .norms import NormSpec, _cache_mass, _measure_norm, dilation_norm, norm
+from .trigpoly import (MAX_DEGREE, TrigPoly, _analyze, _as_cache, _synthesize,
                        fourier_coefficients, subtract_poly, vp_mean)
 
 LP_MAX_DEGREE = 32
@@ -57,12 +56,6 @@ class BestApprox:
     gap: float = np.nan
 
 
-def _resid_norm(f, cache: Optional[DenseGridCache], poly: TrigPoly, spec: NormSpec) -> float:
-    if isinstance(f, TrigPoly):
-        return poly_norm(f - poly, spec)
-    return norm(subtract_poly(cache, poly), spec)
-
-
 def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
                 cache: Optional[DenseGridCache] = None) -> BestApprox:
     """Degree-n best (or near-best) approximation in the given norm.
@@ -73,7 +66,9 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     ``method='refined'`` minimizes the norm of the residual
     on the cache's quadrature nodes from that start: an active-set linear
     program for L1 norms of real samples (:func:`_l1_active_set`),
-    iteratively reweighted least squares otherwise (:func:`_irls`).
+    iteratively reweighted least squares otherwise (:func:`_irls`).  All of
+    it runs on ``cache``, by default a cache at the scale ``2n``, or at the
+    degree of a polynomial ``f`` if larger (:func:`~latsamp.trigpoly._as_cache`).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -81,25 +76,18 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
         raise ValueError(f"degree exceeds cap {MAX_DEGREE}")
     if method not in ("auto", "vp", "refined"):
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(f, TrigPoly):
-        source = f
-    else:
-        if cache is None:
-            cache = build_cache(f, n_scale=max(2 * n, 1))
-        source = cache
+    cache = _as_cache(f if cache is None else cache, max(2 * n, 1))
 
     if method == "auto" and spec.kind == "lebesgue" and spec.p == 2.0:
-        poly = TrigPoly(fourier_coefficients(source, n))
-        return BestApprox(poly, _resid_norm(f, cache, poly, spec), "projection")
+        poly = TrigPoly(fourier_coefficients(cache, n))
+        return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "projection")
 
     if n >= 2:
-        poly = vp_mean(source, n // 2)
+        poly = vp_mean(cache, n // 2)
     else:
-        poly = TrigPoly(fourier_coefficients(source, n))
+        poly = TrigPoly(fourier_coefficients(cache, n))
     if method != "refined":
-        return BestApprox(poly, _resid_norm(f, cache, poly, spec), "vp")
-    if isinstance(f, TrigPoly):
-        cache = build_cache(f.as_pointwise(), resolution=max(512, 16 * max(n, f.degree)))
+        return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "vp")
     poly = TrigPoly(fourier_coefficients(poly, n))
     mass = _cache_mass(cache, spec)
     if spec.p == 1.0 and not np.any(np.imag(cache.gl_values)):
@@ -109,14 +97,15 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     return BestApprox(poly, value, "refined", gap)
 
 
-def _wls_step(x: np.ndarray, w: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients ``d_k``, ``|k| <= n``, minimizing ``sum w |r - sum d_k exp(ikx)|^2``.
+def _wls_step(part: Partition, w: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients ``d_k``, ``|k| <= n``, minimizing ``sum w |r - sum d_k exp(ikx)|^2``
+    over the (M, 5) nodes ``x`` of the partition.
 
     The normal matrix is Hermitian Toeplitz, ``G[k, l] = sum w exp(-i(k-l)x)``,
-    so one :func:`_power_sums` pass of order 2n gives all of it.
+    so one :func:`~latsamp.trigpoly._analyze` of order 2n gives all of it.
     """
-    s = _power_sums(x, w, 2 * n)
-    return solve_toeplitz((s[2 * n:], s[2 * n::-1]), _power_sums(x, w * r, n))
+    s = _analyze(part, w, 2 * n)
+    return solve_toeplitz((s[2 * n:], s[2 * n::-1]), _analyze(part, w * r, n))
 
 
 def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
@@ -149,7 +138,7 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
         u[free] = 0.0
         # sum u exp(-ijx) = sum u cos(jx) - i sum u sin(jx): the fixed nodes'
         # sums against the real basis 1, cos x, sin x, cos 2x, ...
-        s = _power_sums(x, u, n)[n:]
+        s = _analyze(cache.partition, u.reshape(mass.shape), n)[n:]
         fixed = np.delete(np.column_stack([s.real, -s.imag]).ravel(), 1)
         res = linprog(-f[free], A_eq=_real_basis_matrix(x[free], n).T, b_eq=-fixed,
                       bounds=np.column_stack([-m[free], m[free]]), method="highs",
@@ -184,17 +173,15 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
     or after :data:`IRLS_MAX_STEPS` steps.  Returns ``(poly, value, gap)``,
     the gap being the last relative decrease.
     """
-    n = poly.degree
-    x = cache.gl_points()
+    n, part = poly.degree, cache.partition
     resid = subtract_poly(cache, poly).gl_values
     value = _measure_norm(np.abs(resid), mass, spec)
     gap = 0.0
     for _ in range(IRLS_MAX_STEPS):
         if value == 0.0:
             break
-        step = _wls_step(x.ravel(), _irls_weights(resid, value, mass, spec, floor_rank),
-                         resid.ravel(), n)
-        t = _line_search(resid, _horner(step, x), mass, spec)
+        step = _wls_step(part, _irls_weights(resid, value, mass, spec, floor_rank), resid, n)
+        t = _line_search(resid, _synthesize(TrigPoly(step), part), mass, spec)
         trial = TrigPoly(poly.coeffs + t * step)
         trial_resid = subtract_poly(cache, trial).gl_values
         trial_value = _measure_norm(np.abs(trial_resid), mass, spec)
@@ -209,7 +196,7 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
 
 def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormSpec,
                   floor_rank: int) -> np.ndarray:
-    """IRLS weights at the residual ``resid`` of norm ``value``, flattened (see :func:`_irls`)."""
+    """IRLS weights at the residual ``resid`` of norm ``value`` (see :func:`_irls`)."""
     w = np.abs(resid)
     if spec.phi == "llogl":
         w /= value
@@ -220,7 +207,7 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
                  else IRLS_FLOOR * w.max())
         np.power(np.maximum(w, floor, out=w), spec.p - 2.0, out=w)
     w *= mass
-    return w.ravel()
+    return w
 
 
 def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec) -> float:
@@ -356,9 +343,10 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
 
     Each level, ``terms[i]["best"]``, is ``best_approx(method='auto')``: exact
     in L2, the de la Vallee Poussin near-best value (not ``E_d``) in any other
-    norm.  A level d with ``32 d`` above the cache's resolution uses a cache
-    built at ``max(4096, 32 d)``; levels are memoized by ``(d, spec)`` in the
-    given cache's ``best``, so callers sharing that cache compute each once.
+    norm.  Levels run on ``cache``, by default one at the scale ``2n`` (at a
+    polynomial's degree if larger); a level d with ``32 d`` above its
+    resolution uses a cache built at ``max(4096, 32 d)``.  Levels are memoized
+    by ``(d, spec)`` in ``cache.best``, so callers sharing it compute each once.
 
     Stops once a term falls below ``eps`` (converged) or the next degree would
     exceed ``max_degree`` (truncated -- the divergence signal).  Only
@@ -369,9 +357,8 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("dilation sums need a rearrangement-invariant norm")
     max_degree = min(max_degree, MAX_DEGREE)
-    if not isinstance(f, TrigPoly) and cache is None:
-        cache = build_cache(f, n_scale=max(2 * n, 1))
-    memo = {} if isinstance(f, TrigPoly) else cache.best
+    cache = _as_cache(f if cache is None else cache, max(2 * n, 1))
+    memo = cache.best
     terms = []
     total = 0.0
     nu = 1
@@ -383,8 +370,8 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
             break
         e = memo.get((deg, spec))
         if e is None:
-            if not isinstance(f, TrigPoly) and cache.resolution < 32 * deg:
-                cache = build_cache(f, resolution=max(4096, 32 * deg))
+            if cache.resolution < 32 * deg:
+                cache = build_cache(cache.fn, resolution=max(4096, 32 * deg))
             e = memo[deg, spec] = best_approx(f, deg, spec, cache=cache).value
         w = dilation_norm(spec, 2.0 ** (-nu))
         term = w * e

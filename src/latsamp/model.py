@@ -458,7 +458,8 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
 
     ``resolution`` is the uniform base panel count; when omitted it defaults to
     ``max(4096, 64*n_scale)`` so frequencies up to ``n_scale`` are oversampled
-    by a factor >= 64.
+    by a factor >= 64.  ``n_scale`` is the frequency scale of the quantity the
+    cache serves; :func:`~latsamp.trigpoly._as_cache` raises it to a polynomial's degree.
     """
     if fn.domain != "circle":
         raise ValueError("caches are built for circle-domain functions")

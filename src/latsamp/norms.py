@@ -31,7 +31,7 @@ from scipy.special import beta as beta_fn, betainc
 
 from .model import (TWO_PI, DenseGridCache, NodeSet, PointwiseFunction,
                     build_cache, partition)
-from .trigpoly import TrigPoly, _analyze_cache
+from .trigpoly import TrigPoly, _analyze, _as_cache
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def _weight_moments(resolution: int, spec: NormSpec) -> np.ndarray:
     mu = part.weighted_moments.get(spec.beta)
     if mu is None:
         one = build_cache(PointwiseFunction("one", np.ones_like), resolution=resolution)
-        mu = _analyze_cache(one, resolution // 8, _cache_mass(one, spec))
+        mu = _analyze(part, _cache_mass(one, spec) * one.gl_values, resolution // 8)
         mu.setflags(write=False)
         mu = part.weighted_moments.setdefault(spec.beta, mu)
     return mu
@@ -304,16 +304,13 @@ def norm(obj: Union[DenseGridCache, TrigPoly, PointwiseFunction], spec: NormSpec
     """Norm dispatcher for the types the package works with.
 
     Caches integrate over their panels; polynomials use :func:`poly_norm`;
-    bare pointwise functions are cached first (see :func:`build_cache`).
-    Node data are measured by :func:`discrete_seminorm`.
+    functions are cached first (:func:`~latsamp.trigpoly._as_cache`, a
+    polynomial's at its degree).  Node data go to :func:`discrete_seminorm`.
     """
     if isinstance(obj, TrigPoly):
         return poly_norm(obj, spec)
-    if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj)
-    if isinstance(obj, DenseGridCache):
-        return _measure_norm(np.abs(obj.gl_values), _cache_mass(obj, spec), spec)
-    raise TypeError(f"cannot take a norm of {type(obj).__name__}")
+    cache = _as_cache(obj, 0)
+    return _measure_norm(np.abs(cache.gl_values), _cache_mass(cache, spec), spec)
 
 
 def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:

@@ -27,10 +27,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import (TWO_PI, DenseGridCache, PointwiseFunction, build_cache,
-                    make_uniform_nodes)
+from .model import TWO_PI, DenseGridCache, PointwiseFunction, make_uniform_nodes
 from .norms import NormSpec, discrete_seminorm, norm
-from .trigpoly import (TrigPoly, Window, analyze, apply_window, br_window,
+from .trigpoly import (TrigPoly, Window, _as_cache, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, subtract_poly)
 
 PERIODIC_FAMILIES = ("lagrange", "quasi")
@@ -135,9 +134,7 @@ def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec,
     if isinstance(f, TrigPoly):
         f = f.as_pointwise()
     g = apply_operator(op, f, n)
-    if cache is None:
-        cache = build_cache(f, n_scale=n)
-    cont = norm(subtract_poly(cache, g), spec)
+    cont = norm(subtract_poly(_as_cache(f if cache is None else cache, n), g), spec)
     node_vals = f(nodes.nodes) - g.at(nodes.nodes)
     disc = discrete_seminorm(node_vals, nodes, spec)
     return ApproxError(continuous=float(cont), discrete=float(disc))

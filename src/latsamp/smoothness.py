@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DenseGridCache, build_cache, ensure_window_resolution, make_uniform_nodes
+from .model import DenseGridCache, make_uniform_nodes
 from .norms import NormSpec, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
-from .steklov import i_minus_a_pow, i_minus_a_pow_at
-from .trigpoly import TrigPoly, subtract_poly, vp_mean
+from .steklov import _window_cache, i_minus_a_pow, i_minus_a_pow_at
+from .trigpoly import TrigPoly, _as_cache, subtract_poly, vp_mean
 
 
 def default_width(n: int, gamma: Optional[float] = None) -> float:
@@ -73,10 +73,7 @@ def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
         cont = poly_norm(i_minus_a_pow(f, h, s, centered=False), spec)
         disc_vals = i_minus_a_pow(f, h, r, centered=True).at(nodes.nodes)
     else:
-        if cache is None:
-            cache = build_cache(f, n_scale=n)
-        if cache.fn is not None:
-            cache = ensure_window_resolution(cache, h)
+        cache = _window_cache(_as_cache(f if cache is None else cache, n), h)
         cont = norm(i_minus_a_pow(cache, h, s, centered=False), spec)
         disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
     disc = discrete_seminorm(disc_vals, nodes, spec)
@@ -97,10 +94,7 @@ def kfunc_vp(f, delta: float, s: int, spec: NormSpec,
     if s < 1:
         raise ValueError("order s must be >= 1")
     n = int(np.ceil(1.0 / delta))
-    if isinstance(f, TrigPoly):
-        f = f.as_pointwise()
-    if cache is None:
-        cache = build_cache(f, n_scale=2 * n)
+    cache = _as_cache(f if cache is None else cache, 2 * n)
     v = vp_mean(cache, n)
     resid = norm(subtract_poly(cache, v), spec)
     return float(resid + delta ** s * poly_norm(v.derivative(s), spec))

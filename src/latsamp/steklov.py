@@ -24,8 +24,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import DenseGridCache, PointwiseFunction, build_cache, ensure_window_resolution
-from .trigpoly import TrigPoly
+from .model import DenseGridCache, PointwiseFunction, ensure_window_resolution
+from .trigpoly import TrigPoly, _as_cache
 
 MAX_ITERATES = 4
 
@@ -83,12 +83,11 @@ def _steklov_cache(cache: DenseGridCache, h: float, centered: bool) -> DenseGrid
 
 
 def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> DenseGridCache:
-    """``obj`` as a cache resolving the window ``h``: a function is cached, a
-    base cache refined (:func:`ensure_window_resolution`); a derived cache
-    passes through as it is."""
-    if isinstance(obj, PointwiseFunction):
-        obj = build_cache(obj)
-    return obj if obj.fn is None else ensure_window_resolution(obj, h)
+    """``obj`` as a cache resolving the window ``h``: a function is cached
+    (:func:`~latsamp.trigpoly._as_cache`), a base cache refined
+    (:func:`ensure_window_resolution`); a derived cache passes through as it is."""
+    cache = _as_cache(obj, 0)
+    return cache if cache.fn is None else ensure_window_resolution(cache, h)
 
 
 def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:

@@ -11,13 +11,16 @@ error, as ``exp(ikx)`` does, in O(points) memory.  Its adjoint
 :func:`_power_sums` gives ``sum_j v_j exp(-ik x_j)`` the same way.
 :meth:`TrigPoly.at` and :func:`kernel_eval` are one call to the first.
 
-Polynomial <-> cache transforms run panel by panel.  Almost every panel of a
-cache is a uniform cell of width ``2*pi/R`` (``R`` the cache resolution), so
-its 5 Gauss-Legendre nodes lie on 5 shifted uniform grids of size ``R``.
-Synthesis (values of a polynomial at the cache nodes) is one folded FFT per
-grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any degree; analysis
-(Fourier coefficients of a cache) is its adjoint.  The few panels graded
-toward breakpoints and 0 go through :func:`_horner` and :func:`_power_sums`.
+Every sum over the nodes of a cache goes through one transform pair instead,
+run panel by panel.  Almost every panel of a cache is a uniform cell of width
+``2*pi/R`` (``R`` the cache resolution), so its 5 Gauss-Legendre nodes lie on
+5 shifted uniform grids of size ``R``.
+Synthesis (:func:`_synthesize`, values of a polynomial at the nodes) is one
+folded FFT per grid, ``d[k mod R] += c_k exp(ik*start)``, exact for any
+degree; analysis (:func:`_analyze`) is its adjoint.  Only the few panels
+graded toward breakpoints and 0 go through :func:`_horner` and
+:func:`_power_sums`.  A quantity's input becomes its cache in
+:func:`_as_cache`, which caches a polynomial at its degree.
 
 Window profiles ``phi`` live on ``[-1, 1]`` and act on coefficients as
 ``c_k -> phi(k/n) c_k``; their kernels are ``sum phi(k/n) exp(ikx)``.
@@ -232,8 +235,8 @@ def fejer_window() -> Window:
 
 
 def br_window(alpha: float) -> Window:
-    if alpha <= 0:
-        raise ValueError("smoothing exponent must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"smoothing exponent must be positive and finite, got {alpha!r}")
     return Window(f"br:{alpha:g}", lambda xi: (1.0 - xi * xi) ** alpha)
 
 
@@ -277,41 +280,49 @@ def _synthesize(poly: TrigPoly, part: Partition) -> np.ndarray:
     return gl
 
 
-def _analyze_cache(cache: DenseGridCache, kmax: int, mass=None) -> np.ndarray:
-    """``sum m * f * exp(-ikx)`` over a cache's quadrature nodes, ``|k| <= kmax``.
+def _analyze(part: Partition, weighted: np.ndarray, kmax: int) -> np.ndarray:
+    """``sum_j v_j exp(-ik x_j)`` over a partition's Gauss-Legendre nodes, ``|k| <= kmax``.
 
-    ``mass`` is the (M, 5) mass of each node, the Gauss-Legendre weights
-    unless given (a weighted norm passes its weighted masses).  The adjoint of
-    :func:`_synthesize`: the weighted values of the uniform cells go through
-    5 FFTs of size ``R``, phase-shifted by ``exp(-ik*start)`` (exact for
-    every k, which folds as ``k mod R``); the graded panels go through
-    :func:`_power_sums`.
+    ``weighted`` holds the (M, 5) values ``v`` at the nodes, each already
+    times its mass.  The adjoint of :func:`_synthesize`: the uniform cells
+    go through 5 FFTs of size ``R``, phase-shifted by ``exp(-ik*start)``
+    (exact for every k, which folds as ``k mod R``); the graded panels go
+    through :func:`_power_sums`.
     """
     ks = np.arange(-kmax, kmax + 1)
-    _, panel_of, graded = cache.partition.cell_map
+    _, panel_of, graded = part.cell_map
     cells = np.flatnonzero(panel_of >= 0)
-    wv = (cache.gl_weights() if mass is None else mass) * cache.gl_values
     out = np.zeros(ks.size, dtype=complex)
-    u = np.zeros(cache.resolution, dtype=complex)
-    for g, start in enumerate(_gl_starts(cache.resolution)):
-        u[cells] = wv[panel_of[cells], g]
-        out += np.exp(-1j * ks * start) * np.fft.fft(u)[np.mod(ks, cache.resolution)]
-    return out + _power_sums(cache.partition.graded_points.ravel(), wv[graded].ravel(), kmax)
+    u = np.zeros(part.resolution, dtype=complex)
+    for g, start in enumerate(_gl_starts(part.resolution)):
+        u[cells] = weighted[panel_of[cells], g]
+        out += np.exp(-1j * ks * start) * np.fft.fft(u)[np.mod(ks, part.resolution)]
+    return out + _power_sums(part.graded_points.ravel(), weighted[graded].ravel(), kmax)
 
 
-def _as_cache(source: Union[DenseGridCache, PointwiseFunction], n_scale: int) -> DenseGridCache:
+def _as_cache(source: Sourceable, n_scale: int) -> DenseGridCache:
+    """The cache a quantity at frequency scale ``n_scale`` reads: a cache
+    passes through, a function is cached at ``n_scale``, and a polynomial (a
+    :class:`TrigPoly` or its :meth:`~TrigPoly.as_pointwise`) at ``max(n_scale, degree)``."""
     if isinstance(source, DenseGridCache):
         return source
+    if isinstance(source, TrigPoly):
+        source = source.as_pointwise()
+    if not isinstance(source, PointwiseFunction):
+        raise TypeError(f"cannot cache a {type(source).__name__}")
+    if isinstance(source, _PolyFunction):
+        n_scale = max(n_scale, source.poly.degree)
     return build_cache(source, n_scale=n_scale)
 
 
 def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> np.ndarray:
     """``(1/2pi) int f(x) exp(-ikx) dx`` for ``k = -kmax..kmax``.
 
-    For caches the integral runs over the stored Gauss-Legendre panels, so
-    declared jumps and cusps do not degrade accuracy: the uniform cells by
-    5 FFTs of size ``R``, the graded panels by :func:`_power_sums`.  The cache
-    must resolve the requested band: resolution >= ``oversample * kmax``.
+    A polynomial's coefficients are copied.  Other sources are read on
+    :func:`_as_cache` at the scale ``kmax`` (a polynomial's function at its
+    degree), over the Gauss-Legendre panels (:func:`_analyze`), so declared
+    jumps and cusps do not degrade accuracy.  The cache must resolve the
+    requested band: resolution >= ``oversample * kmax``.
     """
     if isinstance(source, TrigPoly):
         n = source.degree
@@ -324,7 +335,7 @@ def fourier_coefficients(source: Sourceable, kmax: int, oversample: int = 8) -> 
         raise ValueError(
             f"cache resolution {cache.resolution} too coarse for |k| <= {kmax} "
             f"(need >= {oversample * kmax})")
-    return _analyze_cache(cache, kmax) / (2.0 * np.pi)
+    return _analyze(cache.partition, cache.gl_weights() * cache.gl_values, kmax) / (2.0 * np.pi)
 
 
 def subtract_poly(cache: DenseGridCache, poly: TrigPoly) -> DenseGridCache:

@@ -57,7 +57,8 @@ def test_parse_operator_periodic_flag():
     assert not parse_operator("wks").is_periodic
 
 
-@pytest.mark.parametrize("bad", ["br:0", "br:-1", "br:", "nope", "fejer:2"])
+@pytest.mark.parametrize("bad", ["br:0", "br:-1", "br:", "br:nan", "br:inf", "br:1e400",
+                                 "nope", "fejer:2"])
 def test_parse_operator_invalid(bad):
     with pytest.raises(ValueError):
         parse_operator(bad)

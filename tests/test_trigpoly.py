@@ -435,3 +435,94 @@ def test_evaluation_memory_is_linear_in_points():
 def test_cache_analysis_memory_is_linear_in_points():
     cache = build_cache(corpus()["square"], resolution=8192)
     assert _peak_mb(lambda: fourier_coefficients(cache, 1024)) <= 4.0
+
+
+# ----------------------------------------------------------------------------
+# One route from a quantity's input to its cache
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_scale", [1, 8, 100])
+@pytest.mark.parametrize("degree", [3, 200])
+def test_as_cache_resolution(n_scale, degree):
+    """A cache passes through; a function is cached at its quantity's scale,
+    a polynomial (or its function) at that scale or its degree."""
+    as_cache = ls.trigpoly._as_cache
+    cache = TRANSFORM_CACHES["rotated@4096"]
+    assert as_cache(cache, n_scale) is cache
+    assert as_cache(corpus()["sine"], n_scale).resolution == max(4096, 64 * n_scale)
+    p = random_poly(degree, np.random.default_rng(degree))
+    want = max(4096, 64 * max(n_scale, degree))
+    assert as_cache(p, n_scale).resolution == as_cache(p.as_pointwise(), n_scale).resolution == want
+
+
+@pytest.mark.parametrize("name", ["square@1024", "rotated@4096", "spawned@1024"])
+def test_analyze_matches_direct_power_sums(name):
+    """The cache transform equals the direct sum over every node."""
+    part = TRANSFORM_CACHES[name].partition
+    rng = np.random.default_rng(60)
+    shape = part.gl_points().shape
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = ls.trigpoly._power_sums(part.gl_points().ravel(), v.ravel(), 50)
+    assert rel_dev(ls.trigpoly._analyze(part, v, 50), want) <= 1e-13
+
+
+@pytest.mark.parametrize("spec_id", ["l2", "lp:4"])
+def test_polynomial_best_approximations_match_spectral_values(spec_id):
+    """``best_approx`` and ``besov_sum`` read a polynomial on its cache; the
+    values equal the norms of the residuals of its exact coefficients
+    (``auto`` is the projection in L2, the de la Vallee Poussin start otherwise)."""
+    spec = ls.parse_spec(spec_id)
+    p = random_poly(40, np.random.default_rng(61))
+
+    def spectral(d, method):
+        if d >= 2 and (method == "vp" or spec_id != "l2"):
+            return ls.poly_norm(p - vp_mean(p, d // 2), spec)
+        return ls.poly_norm(p - TrigPoly(fourier_coefficients(p, d)), spec)
+
+    for n in (1, 6, 25):
+        for method in ("auto", "vp"):
+            want = spectral(n, method)
+            assert abs(ls.best_approx(p, n, spec, method=method).value - want) <= 1e-13 * want
+    bs = ls.besov_sum(p, 4, spec, max_degree=32)
+    assert [t["degree"] for t in bs.terms] == [4, 8, 16, 32]
+    for t in bs.terms:
+        want = spectral(t["degree"], "auto")
+        assert abs(t["best"] - want) <= 1e-13 * want
+
+
+def _high_degree_poly():
+    """Modes |k| <= 2 plus exp(+-4000ix), with |T| >= 0.46 so |T| is smooth."""
+    d = 4000
+    c = np.zeros(2 * d + 1, dtype=complex)
+    c[d - 2:d + 3] = [0.25 - 0.1j, 0.5j, 3.0, -0.5j, 0.25 + 0.1j]
+    c[0] = c[-1] = 0.5
+    return TrigPoly(c)
+
+
+HIGH = _high_degree_poly()
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_high_degree_quantities_match_spectral_values():
+    """A polynomial near ``MAX_DEGREE`` is cached at its degree, not at the
+    quantity's scale n = 8, in every quantity that caches it."""
+    l2 = ls.parse_spec("l2")
+    op = ls.parse_operator("lagrange")
+    err = ls.approx_error(HIGH, op, 8, l2)
+    assert _rel(err.continuous, ls.poly_norm(HIGH - ls.apply_operator(op, HIGH, 8), l2)) <= 1e-12
+    v = vp_mean(HIGH, 8)
+    want = ls.poly_norm(HIGH - v, l2) + 8.0 ** -2 * ls.poly_norm(v.derivative(2), l2)
+    assert _rel(ls.kfunc_vp(HIGH, 1 / 8, 2, l2), want) <= 1e-12
+    got = ls.semidiscrete_modulus(HIGH.as_pointwise(), 8, 1, 2, l2)
+    want = ls.semidiscrete_modulus(HIGH, 8, 1, 2, l2)
+    assert _rel(got.continuous, want.continuous) <= 1e-12
+    assert _rel(got.discrete, want.discrete) <= 1e-12
+    for spec_id in ("l1", "l2"):
+        spec = ls.parse_spec(spec_id)
+        assert _rel(ls.norm(HIGH.as_pointwise(), spec), ls.poly_norm(HIGH, spec)) <= 1e-12
+    got = fourier_coefficients(HIGH.as_pointwise(), 4)
+    assert np.max(np.abs(got - HIGH.coeffs[4000 - 4:4000 + 5])) <= 1e-14
