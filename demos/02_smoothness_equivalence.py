@@ -47,8 +47,9 @@ print(f"\nweighted norm |2 sin(x/2)|^0.5 dx: spread {wtable.spread:.2f} "
       f"over {len(wtable.rows)} rows")
 
 # --- caches make repeated norms cheap --------------------------------------
+# A cache passed in place of the function is the source both calls share.
 cache = build_cache(square, n_scale=64)
-m1 = semidiscrete_modulus(square, 64, 1, 2, l2, cache=cache)
-m2 = semidiscrete_modulus(square, 64, 1, 2, l2, cache=cache)
+m1 = semidiscrete_modulus(cache, 64, 1, 2, l2)
+m2 = semidiscrete_modulus(cache, 64, 1, 2, l2)
 assert m1.total == m2.total
 print("\n(cached evaluation is deterministic and reusable)")

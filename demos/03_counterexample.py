@@ -25,7 +25,7 @@ nodes_seen = f(2.0 * np.pi * np.arange(-n, n + 1) / (2 * n + 1))
 print(f"  |node values|     = {np.unique(np.round(np.abs(nodes_seen), 12))}")
 
 # --- the full scaling run --------------------------------------------------
-table = counterexample_run((8, 16, 32, 64, 128), p=2.0)
+table = counterexample_run((8, 16, 32, 64, 128))
 print("\nshrinking-width scaling, L2:")
 print("     n   continuous    discrete     discrete/continuous")
 for row in table.rows:

@@ -56,8 +56,7 @@ class BestApprox:
     gap: float = np.nan
 
 
-def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
-                cache: Optional[DenseGridCache] = None) -> BestApprox:
+def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
     """Degree-n best (or near-best) approximation in the given norm.
 
     In L2, ``method='auto'`` returns the exact minimizer, the Fourier partial
@@ -67,8 +66,8 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
     on the cache's quadrature nodes from that start: an active-set linear
     program for L1 norms of real samples (:func:`_l1_active_set`),
     iteratively reweighted least squares otherwise (:func:`_irls`).  All of
-    it runs on ``cache``, by default a cache at the scale ``2n``, or at the
-    degree of a polynomial ``f`` if larger (:func:`~latsamp.trigpoly._as_cache`).
+    it runs on ``f`` if it is a cache, which is how callers share one, or else
+    on a cache of ``f`` at the scale ``2n``, or at its degree if larger.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -76,7 +75,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto",
         raise ValueError(f"degree exceeds cap {MAX_DEGREE}")
     if method not in ("auto", "vp", "refined"):
         raise ValueError(f"unknown method {method!r}")
-    cache = _as_cache(f if cache is None else cache, max(2 * n, 1))
+    cache = _as_cache(f, max(2 * n, 1))
 
     if method == "auto" and spec.kind == "lebesgue" and spec.p == 2.0:
         poly = TrigPoly(fourier_coefficients(cache, n))
@@ -337,16 +336,16 @@ class BesovSum:
 
 
 def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
-              max_degree: int = MAX_DEGREE,
-              cache: Optional[DenseGridCache] = None) -> BesovSum:
+              max_degree: int = MAX_DEGREE) -> BesovSum:
     """``sum_{nu>=1} ||dilation(2^-nu)|| E_{2^(nu-1) n}(f)``.
 
     Each level, ``terms[i]["best"]``, is ``best_approx(method='auto')``: exact
     in L2, the de la Vallee Poussin near-best value (not ``E_d``) in any other
-    norm.  Levels run on ``cache``, by default one at the scale ``2n`` (at a
-    polynomial's degree if larger); a level d with ``32 d`` above its
-    resolution uses a cache built at ``max(4096, 32 d)``.  Levels are memoized
-    by ``(d, spec)`` in ``cache.best``, so callers sharing it compute each once.
+    norm.  Levels run on ``f`` if it is a cache, else on one of ``f`` at the
+    scale ``2n`` (at a polynomial's degree if larger); a level d with ``32 d``
+    above its resolution uses a cache built at ``max(4096, 32 d)``.  Levels
+    are memoized by ``(d, spec)`` in ``cache.best``, so callers passing one
+    cache compute each once.
 
     Stops once a term falls below ``eps`` (converged) or the next degree would
     exceed ``max_degree`` (truncated -- the divergence signal).  Only
@@ -357,7 +356,7 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("dilation sums need a rearrangement-invariant norm")
     max_degree = min(max_degree, MAX_DEGREE)
-    cache = _as_cache(f if cache is None else cache, max(2 * n, 1))
+    cache = _as_cache(f, max(2 * n, 1))
     memo = cache.best
     terms = []
     total = 0.0
@@ -372,7 +371,7 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
         if e is None:
             if cache.resolution < 32 * deg:
                 cache = build_cache(cache.fn, resolution=max(4096, 32 * deg))
-            e = memo[deg, spec] = best_approx(f, deg, spec, cache=cache).value
+            e = memo[deg, spec] = best_approx(cache, deg, spec).value
         w = dilation_norm(spec, 2.0 ** (-nu))
         term = w * e
         terms.append({"nu": nu, "degree": deg, "dilation": w, "best": e, "term": term})
@@ -397,12 +396,11 @@ class LemderCheck:
     r: int
 
 
-def lemder_check(f: PointwiseFunction, n: int, r: int, spec: NormSpec,
-                 grid_size: Optional[int] = None) -> LemderCheck:
+def lemder_check(f: PointwiseFunction, n: int, r: int, spec: NormSpec) -> LemderCheck:
     """Ratio of the one-sided gap to ``(n+1)^{-r} E_n(f^{(r)})``."""
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    os = one_sided_best(f, n, spec, grid_size=grid_size)
+    os = one_sided_best(f, n, spec)
     deriv = f.derivative_order(r)
     eb = best_approx(deriv, n, spec).value
     scaled = (n + 1.0) ** (-r) * eb

@@ -31,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .bestapprox import LP_MAX_DEGREE
-from .harness import (convergence_criterion, counterexample_run,
-                      equivalence_study, mz_probe, onesided_study,
-                      probe_assumptions, rate_study)
+from .harness import (_FIT_MIN_SCALES, _TREND_MIN_SCALES, convergence_criterion,
+                      counterexample_run, equivalence_study, mz_probe,
+                      onesided_study, probe_assumptions, rate_study)
 from .model import MAX_RESOLUTION, _window_resolution, corpus
 from .norms import parse_spec
 from .operators import parse_operator
@@ -200,6 +200,17 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         raise UsageError(f"--n must be strictly increasing, got {cfg['n']!r}")
     if min(ns) < 1:
         raise UsageError("--n entries must be positive")
+    least = {"rates": _FIT_MIN_SCALES, "report": _TREND_MIN_SCALES}.get(args.command, 1)
+    if len(ns) < least:
+        raise UsageError(f"--n needs at least {least} scales for {args.command}, got {len(ns)}")
+    if args.command in ("onesided", "report"):
+        if args.command == "onesided" and ns[-1] > LP_MAX_DEGREE:
+            raise UsageError(f"onesided scales are capped at n = {LP_MAX_DEGREE} (LP size)")
+        cfg["onesided_n"] = [n for n in ns if n <= LP_MAX_DEGREE] or [4, 8, 16]
+        top = cfg["onesided_n"][-1]
+        if int(cfg["besov_cap"]) < top:
+            raise UsageError(f"besov_cap = {cfg['besov_cap']} is below the largest onesided "
+                             f"scale n = {top}, whose dilation sum would be empty")
     cfg["n_list"] = ns
     if int(cfg["trials"]) < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg['trials']}")
@@ -388,9 +399,7 @@ def _cmd_counterexample(cfg):
 
 
 def _cmd_onesided(cfg):
-    if max(cfg["n_list"]) > LP_MAX_DEGREE:
-        raise UsageError(f"onesided scales are capped at n = {LP_MAX_DEGREE} (LP size)")
-    rows_raw = onesided_study(cfg["functions_map"], cfg["n_list"],
+    rows_raw = onesided_study(cfg["functions_map"], cfg["onesided_n"],
                               op=cfg["op_obj"], eps=float(cfg["eps"]),
                               besov_cap=int(cfg["besov_cap"]))
     rows = [[r["f_label"], r["n"], r["error"], r["onesided"],
@@ -438,11 +447,10 @@ def _cmd_report(cfg):
     asserts += [dict(a, name=f"counterexample:{a['name']}") for a in casserts]
 
     dropped = [n for n in cfg["n_list"] if n > LP_MAX_DEGREE]
-    os_ns = [n for n in cfg["n_list"] if n <= LP_MAX_DEGREE] or [4, 8, 16]
     note = f"scales {dropped} above the LP cap n = {LP_MAX_DEGREE} dropped" if dropped else ""
     if len(dropped) == len(cfg["n_list"]):
-        note += f"; ran at n = {os_ns} in their place"
-    _, orows, oasserts = _cmd_onesided(dict(cfg, n_list=os_ns))
+        note += f"; ran at n = {cfg['onesided_n']} in their place"
+    _, orows, oasserts = _cmd_onesided(cfg)
     rows += [["onesided", r[0], r[1], "ratio_onesided", r[4]] for r in orows]
     asserts += [dict(a, name=f"onesided:{a['name']}", **({"note": note} if note else {}))
                 for a in oasserts]

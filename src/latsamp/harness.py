@@ -16,12 +16,14 @@ factor-4 convergence-trend check.
 Everything is deterministic given a seed: per-n generators are spawned from
 ``SeedSequence([seed, tag, n])``, so a scale's row does not depend on which
 other scales run with it.  Studies run their ``(f, n)`` tasks serially
-through :func:`parallel_map`; the one-sided study shares each function's cache.
+through :func:`parallel_map`; a task passes its function's cache, not the
+function, to every quantity, and the one-sided study shares it across tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -40,6 +42,10 @@ from .trigpoly import TrigPoly
 _TAG_NODE_DATA = 11
 _TAG_POLY = 12
 _TAG_MZ = 13
+
+# the fewest scales a log-log rate fit and a convergence trend take
+_FIT_MIN_SCALES = 5
+_TREND_MIN_SCALES = 2
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:
@@ -236,29 +242,9 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
                 f"precondition unverified for {spec.id}")
             return table.summarize()
 
-    def one_task(item):
-        label, f, n = item
-        cache = build_cache(f, n_scale=max(2 * n, 8))
-        err = approx_error(f, op, n, spec, cache=cache)
-        if study in ("error_vs_modulus", "br_riesz", "br_fejer"):
-            mod = semidiscrete_modulus(f, n, r, s, spec, gamma=gamma, cache=cache)
-            rhs_c, rhs_d = mod.continuous, mod.discrete
-        elif study == "error_vs_kfunc":
-            rhs_c = kfunc_vp(f, 1.0 / n, s, spec, cache=cache)
-            rhs_d = 0.0
-        else:
-            rep = realization(f, n, s, op, spec, cache=cache)
-            rhs_c = rep.continuous + rep.derivative_term
-            rhs_d = rep.discrete
-        return {"f_label": label, "n": n,
-                "lhs_continuous": err.continuous, "lhs_discrete": err.discrete,
-                "rhs_continuous": rhs_c, "rhs_discrete": rhs_d}
-
     tasks = [(label, f, n) for label, f in functions.items() for n in n_range]
-    for raw in parallel_map(one_task, tasks):
-        lhs = raw["lhs_continuous"] + raw["lhs_discrete"]
-        rhs = raw["rhs_continuous"] + raw["rhs_discrete"]
-        row = dict(raw, lhs=lhs, rhs=rhs)
+    for row in parallel_map(partial(_equivalence_row, study, op, spec, r, s, gamma), tasks):
+        lhs, rhs = row["lhs"], row["rhs"]
         if lhs < 1e-12 and rhs < 1e-12:
             row["note"] = "both sides below 1e-12"
             table.excluded.append(row)
@@ -286,6 +272,26 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
     return table.summarize()
 
 
+def _equivalence_row(study: str, op, spec: NormSpec, r: int, s: int, gamma, item) -> dict:
+    """The ``(label, f, n)`` task of :func:`equivalence_study`: one cache of f
+    at the scale ``max(2n, 8)`` is the source of the error and of the rhs."""
+    label, f, n = item
+    cache = build_cache(f, n_scale=max(2 * n, 8))
+    err = approx_error(cache, op, n, spec)
+    if study == "error_vs_kfunc":
+        rhs_c, rhs_d = kfunc_vp(cache, 1.0 / n, s, spec), 0.0
+    elif study == "error_vs_realization":
+        rep = realization(cache, n, s, op, spec)
+        rhs_c, rhs_d = rep.continuous + rep.derivative_term, rep.discrete
+    else:
+        mod = semidiscrete_modulus(cache, n, r, s, spec, gamma=gamma)
+        rhs_c, rhs_d = mod.continuous, mod.discrete
+    return {"f_label": label, "n": n,
+            "lhs_continuous": err.continuous, "lhs_discrete": err.discrete,
+            "rhs_continuous": rhs_c, "rhs_discrete": rhs_d,
+            "lhs": err.total, "rhs": rhs_c + rhs_d}
+
+
 # ----------------------------------------------------------------------------
 # Rate fits
 # ----------------------------------------------------------------------------
@@ -309,8 +315,8 @@ def fit_loglog(ns: Sequence[int], values: Sequence[float]) -> RateFit:
     """
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if ns.size < 5:
-        raise ValueError("rate fits need at least 5 scale values")
+    if ns.size < _FIT_MIN_SCALES:
+        raise ValueError(f"rate fits need at least {_FIT_MIN_SCALES} scale values")
     floored = vals <= 1e-13
     safe = np.where(floored, 1e-16, vals)
     if np.all(floored):
@@ -328,21 +334,15 @@ def fit_loglog(ns: Sequence[int], values: Sequence[float]) -> RateFit:
 
 def rate_study(f: PointwiseFunction, op, spec: NormSpec, n_range: Sequence[int],
                r: int = 1, s: int = 2, gamma: Optional[float] = None):
-    """Decay-rate fits of the interpolation error and the matching modulus."""
+    """Decay-rate fits of the interpolation error and the matching modulus,
+    per scale the ``error_vs_modulus`` task of :func:`equivalence_study`."""
     op = parse_operator(op)
     if 2 * r < s:
         raise ValueError("need 2r >= s")
-
-    def one_n(n: int):
-        cache = build_cache(f, n_scale=max(2 * n, 8))
-        err = approx_error(f, op, n, spec, cache=cache)
-        mod = semidiscrete_modulus(f, n, r, s, spec, gamma=gamma, cache=cache)
-        return err.total, mod.total
-
-    pairs = parallel_map(one_n, list(n_range))
-    errors = [p[0] for p in pairs]
-    moduli = [p[1] for p in pairs]
-    return fit_loglog(n_range, errors), fit_loglog(n_range, moduli)
+    rows = parallel_map(partial(_equivalence_row, "error_vs_modulus", op, spec, r, s, gamma),
+                        [(f.label, f, n) for n in n_range])
+    return (fit_loglog(n_range, [row["lhs"] for row in rows]),
+            fit_loglog(n_range, [row["rhs"] for row in rows]))
 
 
 # ----------------------------------------------------------------------------
@@ -401,8 +401,7 @@ class CounterexampleTable:
     max_coefficient: float = np.nan
 
 
-def counterexample_run(n_range: Sequence[int], p: float = 2.0,
-                       spec: Optional[NormSpec] = None,
+def counterexample_run(n_range: Sequence[int], spec: NormSpec = NormSpec("lebesgue", 2.0),
                        window: str = "fejer") -> CounterexampleTable:
     """Bump trains the window annihilates: discrete error stays at ``||1||_X``
     while the continuous norm collapses with the bump width.
@@ -412,8 +411,6 @@ def counterexample_run(n_range: Sequence[int], p: float = 2.0,
     ``2 pi (2n+1)^{-2p}``.  The carrier frequency is k0 = n, where the window
     profile vanishes, so the quasi-interpolant of the train is identically 0.
     """
-    if spec is None:
-        spec = NormSpec("lebesgue", p)
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("the bump-width calibration needs an unweighted norm")
     op = parse_operator(window)
@@ -470,9 +467,9 @@ def onesided_study(functions: Dict[str, PointwiseFunction], n_range: Sequence[in
         label, f, n = item
         key = label, max(DEFAULT_RESOLUTION, OVERSAMPLE * max(2 * n, 8))
         cache = caches[key] = caches.get(key) or build_cache(f, resolution=key[1])
-        err = approx_error(f, op, n, spec, cache=cache).continuous
+        err = approx_error(cache, op, n, spec).continuous
         os_res = one_sided_best(f, n, spec)
-        bs = besov_sum(f, n, spec, eps=eps, max_degree=besov_cap, cache=cache)
+        bs = besov_sum(cache, n, spec, eps=eps, max_degree=besov_cap)
         row = {"f_label": label, "n": n, "error": err,
                "onesided": os_res.value, "lp_converged": os_res.converged,
                "besov": bs.value, "besov_truncated": bs.truncated}
@@ -508,26 +505,20 @@ def convergence_criterion(f: PointwiseFunction, op, spec: NormSpec, r: int,
     """Factor-4 trend test: the continuous error and the discrete part of the
     modulus should both shrink (or both stall) across a dyadic range."""
     op = parse_operator(op)
-    if len(n_range) < 2:
-        raise ValueError("need at least two scales for a trend")
+    if len(n_range) < _TREND_MIN_SCALES:
+        raise ValueError(f"need at least {_TREND_MIN_SCALES} scales for a trend")
 
     def one_n(n: int):
         cache = build_cache(f, n_scale=max(2 * n, 8))
-        err = approx_error(f, op, n, spec, cache=cache).continuous
+        err = approx_error(cache, op, n, spec).continuous
         nodes = make_uniform_nodes(n)
         vals = i_minus_a_pow_at(cache, default_width(n, gamma), r, nodes.nodes)
-        mod = discrete_seminorm(np.abs(vals), nodes, spec)
-        return err, mod
+        return err, discrete_seminorm(np.abs(vals), nodes, spec)
 
-    pairs = parallel_map(one_n, list(n_range))
-    errors = tuple(p[0] for p in pairs)
-    moduli = tuple(p[1] for p in pairs)
+    errors, moduli = zip(*parallel_map(one_n, list(n_range)))
 
     def shrinks(seq):
-        first, last = seq[0], seq[-1]
-        if first <= 1e-12:
-            return True
-        return last < first / 4.0
+        return seq[0] <= 1e-12 or seq[-1] < seq[0] / 4.0
 
     ev, mv = shrinks(errors), shrinks(moduli)
     return ConvergenceVerdict(errors=errors, moduli=moduli, error_converges=ev,

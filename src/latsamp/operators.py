@@ -33,7 +33,6 @@ from .trigpoly import (TrigPoly, Window, _as_cache, analyze, apply_window, br_wi
                        dirichlet_window, fejer_window, subtract_poly)
 
 PERIODIC_FAMILIES = ("lagrange", "quasi")
-LINE_FAMILIES = ("wks", "line_quasi")
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,19 @@ def parse_operator(text: Union[str, OperatorSpec]) -> OperatorSpec:
     raise ValueError(f"bad operator id {text!r}")
 
 
-Samples = Union[np.ndarray, PointwiseFunction, TrigPoly]
+Samples = Union[np.ndarray, PointwiseFunction, TrigPoly, DenseGridCache]
 
 
 def _node_samples(f: Samples, n: int) -> np.ndarray:
     """f at ``t_j = 2*pi*j/(2n+1)``, j = 0..2n, the order :func:`analyze` reads.
 
-    An array holds the data in ``make_uniform_nodes(n).nodes`` order.
+    An array holds the data in ``make_uniform_nodes(n).nodes`` order.  A cache
+    is sampled by its evaluator, so it must be a base cache.
     """
+    if isinstance(f, DenseGridCache):
+        if f.fn is None:
+            raise ValueError("a derived cache has no exact values at the nodes")
+        f = f.fn
     if isinstance(f, PointwiseFunction):
         return np.asarray(f(TWO_PI * np.arange(2 * n + 1) / (2 * n + 1)), dtype=complex)
     if isinstance(f, TrigPoly):
@@ -122,21 +126,18 @@ class ApproxError:
         return self.continuous + self.discrete
 
 
-def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec,
-                 cache: Optional[DenseGridCache] = None) -> ApproxError:
-    """Both error components of the sampling operator at scale n.
-
+def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec) -> ApproxError:
+    """Both error components of the sampling operator at scale n, for ``f`` a
+    function, a polynomial or a base cache (callers share one by passing it).
     The discrete component samples ``f - G_n f`` exactly at the 2n+1 uniform
     nodes ``G_n`` reads (the declared jump values of f matter here) and takes
     the step-function norm.
     """
+    cache = _as_cache(f, n)
+    g = apply_operator(op, cache, n)
+    cont = norm(subtract_poly(cache, g), spec)
     nodes = make_uniform_nodes(n)
-    if isinstance(f, TrigPoly):
-        f = f.as_pointwise()
-    g = apply_operator(op, f, n)
-    cont = norm(subtract_poly(_as_cache(f if cache is None else cache, n), g), spec)
-    node_vals = f(nodes.nodes) - g.at(nodes.nodes)
-    disc = discrete_seminorm(node_vals, nodes, spec)
+    disc = discrete_seminorm(cache.fn(nodes.nodes) - g.at(nodes.nodes), nodes, spec)
     return ApproxError(continuous=float(cont), discrete=float(disc))
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DenseGridCache, make_uniform_nodes
+from .model import make_uniform_nodes
 from .norms import NormSpec, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, apply_operator, approx_error
 from .steklov import _window_cache, i_minus_a_pow, i_minus_a_pow_at
@@ -58,11 +58,11 @@ class ModulusReport:
 
 
 def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
-                         gamma: Optional[float] = None,
-                         cache: Optional[DenseGridCache] = None) -> ModulusReport:
+                         gamma: Optional[float] = None) -> ModulusReport:
     """The two-part window-average modulus at scale n (requires 2r >= s):
     ``||(I - A_h^shifted)^s f||_X`` and ``||(I - A_h)^r f||_{X_n}`` on the
-    uniform nodes; a base cache is refined once for both."""
+    uniform nodes.  ``f`` is a polynomial (taken spectrally), a function or a
+    cache (shared by passing it here); a base cache is refined once for both."""
     if n < 1:
         raise ValueError("scale n must be >= 1")
     if not (1 <= s <= 2 * r):
@@ -73,7 +73,7 @@ def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
         cont = poly_norm(i_minus_a_pow(f, h, s, centered=False), spec)
         disc_vals = i_minus_a_pow(f, h, r, centered=True).at(nodes.nodes)
     else:
-        cache = _window_cache(_as_cache(f if cache is None else cache, n), h)
+        cache = _window_cache(_as_cache(f, n), h)
         cont = norm(i_minus_a_pow(cache, h, s, centered=False), spec)
         disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
     disc = discrete_seminorm(disc_vals, nodes, spec)
@@ -81,20 +81,20 @@ def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
                          n=n, r=r, s=s, h=h, spec_id=spec.id)
 
 
-def kfunc_vp(f, delta: float, s: int, spec: NormSpec,
-             cache: Optional[DenseGridCache] = None) -> float:
+def kfunc_vp(f, delta: float, s: int, spec: NormSpec) -> float:
     """K-functional realizer ``||f - V_n f|| + delta^s ||(V_n f)^(s)||``.
 
     ``n = ceil(1/delta)``; the de la Vallee Poussin mean reproduces
     polynomials of degree <= n, so for those the value is exactly
-    ``delta^s ||f^(s)||``.
+    ``delta^s ||f^(s)||``.  ``f`` is a function, a polynomial or a cache,
+    which callers share by passing it here.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if s < 1:
         raise ValueError("order s must be >= 1")
     n = int(np.ceil(1.0 / delta))
-    cache = _as_cache(f if cache is None else cache, 2 * n)
+    cache = _as_cache(f, 2 * n)
     v = vp_mean(cache, n)
     resid = norm(subtract_poly(cache, v), spec)
     return float(resid + delta ** s * poly_norm(v.derivative(s), spec))
@@ -116,15 +116,16 @@ class RealizationReport:
         return self.continuous + self.discrete + self.derivative_term
 
 
-def realization(f, n: int, s: int, op: OperatorSpec, spec: NormSpec,
-                cache: Optional[DenseGridCache] = None) -> RealizationReport:
-    """``||f - G_n f||_X + ||f - G_n f||_{X_n} + n^{-s} ||(G_n f)^(s)||_X``."""
+def realization(f, n: int, s: int, op: OperatorSpec, spec: NormSpec) -> RealizationReport:
+    """``||f - G_n f||_X + ||f - G_n f||_{X_n} + n^{-s} ||(G_n f)^(s)||_X``, with
+    ``f`` (a function, polynomial or base cache, shared by passing it) cached once."""
     if n < 1:
         raise ValueError("scale n must be >= 1")
     if s < 1:
         raise ValueError("order s must be >= 1")
-    err = approx_error(f, op, n, spec, cache=cache)
-    g = apply_operator(op, f, n)
+    cache = _as_cache(f, n)
+    err = approx_error(cache, op, n, spec)
+    g = apply_operator(op, cache, n)
     dterm = float(n ** (-s) * poly_norm(g.derivative(s), spec))
     return RealizationReport(continuous=err.continuous, discrete=err.discrete,
                              derivative_term=dterm, n=n, s=s, spec_id=spec.id)

@@ -235,7 +235,7 @@ def test_08_decay_rates_match_theory():
 
 def test_09_node_data_alone_cannot_control_error():
     t0 = time.perf_counter()
-    table = counterexample_run((8, 16, 32, 64, 128), p=2.0)
+    table = counterexample_run((8, 16, 32, 64, 128))
     elapsed = time.perf_counter() - t0
     disc = [row["discrete_error"] for row in table.rows]
     cont = [row["continuous_error"] for row in table.rows]

@@ -108,7 +108,7 @@ def test_route_value_is_the_norm_of_its_residual(spec_id):
     cache they minimized over."""
     spec = parse_spec(spec_id)
     cache = build_cache(C["square"], n_scale=12)
-    res = best_approx(C["square"], 6, spec, method="refined", cache=cache)
+    res = best_approx(cache, 6, spec, method="refined")
     assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
     assert res.poly.degree == 6
 
@@ -118,9 +118,9 @@ def test_refined_value_is_the_norm_of_its_residual():
     f = C["square"]
     spec = parse_spec("wlp:2:-0.5")
     cache = build_cache(f, n_scale=8)
-    res = best_approx(f, 4, spec, method="refined", cache=cache)
+    res = best_approx(cache, 4, spec, method="refined")
     assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
-    assert res.value <= best_approx(f, 4, spec, method="vp", cache=cache).value
+    assert res.value <= best_approx(cache, 4, spec, method="vp").value
 
 
 def test_best_approx_methods_and_validation():
@@ -170,7 +170,7 @@ def test_l1_degree_zero_is_the_weighted_median(label):
     cum = np.cumsum(mass[order])
     median = f[order][np.searchsorted(cum, 0.5 * cum[-1])]
     want = np.sum(mass * np.abs(f - median)) / TWO_PI
-    res = best_approx(C[label], 0, L1, method="refined", cache=cache)
+    res = best_approx(cache, 0, L1, method="refined")
     assert_allclose(res.value, want, rtol=1e-12)
 
 
@@ -191,7 +191,7 @@ def test_l1_active_set_matches_the_full_lp(label, n):
     assert full.status == 0
     poly = _real_coeffs_to_poly(-full.eqlin.marginals, n)
     oracle = norm(subtract_poly(cache, poly), L1)
-    res = best_approx(C[label], n, L1, method="refined", cache=cache)
+    res = best_approx(cache, n, L1, method="refined")
     assert_allclose(res.value, oracle, rtol=1e-12)
     assert_allclose(res.value, -full.fun / TWO_PI, rtol=1e-12)
     assert res.gap <= 1e-12
@@ -231,7 +231,7 @@ def test_irls_optimal_against_coefficient_perturbations(spec_id):
     spec = parse_spec(spec_id)
     n = 3
     cache = build_cache(C["sawtooth"], n_scale=2 * n)
-    res = best_approx(C["sawtooth"], n, spec, method="refined", cache=cache)
+    res = best_approx(cache, n, spec, method="refined")
     for k in range(2 * n + 1):
         for step in (1e-6, -1e-6, 1e-6j, -1e-6j):
             coeffs = res.poly.coeffs.copy()
@@ -380,8 +380,8 @@ def test_besov_sum_memo_is_keyed_by_norm():
     shared = build_cache(f, n_scale=16)
     specs = [parse_spec(s) for s in ("l1", "lp:1.5", "orlicz:llogl")]
     for spec in specs:
-        fresh = besov_sum(f, 8, spec, max_degree=64, cache=build_cache(f, n_scale=16))
-        assert besov_sum(f, 8, spec, max_degree=64, cache=shared) == fresh
+        fresh = besov_sum(build_cache(f, n_scale=16), 8, spec, max_degree=64)
+        assert besov_sum(shared, 8, spec, max_degree=64) == fresh
     assert {key for key in shared.best} == {(d, s) for s in specs for d in (8, 16, 32, 64)}
     assert shared.spawn(shared.gl_values).best == {}
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from latsamp import cli
+from latsamp import cli, harness
 
 
 def run(args):
@@ -103,6 +103,47 @@ def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
     assert run(["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6", "--out", str(out)]) == 1
     assert "--gamma" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, least", [
+    (["rates", "--n", "8,16,32"], harness._FIT_MIN_SCALES),
+    (["rates", "--n", "8,16,32,64"], harness._FIT_MIN_SCALES),
+    (["report", "--n", "8"], harness._TREND_MIN_SCALES),
+])
+def test_too_few_scales_is_usage_error(monkeypatch, tmp_path, args, least, capsys):
+    """``rates`` fits a rate to at least five scales and ``report`` takes a
+    trend over at least two; fewer are refused by flag before any cache is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cache was built")
+
+    monkeypatch.setattr(harness, "build_cache", no_build)
+    out = tmp_path / "o"
+    assert run(args + ["--seed", "7", "--out", str(out)]) == 1
+    assert f"--n needs at least {least} scales" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, ns, cap, top", [
+    ("onesided", "4,8,16", 8, 16),
+    ("report", "8,16,32", 16, 32),
+    ("report", "8,40", 4, 8),          # 40 is above the LP cap; onesided runs at 8
+    ("report", "40,64", 8, 16),        # none left; onesided runs at 4, 8, 16
+])
+def test_besov_cap_below_largest_onesided_scale_is_usage_error(tmp_path, command, ns,
+                                                              cap, top, capsys):
+    """A dilation sum capped below its base degree would be empty: the largest
+    scale onesided runs at must not exceed ``besov_cap``."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"besov_cap = {cap}\n")
+    out = tmp_path / "o"
+    assert run([command, "--n", ns, "--seed", "7", "--config", str(cfgfile),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"besov_cap = {cap}" in err and f"n = {top}" in err
+    assert not out.exists()
+    cfgfile.write_text(f"besov_cap = {top}\n")
+    assert cli.merge_config(cli.build_parser().parse_args(
+        [command, "--n", ns, "--seed", "7", "--config", str(cfgfile)]))["besov_cap"] == top
 
 
 @pytest.mark.parametrize("op", ["wks", "linefejer"])

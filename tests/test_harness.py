@@ -238,9 +238,9 @@ def test_zero_rhs_rule_fires(monkeypatch, tmp_path, capsys):
 
     real = harness.semidiscrete_modulus
 
-    def zero_on_square(f, n, r, s, spec, **kwargs):
-        if f.label != "square":
-            return real(f, n, r, s, spec, **kwargs)
+    def zero_on_square(cache, n, r, s, spec, **kwargs):
+        if cache.fn.label != "square":
+            return real(cache, n, r, s, spec, **kwargs)
         return ModulusReport(continuous=0.0, discrete=0.0, n=n, r=r, s=s,
                              h=np.pi / (2 * n + 1), spec_id=spec.id)
 
@@ -339,6 +339,17 @@ def test_rate_study_square_lagrange():
     assert abs(mod_fit.slope + 0.5) < 0.15
 
 
+def test_rate_study_fits_the_modulus_study_totals():
+    """``rate_study`` maps the ``error_vs_modulus`` task, so the values it fits
+    are that table's lhs and rhs, summed in the same order."""
+    ns = (8, 16, 32, 64, 128)
+    err_fit, mod_fit = rate_study(C["cusp15"], "fejer", L2, ns, r=1, s=2)
+    table = equivalence_study("error_vs_modulus", {"cusp15": C["cusp15"]}, "fejer",
+                              L2, 1, 2, ns)
+    assert err_fit.values == tuple(row["lhs"] for row in table.rows)
+    assert mod_fit.values == tuple(row["rhs"] for row in table.rows)
+
+
 # ----------------------------------------------------------------------------
 # vanishing-coefficient counterexample
 # ----------------------------------------------------------------------------
@@ -365,7 +376,7 @@ def test_bump_train_sits_on_nodes():
 
 
 def test_counterexample_discrete_stays_continuous_collapses():
-    table = counterexample_run((8, 16, 32), p=2.0)
+    table = counterexample_run((8, 16, 32))
     assert table.window == "fejer"
     conts = [row["continuous_error"] for row in table.rows]
     for row in table.rows:
@@ -388,6 +399,9 @@ def test_counterexample_rejects_weighted_and_open_windows():
         counterexample_run((8,), spec=parse_spec("wlp:2:0.5"))
     with pytest.raises(ValueError):
         counterexample_run((8,), window="lagrange")
+    # the norm has one slot, ``spec``
+    with pytest.raises(TypeError):
+        counterexample_run((8,), p=2.0)
 
 
 # ----------------------------------------------------------------------------
@@ -417,15 +431,15 @@ def test_onesided_study_computes_each_level_once(monkeypatch, cap):
     for label, f in fns.items():
         for n in (4, 8, 16):
             cache = build_cache(f, n_scale=max(2 * n, 8))
-            bs = besov_sum(f, n, L1, max_degree=cap, cache=cache)
-            expected.append((label, n, approx_error(f, op, n, L1, cache=cache).continuous,
+            bs = besov_sum(cache, n, L1, max_degree=cap)
+            expected.append((label, n, approx_error(cache, op, n, L1).continuous,
                              one_sided_best(f, n, L1).value, bs.value, bs.truncated))
     levels, builds = Counter(), Counter()
     best, build = bestapprox.best_approx, harness.build_cache
 
-    def counted_best(f, n, *args, **kwargs):
-        levels[f.label, n] += 1
-        return best(f, n, *args, **kwargs)
+    def counted_best(cache, n, *args, **kwargs):
+        levels[cache.fn.label, n] += 1
+        return best(cache, n, *args, **kwargs)
 
     def counted_build(f, resolution):
         builds[f.label, resolution] += 1

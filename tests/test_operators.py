@@ -197,7 +197,7 @@ def test_approx_error_fejer_has_node_residual():
 def test_approx_error_with_supplied_cache_and_nodes():
     f = C["cusp15"]
     cache = build_cache(f, n_scale=16)
-    a = approx_error(f, parse_operator("br:1"), 8, L2, cache=cache)
+    a = approx_error(cache, parse_operator("br:1"), 8, L2)
     b = approx_error(f, parse_operator("br:1"), 8, L2)
     assert_allclose(a.continuous, b.continuous, rtol=1e-9)
     assert_allclose(a.discrete, b.discrete, rtol=1e-9)

@@ -6,6 +6,9 @@ from numpy.testing import assert_allclose
 
 from latsamp import (
     TrigPoly,
+    approx_error,
+    besov_sum,
+    best_approx,
     build_cache,
     corpus,
     default_width,
@@ -14,6 +17,7 @@ from latsamp import (
     parse_spec,
     realization,
     semidiscrete_modulus,
+    subtract_poly,
 )
 
 L1 = parse_spec("l1")
@@ -126,3 +130,73 @@ def test_realization_tracks_error_for_rough_function():
     assert rep.continuous > 0.05  # the square wave is genuinely hard
     assert rep.derivative_term > 0
     assert np.isfinite(rep.total)
+
+
+# ----------------------------------------------------------------------------
+# one argument per input: a cache is passed as the source
+# ----------------------------------------------------------------------------
+
+# (quantity, corpus label, scale the base cache is built at, the arguments
+# after the source, keywords, and the fields read off the result)
+CACHE_SOURCE_CASES = {
+    "approx_error": (approx_error, "cusp15", 16, (parse_operator("br:1"), 8, L2), {},
+                     ("continuous", "discrete")),
+    "semidiscrete_modulus": (semidiscrete_modulus, "square", 32, (16, 1, 2, L2), {},
+                             ("continuous", "discrete")),
+    "kfunc_vp": (kfunc_vp, "sawtooth", 16, (1 / 8, 2, L1), {}, ()),
+    "realization": (realization, "cusp05", 16,
+                    (8, 2, parse_operator("fejer"), parse_spec("lp:1.5")), {},
+                    ("continuous", "discrete", "derivative_term")),
+    "best_approx": (best_approx, "square", 12, (6, L1), {"method": "refined"}, ("value",)),
+    "besov_sum": (besov_sum, "square", 16, (8, L1), {"max_degree": 64}, ("value",)),
+}
+
+# each case's values with the function as the source and the same cache
+# given through the ``cache=`` keyword these functions had before
+KEYWORD_VALUES = {
+    "approx_error": (0.023689008189257534, 0.023982821810282367),
+    "semidiscrete_modulus": (0.17978657690180935, 2.7640952318792554e-15),
+    "kfunc_vp": (0.1424560838463557,),
+    "realization": (0.06378495328771044, 0.0808569068767945, 0.015873679776712998),
+    "best_approx": (0.14285712735667366,),
+    "besov_sum": (1.0229308121098266,),
+}
+
+
+def _case_values(name, source):
+    fn, _label, _scale, args, kwargs, fields = CACHE_SOURCE_CASES[name]
+    result = fn(source, *args, **kwargs)
+    return tuple(getattr(result, f) for f in fields) if fields else (result,)
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_SOURCE_CASES))
+def test_cache_as_source_gives_the_keyword_values(name):
+    """A base cache passed as the source gives the values the same cache gave
+    through the ``cache=`` keyword, and, built at the scale the quantity
+    caches its function at, the values of the function itself."""
+    _fn, label, scale, _args, _kwargs, _fields = CACHE_SOURCE_CASES[name]
+    got = _case_values(name, build_cache(C[label], n_scale=scale))
+    assert_allclose(got, KEYWORD_VALUES[name], rtol=1e-13, atol=0)
+    # every case's scale is at most 64, so its cache is the default 4096 panels
+    assert got == _case_values(name, C[label])
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_SOURCE_CASES))
+def test_cache_keyword_is_gone(name):
+    fn, label, scale, args, kwargs, _fields = CACHE_SOURCE_CASES[name]
+    f = C[label]
+    with pytest.raises(TypeError, match="cache"):
+        fn(f, *args, cache=build_cache(f, n_scale=scale), **kwargs)
+
+
+def test_node_samples_need_a_base_cache():
+    """The discrete part samples f exactly at the nodes, which a derived cache
+    (here a residual) cannot do."""
+    cache = build_cache(C["square"], n_scale=16)
+    derived = subtract_poly(cache, TrigPoly(np.array([0.5], dtype=complex)))
+    assert derived.fn is None
+    op = parse_operator("lagrange")
+    with pytest.raises(ValueError, match="derived cache"):
+        approx_error(derived, op, 8, L2)
+    with pytest.raises(ValueError, match="derived cache"):
+        realization(derived, 8, 2, op, L2)
