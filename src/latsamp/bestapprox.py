@@ -4,8 +4,10 @@ dilation-weighted tail sums.
 * ``best_approx`` -- exact L2 projection; otherwise a de la Vallee Poussin
   near-best of degree <= n, optionally refined to the exact discrete best
   approximation: an active-set LP with a duality-gap certificate for L1
-  norms of real samples, reweighted least squares with exact line searches
-  for every other norm.
+  norms of real samples, reweighted least squares for every other norm.
+  Each reweighted step is scaled by a line search on the norm: exact in one
+  sort (a weighted median) for L1 of real samples, Brent's method otherwise,
+  where each Luxemburg solve starts from the previous evaluation's norm.
 * ``one_sided_best`` -- the pair ``q <= f <= Q`` of degree-n polynomials with
   minimal discretized L1 gap, solved as a linear program on a dense grid
   (scipy HiGHS); reports feasibility and duality gaps.
@@ -127,7 +129,8 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
     n = poly.degree
     x, m = cache.gl_points().ravel(), mass.ravel()
     k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
-    poly = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL)[0]
+    poly = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL,
+                 real_l1=True)[0]
     f = cache.gl_values.real.ravel()
     tol = GAP_TOL * float(np.sum(m * np.abs(f))) / TWO_PI
     r = subtract_poly(cache, poly).gl_values.real.ravel()
@@ -157,7 +160,7 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
 
 
 def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpec,
-          floor_rank: int = 0, tol: float = IRLS_TOL):
+          floor_rank: int = 0, tol: float = IRLS_TOL, real_l1: bool = False):
     """Minimize ``||f - T||`` over complex coefficients by reweighted least squares.
 
     The weights make the weighted least-squares normal equations the
@@ -167,10 +170,12 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
     at :data:`IRLS_FLOOR` of its maximum, or at its value of rank
     ``floor_rank`` (from 0, the smallest) when that is given, which smooths
     L1 for a start.  Each step is scaled by an exact line search on the norm
-    itself and kept only if the norm decreases, so the value never rises
-    above the start's.  Stops once a step gains less than ``tol`` relative,
-    or after :data:`IRLS_MAX_STEPS` steps.  Returns ``(poly, value, gap)``,
-    the gap being the last relative decrease.
+    itself (:func:`_line_search`; ``real_l1`` says the norm is an L1 norm of
+    real samples, whose search is one weighted median) and kept only if the
+    norm decreases, so the value never rises above the start's.  Stops once
+    a step gains less than ``tol`` relative, or after :data:`IRLS_MAX_STEPS`
+    steps.  Returns ``(poly, value, gap)``, the gap being the last relative
+    decrease.
     """
     n, part = poly.degree, cache.partition
     resid = subtract_poly(cache, poly).gl_values
@@ -180,7 +185,7 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
         if value == 0.0:
             break
         step = _wls_step(part, _irls_weights(resid, value, mass, spec, floor_rank), resid, n)
-        t = _line_search(resid, _synthesize(TrigPoly(step), part), mass, spec)
+        t = _line_search(resid, _synthesize(TrigPoly(step), part), mass, spec, real_l1)
         trial = TrigPoly(poly.coeffs + t * step)
         trial_resid = subtract_poly(cache, trial).gl_values
         trial_value = _measure_norm(np.abs(trial_resid), mass, spec)
@@ -209,19 +214,53 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
     return w
 
 
-def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec) -> float:
-    """The ``t`` minimizing ``||resid - t d||``, by :func:`minimize_scalar`."""
+def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec,
+                 real_l1: bool = False) -> float:
+    """The ``t`` minimizing ``||resid - t d||``.
+
+    With ``real_l1`` the caller vouches that the samples are real and the norm
+    is ``sum m |r| / 2pi``, and the minimizer is exact in one sort
+    (:func:`_l1_step`).  Any other norm is smooth along the line and goes to
+    Brent's :func:`minimize_scalar`; there a Luxemburg norm starts each root
+    search at the norm of the previous evaluation, which is close once the
+    search narrows.
+    """
+    if real_l1:
+        return _l1_step(resid.real.ravel(), d.real.ravel(), mass.ravel())
     # the objective runs a dozen times; a fresh temporary of this size would
     # be an mmap and its page faults on every call
     work = np.empty(resid.shape, dtype=complex)
     mag = np.empty(resid.shape)
+    last = None
 
     def objective(t):
+        nonlocal last
         np.multiply(d, t, out=work)
         np.subtract(resid, work, out=work)
-        return _measure_norm(np.abs(work, out=mag), mass, spec)
+        value = _measure_norm(np.abs(work, out=mag), mass, spec, scale=last)
+        if 0.0 < value < np.inf:
+            last = value
+        return value
 
     return minimize_scalar(objective, bracket=(0.0, 1.0)).x
+
+
+def _l1_step(r: np.ndarray, d: np.ndarray, m: np.ndarray) -> float:
+    """The ``t`` minimizing ``sum m |r - t d|`` over real ``r``, ``d``.
+
+    The sum is ``sum m_j |d_j| |r_j / d_j - t|`` plus the constant terms of
+    ``d_j = 0``: piecewise linear and convex in ``t``, with its kinks at
+    ``r_j / d_j``.  Its minimizer is their weighted median, the first kink
+    in sorted order at which the cumulative weight ``m_j |d_j|`` reaches half
+    the total.  0 when ``d`` vanishes.
+    """
+    live = d != 0.0
+    if not live.any():
+        return 0.0
+    kinks = r[live] / d[live]
+    order = np.argsort(kinks)
+    cum = np.cumsum((m[live] * np.abs(d[live]))[order])
+    return float(kinks[order[np.searchsorted(cum, 0.5 * cum[-1])]])
 
 
 # ----------------------------------------------------------------------------
@@ -343,9 +382,10 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     in L2, the de la Vallee Poussin near-best value (not ``E_d``) in any other
     norm.  Levels run on ``f`` if it is a cache, else on one of ``f`` at the
     scale ``2n`` (at a polynomial's degree if larger); a level d with ``32 d``
-    above its resolution uses a cache built at ``max(4096, 32 d)``.  Levels
-    are memoized by ``(d, spec)`` in ``cache.best``, so callers passing one
-    cache compute each once.
+    above its resolution uses a cache built at ``max(4096, 32 d)``, which a
+    derived cache (no evaluator to rebuild from) cannot give: ``ValueError``.
+    Levels are memoized by ``(d, spec)`` in ``cache.best``, so callers
+    passing one cache compute each once.
 
     Stops once a term falls below ``eps`` (converged) or the next degree would
     exceed ``max_degree`` (truncated -- the divergence signal).  Only
@@ -370,6 +410,8 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
         e = memo.get((deg, spec))
         if e is None:
             if cache.resolution < 32 * deg:
+                if cache.fn is None:
+                    raise ValueError("cannot refine a derived cache; rebuild the base cache")
                 cache = build_cache(cache.fn, resolution=max(4096, 32 * deg))
             e = memo[deg, spec] = best_approx(cache, deg, spec).value
         w = dilation_norm(spec, 2.0 ** (-nu))

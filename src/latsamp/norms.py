@@ -134,7 +134,9 @@ def luxemburg(modular, scale: float) -> float:
     ``scale * modular(scale)``.  Anderson-Bjorck regula falsi (BIT 13, 1973)
     solves ``log modular(e^u) = 0`` in multiplicative steps, to a few ulp at
     any magnitude; it is linear in ``u`` for a power ``Phi`` (one step is
-    exact) and of slope in [-2, -1] for ``t log(1+t)``.
+    exact) and of slope in [-2, -1] for ``t log(1+t)``.  A ``scale`` at the
+    root, or within rounding of it, is allowed: once two modular values
+    round to the same number the latest iterate is returned.
     """
     if not 0.0 < scale < np.inf:
         raise ValueError(f"luxemburg needs a positive finite scale, got {scale!r}")
@@ -145,7 +147,9 @@ def luxemburg(modular, scale: float) -> float:
     lam_a, g_a, lam_b = scale, np.log(m), scale * m
     g_b = np.log(modular(lam_b))
     for _ in range(64):
-        if g_b == 0.0:
+        # g_b == g_a: the bracket is below the modular's rounding, and the
+        # secant step would divide by 0
+        if g_b == 0.0 or g_b == g_a:
             return float(lam_b)
         step = np.log(lam_a / lam_b) * g_b / (g_b - g_a)
         lam_c = lam_b * np.exp(step)
@@ -166,7 +170,8 @@ def luxemburg(modular, scale: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _measure_norm(a: np.ndarray, measure, spec: NormSpec) -> float:
+def _measure_norm(a: np.ndarray, measure, spec: NormSpec,
+                  scale: Optional[float] = None) -> float:
     """``||f||_X`` from ``a = |f|`` at points carrying mass ``measure``.
 
     ``measure`` is the mass of each value: Gauss-Legendre weights, cell
@@ -174,7 +179,9 @@ def _measure_norm(a: np.ndarray, measure, spec: NormSpec) -> float:
     Orlicz norms (the Luxemburg norm of ``t^p`` is the ``L^p`` norm) are
     ``(sum a^p measure / 2pi)^(1/p)``, computed in place in ``a`` (which is
     overwritten); ``t log(1+t)`` is :func:`luxemburg` of a modular filling two
-    buffers allocated once per call.  NaN or inf values give a NaN or inf norm.
+    buffers allocated once per call, started at ``scale`` when given (a
+    nearby norm, which saves modular passes) and at ``max a`` otherwise.
+    NaN or inf values give a NaN or inf norm.
     """
     if spec.phi == "llogl":
         amax = a.max(initial=0.0)
@@ -187,7 +194,7 @@ def _measure_norm(a: np.ndarray, measure, spec: NormSpec) -> float:
             np.multiply(t, y, out=y)
             np.multiply(measure, y, out=y)
             return float(np.sum(y) / TWO_PI)
-        return luxemburg(modular, scale=amax)
+        return luxemburg(modular, scale=amax if scale is None else scale)
     np.power(a, spec.p, out=a)
     np.multiply(a, measure, out=a)
     return float((np.sum(a) / TWO_PI) ** (1.0 / spec.p))

@@ -134,7 +134,12 @@ def approx_error(f, op: OperatorSpec, n: int, spec: NormSpec) -> ApproxError:
     the step-function norm.
     """
     cache = _as_cache(f, n)
-    g = apply_operator(op, cache, n)
+    return _error_components(cache, apply_operator(op, cache, n), n, spec)
+
+
+def _error_components(cache: DenseGridCache, g: TrigPoly, n: int,
+                      spec: NormSpec) -> ApproxError:
+    """:func:`approx_error` of the base cache ``cache`` given ``g = G_n f``."""
     cont = norm(subtract_poly(cache, g), spec)
     nodes = make_uniform_nodes(n)
     disc = discrete_seminorm(cache.fn(nodes.nodes) - g.at(nodes.nodes), nodes, spec)

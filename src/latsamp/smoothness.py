@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import make_uniform_nodes
 from .norms import NormSpec, discrete_seminorm, norm, poly_norm
-from .operators import OperatorSpec, apply_operator, approx_error
+from .operators import OperatorSpec, _error_components, apply_operator
 from .steklov import _window_cache, i_minus_a_pow, i_minus_a_pow_at
 from .trigpoly import TrigPoly, _as_cache, subtract_poly, vp_mean
 
@@ -118,14 +118,15 @@ class RealizationReport:
 
 def realization(f, n: int, s: int, op: OperatorSpec, spec: NormSpec) -> RealizationReport:
     """``||f - G_n f||_X + ||f - G_n f||_{X_n} + n^{-s} ||(G_n f)^(s)||_X``, with
-    ``f`` (a function, polynomial or base cache, shared by passing it) cached once."""
+    ``f`` (a function, polynomial or base cache, shared by passing it) cached once
+    and ``G_n f`` formed once for all three terms."""
     if n < 1:
         raise ValueError("scale n must be >= 1")
     if s < 1:
         raise ValueError("order s must be >= 1")
     cache = _as_cache(f, n)
-    err = approx_error(cache, op, n, spec)
     g = apply_operator(op, cache, n)
+    err = _error_components(cache, g, n, spec)
     dterm = float(n ** (-s) * poly_norm(g.derivative(s), spec))
     return RealizationReport(continuous=err.continuous, discrete=err.discrete,
                              derivative_term=dterm, n=n, s=s, spec_id=spec.id)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize_scalar
 
 from latsamp import (
     TrigPoly,
@@ -18,7 +18,7 @@ from latsamp import (
     poly_norm,
     subtract_poly,
 )
-from latsamp import bestapprox
+from latsamp import bestapprox, norms
 from latsamp.bestapprox import (LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix,
                                 _real_coeffs_to_poly)
 from latsamp.model import TWO_PI
@@ -226,6 +226,70 @@ def test_irls_pure_frequency_above_the_band(spec_id):
     assert_allclose(res.value, 1.0, rtol=1e-12)
 
 
+def test_l1_step_is_the_minimum_over_the_kinks():
+    """The weighted-median step reaches the least ``sum m |r - t d|`` over
+    every kink ``t = r_j / d_j``, with tied kinks and zero ``d_j`` mixed in."""
+    rng = np.random.default_rng(21)
+    for size in (1, 2, 3, 8, 51, 400):
+        r = rng.standard_normal(size)
+        d = rng.standard_normal(size)
+        m = rng.uniform(0.1, 1.0, size)
+        d[rng.random(size) < 0.2] = 0.0
+        tied = rng.random(size) < 0.3
+        r[tied] = 0.75 * d[tied]
+        if size > 2:
+            r[:2] = d[:2] = 0.0
+
+        def cost(t):
+            return float(np.sum(m * np.abs(r - t * d)))
+
+        t = bestapprox._l1_step(r, d, m)
+        kinks = r[d != 0.0] / d[d != 0.0]
+        best = min((cost(k) for k in kinks), default=cost(0.0))
+        assert cost(t) <= best * (1.0 + 1e-14), (size, t)
+        assert t in kinks or not kinks.size
+
+
+def test_line_search_brent_only_off_real_l1(monkeypatch):
+    """A real L1 refined solve takes the exact step and never calls Brent;
+    complex samples in L1 (``exp(3ix)``) still search with it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(bestapprox, "minimize_scalar", counting)
+    res = best_approx(C["square"], 6, L1, method="refined")
+    assert abs(res.value * 7 - 1.0) <= 1e-6
+    assert not calls
+    e3 = TrigPoly(np.array([0, 0, 0, 0, 0, 0, 1], dtype=complex))
+    best_approx(e3, 2, L1, method="refined")
+    assert calls
+
+
+def test_llogl_line_search_warm_starts_luxemburg(monkeypatch):
+    """Each Luxemburg solve of an ``orlicz:llogl`` refined solve starts at the
+    previous one in its line search: at most 4 modular passes per solve on
+    average, against about 7 from a cold start at ``max |r|``."""
+    solves, passes = [], []
+    luxemburg = norms.luxemburg
+
+    def counting(modular, scale):
+        solves.append(1)
+
+        def counted(lam):
+            passes.append(1)
+            return modular(lam)
+
+        return luxemburg(counted, scale)
+
+    monkeypatch.setattr(norms, "luxemburg", counting)
+    res = best_approx(C["sawtooth"], 1, parse_spec("orlicz:llogl"), method="refined")
+    assert res.value <= DESCENT_VALUES[3][3] + 1e-12
+    assert len(passes) <= 4 * len(solves)
+
+
 @pytest.mark.parametrize("spec_id", ["lp:1.5", "lp:3", "wlp:2:-0.5", "orlicz:llogl"])
 def test_irls_optimal_against_coefficient_perturbations(spec_id):
     spec = parse_spec(spec_id)
@@ -389,6 +453,14 @@ def test_besov_sum_memo_is_keyed_by_norm():
 def test_besov_sum_rejects_weighted():
     with pytest.raises(ValueError):
         besov_sum(C["square"], 8, parse_spec("wlp:2:0.5"))
+
+
+def test_besov_sum_on_a_derived_cache_cannot_refine():
+    """A level finer than a derived cache resolves needs a cache rebuilt from
+    the function, which a residual does not have: a ``ValueError``."""
+    resid = subtract_poly(build_cache(C["square"], n_scale=8), TrigPoly(np.ones(1)))
+    with pytest.raises(ValueError, match="derived cache"):
+        besov_sum(resid, 8, L1)
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Lattice norms: parsing, closed-form values, Luxemburg, dilation operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -310,6 +312,24 @@ def test_luxemburg_scale_at_the_root():
     modular = _step_modular(sets[2], widths)
     root = luxemburg(modular, scale=sets[2].max())
     assert_allclose(luxemburg(modular, scale=root), root, rtol=1e-15)
+
+
+def test_luxemburg_scale_within_ulps_of_the_root():
+    """A ``scale`` a few ulp from the root, where two modular values can round
+    to the same number, gives the cold-start root to 4 ulp, with no warning."""
+    cache = ls.build_cache(corpus()["sawtooth"], n_scale=6)
+    mass = cache.gl_weights().ravel()
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        values = np.abs(cache.gl_values.real.ravel() + 0.1 * rng.standard_normal(mass.size))
+        modular = _step_modular(values, mass)
+        root = luxemburg(modular, scale=values.max())
+        ulp = np.spacing(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-6, 7):
+                got = luxemburg(modular, scale=root + k * ulp)
+                assert abs(got - root) <= 4 * ulp, (k, got, root)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])

@@ -124,6 +124,28 @@ def test_realization_on_reproduced_polynomial():
     assert_allclose(rep.total, rep.continuous + rep.discrete + rep.derivative_term)
 
 
+def test_realization_applies_the_operator_once(monkeypatch):
+    """One ``G_n f`` serves the error and the derivative term, which match
+    ``approx_error`` on the same cache."""
+    from latsamp import operators, smoothness
+
+    calls = []
+    apply_operator = operators.apply_operator
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply_operator(*args, **kwargs)
+
+    op = parse_operator("fejer")
+    cache = build_cache(C["square"], n_scale=16)
+    err = approx_error(cache, op, 16, L1)
+    for module in (operators, smoothness):
+        monkeypatch.setattr(module, "apply_operator", counting)
+    rep = realization(cache, 16, 1, op, L1)
+    assert len(calls) == 1
+    assert (rep.continuous, rep.discrete) == (err.continuous, err.discrete)
+
+
 def test_realization_tracks_error_for_rough_function():
     op = parse_operator("fejer")
     rep = realization(C["square"], 16, 1, op, L2)
