@@ -387,12 +387,15 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     Levels are memoized by ``(d, spec)`` in ``cache.best``, so callers
     passing one cache compute each once.
 
-    Stops once a term falls below ``eps`` (converged) or the next degree would
-    exceed ``max_degree`` (truncated -- the divergence signal).  Only
-    rearrangement-invariant norms (Lebesgue, Orlicz) carry a dilation norm.
+    Stops once a term falls below a positive finite ``eps`` (converged) or the
+    next degree would exceed ``max_degree`` (truncated -- the divergence
+    signal).  Only rearrangement-invariant norms (Lebesgue, Orlicz) carry a
+    dilation norm, a closed form: level nu weighs ``2^(nu/p)``, or ``2^nu`` in llogl.
     """
     if n < 1:
         raise ValueError("base degree must be >= 1")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("dilation sums need a rearrangement-invariant norm")
     max_degree = min(max_degree, MAX_DEGREE)

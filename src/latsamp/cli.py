@@ -220,14 +220,16 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     if not 1 <= s <= 2 * r:
         raise UsageError(f"--s must lie in 1..2r = 1..{2 * r}, got {s}")
     if cfg["gamma"] is not None:
-        if cfg["gamma"] <= 0:
-            raise UsageError("--gamma must be positive")
+        if not 0.0 < cfg["gamma"] < np.inf:
+            raise UsageError(f"--gamma must be positive and finite, got {cfg['gamma']!r}")
         # the window gamma/n of the largest scale sets the finest partition
         needed = _window_resolution(cfg["gamma"] / ns[-1])
         if needed > MAX_RESOLUTION:
             raise UsageError(
                 f"--gamma {cfg['gamma']:g} is too small for n = {ns[-1]}: its window "
                 f"gamma/n needs {needed} grid cells, above MAX_RESOLUTION = {MAX_RESOLUTION}")
+    if not 0.0 < cfg["eps"] < np.inf:
+        raise UsageError(f"eps must be positive and finite, got {cfg['eps']!r}")
     try:
         cfg["spec_obj"] = parse_spec(str(cfg["spec"]))
         cfg["op_obj"] = parse_operator(str(cfg["op"]))

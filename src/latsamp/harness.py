@@ -277,19 +277,23 @@ def _equivalence_row(study: str, op, spec: NormSpec, r: int, s: int, gamma, item
     at the scale ``max(2n, 8)`` is the source of the error and of the rhs."""
     label, f, n = item
     cache = build_cache(f, n_scale=max(2 * n, 8))
-    err = approx_error(cache, op, n, spec)
-    if study == "error_vs_kfunc":
-        rhs_c, rhs_d = kfunc_vp(cache, 1.0 / n, s, spec), 0.0
-    elif study == "error_vs_realization":
+    if study == "error_vs_realization":
+        # the realization's error terms are approx_error's, from its one G_n f
         rep = realization(cache, n, s, op, spec)
-        rhs_c, rhs_d = rep.continuous + rep.derivative_term, rep.discrete
+        lhs_c, lhs_d = rep.continuous, rep.discrete
+        rhs_c, rhs_d = lhs_c + rep.derivative_term, lhs_d
     else:
-        mod = semidiscrete_modulus(cache, n, r, s, spec, gamma=gamma)
-        rhs_c, rhs_d = mod.continuous, mod.discrete
+        err = approx_error(cache, op, n, spec)
+        lhs_c, lhs_d = err.continuous, err.discrete
+        if study == "error_vs_kfunc":
+            rhs_c, rhs_d = kfunc_vp(cache, 1.0 / n, s, spec), 0.0
+        else:
+            mod = semidiscrete_modulus(cache, n, r, s, spec, gamma=gamma)
+            rhs_c, rhs_d = mod.continuous, mod.discrete
     return {"f_label": label, "n": n,
-            "lhs_continuous": err.continuous, "lhs_discrete": err.discrete,
+            "lhs_continuous": lhs_c, "lhs_discrete": lhs_d,
             "rhs_continuous": rhs_c, "rhs_discrete": rhs_d,
-            "lhs": err.total, "rhs": rhs_c + rhs_d}
+            "lhs": lhs_c + lhs_d, "rhs": rhs_c + rhs_d}
 
 
 # ----------------------------------------------------------------------------

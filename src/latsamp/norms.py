@@ -19,6 +19,7 @@ The discrete seminorm of a function over a node set is the norm of the step
 function ``sum_k |f(x_k)| chi_[x_k, x_{k+1})``.  Step-function norms are exact
 closed forms, never generic quadrature — this keeps them an independent route
 from the continuous quadrature norms they are compared against.
+The dilation norms ``||f(r .)||_X`` weighing dilation sums are closed forms too.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class NormSpec:
             return t * np.log1p(t)
         return t ** self.p
 
-    def young_inverse(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.phi == "llogl":
-            return _llogl_inverse(y)
-        return y ** (1.0 / self.p)
-
 
 def parse_spec(text: str) -> NormSpec:
     """Parse ids like 'l1', 'l2', 'lp:1.5', 'wlp:2:0.5', 'orlicz:llogl'."""
@@ -109,20 +104,6 @@ def parse_spec(text: str) -> NormSpec:
     except ValueError as exc:
         raise ValueError(f"bad norm id {text!r}: {exc}") from None
     raise ValueError(f"bad norm id {text!r}")
-
-
-def _llogl_inverse(y):
-    """Inverse of t -> t*log(1+t) on [0, inf), by Newton's method from the upper
-    bound ``max(y/log 2, sqrt(y/log 2))``, falling monotonically by convexity."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    t = np.maximum(y / np.log(2.0), np.sqrt(y / np.log(2.0)))
-    while True:
-        log1p = np.log1p(t)
-        nxt = t - np.divide(t * log1p - y, log1p + t / (1.0 + t),
-                            out=np.zeros_like(t), where=t > 0.0)
-        if not np.any(nxt < t):
-            return t
-        t = np.minimum(t, nxt)
 
 
 def luxemburg(modular, scale: float) -> float:
@@ -348,24 +329,24 @@ def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
 
 
 def dilation_norm_info(spec: NormSpec, r: float):
-    """Operator norm of ``f -> f(r .)`` with the method used to obtain it.
+    """Operator norm of ``f -> f(r .)``, ``0 < r < inf``, as ``(value, 'closed-form')``:
+    ``r^(-1/p)``, or for ``phi(t) = t log(1+t)`` the sup of ``phi^{-1}(t)/phi^{-1}(rt)``
+    (Boyd, Pacific J. Math. 38, 1971), ``max(1/r, r^(-1/2))``.  Proof:
 
-    Returns ``(value, method)`` where method is 'closed-form' (Lebesgue and
-    unweighted cases, r^(-1/p)) or 'grid-sup' (Orlicz: sup of
-    ``phi^{-1}(t)/phi^{-1}(rt)`` over a log grid).  A weighted norm with
-    beta != 0 has no certified value here and raises ``ValueError``.
+    - ``r <= 1``: ``phi(t)/t = log(1+t)`` increases, so ``phi^{-1}(y)/y`` decreases and the
+      ratio is at most ``1/r``; it tends to ``1/r`` because ``phi^{-1}(y) ~ y/log y``.
+    - ``r >= 1``: ``log(1+sqrt(r) u) <= sqrt(r) log(1+u)`` gives ``phi(sqrt(r) u) <= r phi(u)``,
+      so the ratio is at most ``r^(-1/2)``, its limit as ``t -> 0``, where ``phi(u) ~ u^2``.
+
+    A weight with beta != 0 has no certified value here: ``ValueError``.
     """
-    if r <= 0:
-        raise ValueError("dilation factor must be positive")
-    if spec.kind == "lebesgue" or (spec.kind == "weighted" and spec.beta == 0.0):
-        return r ** (-1.0 / spec.p), "closed-form"
-    if spec.kind == "orlicz":
-        if spec.phi == "power":
-            return r ** (-1.0 / spec.p), "closed-form"
-        t = np.geomspace(1e-8, 1e8, 400)
-        vals = spec.young_inverse(t) / spec.young_inverse(r * t)
-        return float(np.max(vals)), "grid-sup"
-    raise ValueError(f"no certified dilation norm for {spec.id} (weight exponent != 0)")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"dilation factor r must be positive and finite, got {r!r}")
+    if spec.phi == "llogl":
+        return max(1 / r, r ** -0.5), "closed-form"
+    if spec.kind == "weighted" and spec.beta != 0.0:
+        raise ValueError(f"no certified dilation norm for {spec.id} (weight exponent != 0)")
+    return r ** (-1.0 / spec.p), "closed-form"
 
 
 def dilation_norm(spec: NormSpec, r: float) -> float:

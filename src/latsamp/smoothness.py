@@ -34,8 +34,8 @@ from .trigpoly import TrigPoly, _as_cache, subtract_poly, vp_mean
 def default_width(n: int, gamma: Optional[float] = None) -> float:
     """Window width at scale n: ``pi/(2n+1)``, or ``gamma/n`` when given."""
     if gamma is not None:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         return gamma / n
     return np.pi / (2 * n + 1)
 

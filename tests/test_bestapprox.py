@@ -412,18 +412,29 @@ def test_besov_sum_vanishes_for_polynomial_members():
 
 
 def test_besov_sum_square_truncates_at_cap():
-    """E_n(square)_1 ~ 1/n against weights 2^{nu/1}: the sum diverges, and the
-    degree cap reports that honestly."""
-    res = besov_sum(C["square"], 8, L1, eps=1e-6, max_degree=64)
-    assert res.truncated
-    assert not res.converged
-    assert res.value > 0
-    assert len(res.terms) >= 2
-    terms = [row["term"] for row in res.terms]
-    print("square besov terms:", [f"{t:.3f}" for t in terms])
-    # weights 2^nu outpace E ~ 1/n: the partial terms do not decay
-    assert terms[-1] > 0.8 * terms[0]
-    assert_allclose(res.value, np.sum(terms), rtol=1e-12)
+    """E_n(square) ~ 1/n in L1 (no faster in ``t log(1+t)``) against the
+    closed-form weights 2^nu of both norms: the sum diverges, and the degree
+    cap reports that honestly."""
+    for spec in (L1, parse_spec("orlicz:llogl")):
+        res = besov_sum(C["square"], 8, spec, eps=1e-6, max_degree=64)
+        assert res.truncated
+        assert not res.converged
+        assert res.value > 0
+        assert len(res.terms) >= 2
+        assert [row["dilation"] for row in res.terms] == [2.0 ** row["nu"] for row in res.terms]
+        terms = [row["term"] for row in res.terms]
+        print(spec.id, "square besov terms:", [f"{t:.3f}" for t in terms])
+        # weights 2^nu outpace E ~ 1/n: the partial terms do not decay
+        assert terms[-1] > 0.8 * terms[0]
+        assert_allclose(res.value, np.sum(terms), rtol=1e-12)
+
+
+def test_besov_sum_rejects_bad_eps():
+    """``eps`` must be positive and finite, or the ``term < eps`` stop could
+    never fire."""
+    for eps in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            besov_sum(C["square"], 8, L1, eps=eps)
 
 
 def test_besov_sum_converges_for_smooth_nonpolynomial():

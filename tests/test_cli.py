@@ -51,6 +51,8 @@ def test_missing_seed_is_usage_error(tmp_path, capsys):
     ["probe", "--seed", "1", "--n", "0,4"],             # non-positive scale
     ["probe", "--seed", "1", "--r", "1", "--s", "3"],   # violates 2r >= s
     ["probe", "--seed", "1", "--gamma", "-2"],
+    ["probe", "--seed", "1", "--gamma", "nan"],
+    ["equiv", "--seed", "1", "--gamma", "inf"],
     ["probe", "--seed", "1", "--spec", "l0"],
     ["probe", "--seed", "1", "--op", "zzz"],
     ["equiv", "--seed", "1", "--functions", "nosuchfn"],
@@ -198,6 +200,22 @@ def test_config_type_error_is_usage_error(tmp_path, capsys):
     cfgfile.write_text("seed = banana\n")
     assert run(["probe", "--config", str(cfgfile)]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("eps = nan", "eps"), ("eps = inf", "eps"), ("eps = 0", "eps"), ("eps = -1", "eps"),
+    ("gamma = nan", "--gamma"), ("gamma = inf", "--gamma"),
+])
+def test_scalar_not_positive_finite_is_usage_error(tmp_path, line, key, capsys):
+    """A scalar that must be positive and finite is refused by name while the
+    config is merged: NaN passes every ``<=`` check, and a NaN or an infinite
+    ``eps`` would never stop a dilation sum."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert run(["onesided", "--seed", "7", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -278,6 +278,26 @@ def test_equivalence_kfunc_and_realization_studies():
         assert table.min_ratio > 0
 
 
+def test_equivalence_realization_applies_the_operator_once_per_task(monkeypatch):
+    """A realization row takes its lhs from the realization report, whose one
+    ``G_n f`` also gives the derivative term: one ``apply_operator`` per task."""
+    from latsamp import operators, smoothness
+
+    calls = Counter()
+    apply_operator = operators.apply_operator
+
+    def counting(op, f, n):
+        calls[n] += 1
+        return apply_operator(op, f, n)
+
+    for module in (operators, smoothness):
+        monkeypatch.setattr(module, "apply_operator", counting)
+    fns = {"cusp15": C["cusp15"], "square": C["square"]}
+    table = equivalence_study("error_vs_realization", fns, "br:1", L2, 1, 2, (8, 16))
+    assert table.rows
+    assert calls == {8: 2, 16: 2}
+
+
 def test_equivalence_br_riesz_guard():
     fns = {"square": C["square"]}
     with pytest.raises(ValueError):

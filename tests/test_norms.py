@@ -364,17 +364,6 @@ def test_llogl_norm_propagates_nan_and_inf(bad):
         np.testing.assert_equal(route(LLOGL), bad)
 
 
-def test_llogl_inverse_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    y = np.geomspace(1e-12, 1e12, 97)
-    got = LLOGL.young_inverse(y)
-    with mpmath.workdps(30):
-        for yi, ti in zip(y, got):
-            want = mpmath.findroot(lambda t: t * mpmath.log1p(t) - mpmath.mpf(yi),
-                                   mpmath.sqrt(yi) if yi < 1 else mpmath.mpf(yi))
-            assert float(abs(ti / want - 1)) <= 1e-15, (yi, ti)
-
-
 def test_llogl_refined_solve_heap_peak():
     """The sawtooth/llogl n=1 refined solve keeps its heap peak small: the
     modular's buffers die with each norm call."""
@@ -552,14 +541,42 @@ def test_dilation_llogl_at_least_identity():
 
 
 @pytest.mark.parametrize("r,want", [
-    (0.5, 1.9169404091250688), (0.25, 3.6682101743947815), (0.125, 7.006050860663624),
+    (2.0 ** -8, 256.0), (0.125, 8.0), (0.25, 4.0), (0.5, 2.0), (1.0, 1.0),
+    (2.0, 2.0 ** -0.5), (16.0, 0.25),
 ])
-def test_dilation_llogl_frozen_values(r, want):
-    """The grid sup of ``phi^{-1}(t)/phi^{-1}(rt)``, frozen from the bisection
-    inverse it was first computed with."""
-    value, method = dilation_norm_info(parse_spec("orlicz:llogl"), r)
-    assert method == "grid-sup"
-    assert_allclose(value, want, rtol=1e-14)
+def test_dilation_llogl_closed_form(r, want):
+    """``max(1/r, r^(-1/2))``: a compression (r < 1) by ``1/r``, a dilation
+    (r > 1) by ``r^(-1/2)``, the identity by 1."""
+    assert dilation_norm_info(LLOGL, r) == (want, "closed-form")
+
+
+def _llogl_inverse_mp(mpmath, y):
+    """``phi^{-1}(y)`` for ``phi(u) = u log(1+u)``, solved for ``v = log u``,
+    where the equation is scaled alike at every magnitude of y."""
+    logy = mpmath.log(y)
+    v0 = logy - mpmath.log(logy) if y > 3 else logy / 2
+    v = mpmath.findroot(lambda v: v + mpmath.log(mpmath.log1p(mpmath.exp(v))) - logy, v0)
+    return mpmath.exp(v)
+
+
+@pytest.mark.parametrize("r", [2.0 ** -8, 0.5, 2.0, 16.0])
+def test_dilation_llogl_is_the_sup_against_mpmath(r):
+    """In 40 digits, ``phi^{-1}(t)/phi^{-1}(rt)`` stays below the closed form on
+    ``t = 10^k``, ``|k| <= 300``, and reaches it within 1e-5: as ``t -> inf``
+    for ``r < 1``, as ``t -> 0`` for ``r > 1``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r_mp = mpmath.mpf(r)
+        bound = max(1 / r_mp, 1 / mpmath.sqrt(r_mp))
+        assert float(bound) == dilation_norm(LLOGL, r)
+
+        def ratio(t):
+            return _llogl_inverse_mp(mpmath, t) / _llogl_inverse_mp(mpmath, r_mp * t)
+
+        worst = max(ratio(mpmath.mpf(10) ** k) for k in range(-300, 301))
+        assert worst <= bound * (1 + mpmath.mpf(10) ** -30), (r, worst)
+        limit = ratio(mpmath.mpf(10) ** (10 ** 6) if r < 1 else mpmath.mpf("1e-300"))
+        assert abs(limit / bound - 1) <= 1e-5, (r, limit)
 
 
 def test_dilation_has_no_uncertified_weighted_value():
@@ -573,7 +590,9 @@ def test_dilation_has_no_uncertified_weighted_value():
 
 
 def test_dilation_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        dilation_norm(L2, 0.0)
-    with pytest.raises(ValueError):
-        dilation_norm(L2, -1.0)
+    """Only a positive finite factor has a dilation norm: NaN and inf raise
+    a ``ValueError`` naming ``r``, not a NaN, a 0 or a warning."""
+    for spec in (L1, L2, LLOGL):
+        for r in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dilation factor r"):
+                dilation_norm(spec, r)

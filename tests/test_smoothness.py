@@ -28,8 +28,9 @@ C = corpus()
 def test_default_width():
     assert_allclose(default_width(8), np.pi / 17)
     assert_allclose(default_width(10, gamma=2.0), 0.2)
-    with pytest.raises(ValueError):
-        default_width(10, gamma=-1.0)
+    for gamma in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            default_width(10, gamma=gamma)
 
 
 # ----------------------------------------------------------------------------
