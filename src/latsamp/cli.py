@@ -230,6 +230,9 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
                 f"gamma/n needs {needed} grid cells, above MAX_RESOLUTION = {MAX_RESOLUTION}")
     if not 0.0 < cfg["eps"] < np.inf:
         raise UsageError(f"eps must be positive and finite, got {cfg['eps']!r}")
+    for key, kind in _KEYS.items():
+        if kind is float and cfg.get(key) is not None and not np.isfinite(cfg[key]):
+            raise UsageError(f"config key {key!r} must be finite, got {cfg[key]!r}")
     try:
         cfg["spec_obj"] = parse_spec(str(cfg["spec"]))
         cfg["op_obj"] = parse_operator(str(cfg["op"]))

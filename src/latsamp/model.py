@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,10 +50,19 @@ MIN_PANELS_PER_WINDOW = 64
 MAX_RESOLUTION = 1 << 21
 
 
+def _mod_two_pi(x):
+    """``np.mod(x, 2*pi)`` bit for bit, at a fraction of its cost: ``np.fmod``
+    is exact, and where it is negative 2 pi is added (elsewhere ``+ 0.0``
+    turns -0.0 into +0.0), as ``np.mod`` does after its own ``fmod``."""
+    w = np.fmod(x, TWO_PI)
+    w += np.where(w < 0.0, TWO_PI, 0.0)
+    return w
+
+
 def wrap_angle(x):
     """Map angles to the canonical period ``[-pi, pi)``."""
     x = np.asarray(x, dtype=float)
-    return np.mod(x + np.pi, TWO_PI) - np.pi
+    return _mod_two_pi(x + np.pi) - np.pi
 
 
 @dataclass(frozen=True)
@@ -291,6 +300,53 @@ class Partition:
         points.setflags(write=False)
         return points
 
+    def locate(self, y):
+        """Panel, panel width, in-panel ``t`` in [-1, 1] and winding of points
+        ``y``: ``y - 2 pi winding`` lies in ``[-pi, pi)``, so y = pi winds once."""
+        winding = np.floor((y + np.pi) / TWO_PI)
+        y = y - winding * TWO_PI
+        j = np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.edges.size - 2)
+        a = self.edges[j]
+        width = self.edges[j + 1] - a
+        return j, width, 2.0 * (y - a) / width - 1.0, winding
+
+    def landing_plan(self, shift: float) -> "LandingPlan":
+        """Where ``x + shift`` lands, for every Gauss-Legendre node ``x``: with
+        ``shift / step = q + phi``, node ``g`` of a uniform cell lands ``k_g = q +
+        c_g`` cells on, at ``t_g = 2(u_g + phi - c_g) - 1``, ``u_g = (GL_NODES[g]
+        + 1)/2``; in its own panel where ``k_g`` is whole turns (``shift = 0``)."""
+        R = self.resolution
+        q, phi = divmod(shift / (TWO_PI / R), 1.0)
+        s = 0.5 * (GL_NODES + 1.0) + phi
+        c = s >= 1.0
+        cell_of, panel_of, graded = self.cell_map
+        landings, lost = {}, []
+        for k in q + c:
+            if k not in landings:
+                low, offset = divmod(int(k), R)
+                hit = None
+                if offset:
+                    hit = panel_of.take(cell_of + offset, mode="wrap")
+                    hit[graded] = -1
+                landings[k] = (hit, np.searchsorted(cell_of, R - offset), low)
+            hit = landings[k][0]
+            lost.append(graded if hit is None else np.flatnonzero(hit < 0))
+        j, g = np.concatenate(lost), np.repeat(np.arange(5), [idx.size for idx in lost])
+        a, b = self.edges[j], self.edges[j + 1]
+        return LandingPlan((2.0 * (s - c) - 1.0)[:, None] ** np.arange(6) @ _GL_INTEGRAL,
+                           tuple(landings[k] for k in q + c), (j, g),
+                           self.locate(a + 0.5 * (b - a) * (GL_NODES[g] + 1.0) + shift))
+
+
+class LandingPlan(NamedTuple):
+    """A partition's :meth:`~Partition.landing_plan`, read on any cache over it."""
+
+    kernel: np.ndarray  # (5, 5): node values -> int_{-1}^{t_g} of the panel interpolant
+    landings: tuple     # per column: (landing panels or None, split, low); rows below the
+                        # split wind low times, the rest low + 1
+    lost: tuple         # (panel, column) of graded nodes and nodes landing in graded cells
+    located: tuple      # Partition.locate of the lost nodes' landing points
+
 
 @dataclass
 class DenseGridCache:
@@ -314,8 +370,8 @@ class DenseGridCache:
         ``besov_sum``'s level values by ``(d, spec)``; empty on a new or spawned cache.
 
     F is read at arbitrary points by a panel search (:meth:`antiderivative`),
-    and at all nodes shifted by one offset by fixed per-node functionals on
-    the partition's cell-to-panel map (:meth:`node_antiderivative`).
+    and at all nodes shifted by one offset through the partition's landing
+    plan of that offset (:meth:`node_antiderivative`), shared by its caches.
     """
 
     fn: Optional[PointwiseFunction]
@@ -354,69 +410,33 @@ class DenseGridCache:
     def antiderivative(self, y) -> np.ndarray:
         """F(y) = int_{-pi}^{y} f, extended by F(y + 2pi) = F(y) + F(pi)."""
         y = np.asarray(y, dtype=float)
-        shape = y.shape
-        y = np.atleast_1d(y).ravel()
-        # guard the right endpoint: y exactly pi wraps to -pi with winding 1
-        winding = np.floor((y + np.pi) / TWO_PI)
-        yw = y - winding * TWO_PI
-        j, width, t = self._locate(yw)
-        # int_{a_j}^{y} f by Horner in t on the integral table
-        tab = self.integral_table
-        acc = tab[5][j]
+        return self._antiderivative_at(*self.partition.locate(y.ravel())).reshape(y.shape)
+
+    def _antiderivative_at(self, j, width, t, winding):
+        """F at located points: ``int_{a_j}^{y} f`` by Horner in ``t`` on the
+        interpolant coefficients of panels ``j`` alone."""
+        tab = _GL_INTEGRAL @ self.gl_values[j].T
+        acc = tab[5]
         for m in range(4, -1, -1):
             acc *= t
-            acc += tab[m][j]
-        out = self.prefix[j] + 0.5 * width * acc + winding * self.total
-        return out.reshape(shape)
+            acc += tab[m]
+        return self.prefix[j] + 0.5 * width * acc + winding * self.total
 
-    def _locate(self, x):
-        """Panel index, panel width and in-panel coordinate ``t`` in [-1, 1]."""
-        j = np.searchsorted(self.edges, x, side="right") - 1
-        j = np.clip(j, 0, self.panel_count - 1)
-        a = self.edges[j]
-        width = self.edges[j + 1] - a
-        return j, width, 2.0 * (x - a) / width - 1.0
-
-    @cached_property
-    def integral_table(self) -> np.ndarray:
-        """(6, M): row m holds the ``t^m`` coefficient of every panel's
-        ``int_{-1}^{t}`` of its interpolant, so a Horner step gathers one row."""
-        return _GL_INTEGRAL @ self.gl_values.T
-
-    def node_antiderivative(self, shift: float) -> np.ndarray:
-        """(M, 5) values of ``F(x + shift)`` at the Gauss-Legendre nodes ``x``.
-
-        With ``shift / step = q + phi``, node ``g`` of every uniform cell lands
-        ``q + c_g`` cells on, at ``t_g = 2(u_g + phi - c_g) - 1`` where ``u_g =
-        (GL_NODES[g] + 1)/2``.  Where that cell is uniform too, F is a fixed
-        functional of its prefix and :attr:`integral_table` column (plus
-        ``total`` per winding); other nodes take :meth:`antiderivative`.
-        """
-        R = self.resolution
-        q, phi = divmod(shift / (TWO_PI / R), 1.0)
-        s = 0.5 * (GL_NODES + 1.0) + phi
-        c = s >= 1.0
-        at_t = (2.0 * (s - c) - 1.0)[:, None] ** np.arange(6) @ self.integral_table
+    def node_antiderivative(self, plan: "LandingPlan") -> np.ndarray:
+        """(M, 5) ``F(x + shift)`` at the Gauss-Legendre nodes ``x`` through the
+        :meth:`~Partition.landing_plan` of ``shift``, as the transpose of a
+        (5, M) array: each column's gather and windings run on contiguous memory."""
+        at_t = plan.kernel @ self.gl_values.T
         at_t *= 0.5 * self.widths
         at_t += self.prefix[:-1]
-        cell_of, panel_of, graded = self.partition.cell_map
-        out = np.empty((self.panel_count, 5), dtype=at_t.dtype)
-        lost = []
-        for k in np.unique(q + c):
-            # sources below the split wind ``low`` times, the rest ``low + 1``
-            low, offset = divmod(int(k), R)
-            split = np.searchsorted(cell_of, R - offset)
-            hit = panel_of.take(cell_of + offset, mode="wrap")
-            hit[graded] = -1
-            for col in np.flatnonzero(q + c == k):  # ascending overall, as g assumes
-                out[:, col] = at_t[col].take(hit)
-                for rows, turns in ((slice(None, split), low), (slice(split, None), low + 1)):
-                    if turns:
-                        out[rows, col] += turns * self.total
-                lost.append(np.flatnonzero(hit < 0))
-        j, g = np.concatenate(lost), np.repeat(np.arange(5), [idx.size for idx in lost])
-        a, b = self.edges[j], self.edges[j + 1]
-        out[j, g] = self.antiderivative(a + 0.5 * (b - a) * (GL_NODES[g] + 1.0) + shift)
+        for row, (hit, split, low) in zip(at_t, plan.landings):
+            if hit is not None:
+                row[:] = row.take(hit)
+            for rows, turns in ((row[:split], low), (row[split:], low + 1)):
+                if turns:
+                    rows += turns * self.total
+        out = at_t.T
+        out[plan.lost] = self._antiderivative_at(*plan.located)
         return out
 
     # -- values --------------------------------------------------------------
@@ -425,19 +445,18 @@ class DenseGridCache:
         """Evaluate the cached function at arbitrary points.
 
         Uses the exact evaluator when available, otherwise the in-panel
-        interpolant: the ``t``-derivative of :attr:`integral_table`.
+        interpolant of the located panels.
         """
         if self.fn is not None:
             return self.fn(x)
         x = np.asarray(x, dtype=float)
-        shape = x.shape
-        j, _, t = self._locate(wrap_angle(np.atleast_1d(x).ravel()))
-        tab = self.integral_table
-        acc = 5.0 * tab[5][j]
+        j, _, t, _ = self.partition.locate(x.ravel())
+        tab = _GL_INTEGRAL @ self.gl_values[j].T
+        acc = 5.0 * tab[5]
         for m in range(4, 0, -1):
             acc *= t
-            acc += m * tab[m][j]
-        return acc.reshape(shape)
+            acc += m * tab[m]
+        return acc.reshape(x.shape)
 
     def spawn(self, gl_values) -> "DenseGridCache":
         """Derived cache on the same partition from new node values."""
@@ -445,8 +464,10 @@ class DenseGridCache:
 
 
 def _integrated(fn, part: Partition, gl_values) -> DenseGridCache:
-    """A cache on ``part`` whose prefix table integrates ``gl_values``."""
-    gl_values = np.asarray(gl_values)
+    """A cache on ``part`` whose prefix table integrates ``gl_values``, held
+    row-major whatever their layout: the panel sums of every cache then
+    round alike."""
+    gl_values = np.ascontiguousarray(gl_values)
     panel_int = (gl_values @ GL_WEIGHTS) * (0.5 * np.diff(part.edges))
     return DenseGridCache(fn=fn, partition=part, gl_values=gl_values,
                           prefix=np.concatenate([[0.0], np.cumsum(panel_int)]))
@@ -492,13 +513,13 @@ def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:
 
 
 def _square_eval(x):
-    w = np.mod(np.asarray(x, dtype=float), TWO_PI)
+    w = _mod_two_pi(np.asarray(x, dtype=float))
     out = np.where(w < np.pi, 1.0, -1.0)
     return np.where((w == 0.0) | (w == np.pi), 0.0, out)
 
 
 def _sawtooth_eval(x):
-    w = np.mod(np.asarray(x, dtype=float), TWO_PI)
+    w = _mod_two_pi(np.asarray(x, dtype=float))
     return np.where(w == 0.0, 0.0, 0.5 * (w - np.pi))
 
 

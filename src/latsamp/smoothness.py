@@ -89,8 +89,8 @@ def kfunc_vp(f, delta: float, s: int, spec: NormSpec) -> float:
     ``delta^s ||f^(s)||``.  ``f`` is a function, a polynomial or a cache,
     which callers share by passing it here.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if s < 1:
         raise ValueError("order s must be >= 1")
     n = int(np.ceil(1.0 / delta))

@@ -12,9 +12,9 @@ Two backends:
   Partial panels integrate the in-panel interpolant on every cache, base or
   derived; iterated averages materialize one derived cache per level, its
   values taken at the 5 Gauss-Legendre nodes of each panel (cost linear in
-  the iteration count r, supported for r <= 4).  A level reads both window
-  ends by fixed per-node functionals on the uniform cells
-  (:meth:`DenseGridCache.node_antiderivative`), not by a panel search.
+  the iteration count r, supported for r <= 4).  A level reads each window
+  end as a (5, 5) kernel product, a prefix add and a gather, through the
+  window's two landing plans, built once per chain for all its levels.
 """
 
 from __future__ import annotations
@@ -76,10 +76,18 @@ def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = Tru
     return (cache.antiderivative(x + hi) - cache.antiderivative(x + lo)) / h
 
 
-def _steklov_cache(cache: DenseGridCache, h: float, centered: bool) -> DenseGridCache:
-    """One averaging level: ``A_h`` at the cache's Gauss-Legendre nodes."""
-    lo, hi = (-0.5 * h, 0.5 * h) if centered else (0.0, h)
-    return cache.spawn((cache.node_antiderivative(hi) - cache.node_antiderivative(lo)) / h)
+def _chain(cache: DenseGridCache, h: float, r: int, centered: bool) -> list:
+    """``[cache, A_h cache, ..., A_h^r cache]``, every level at the cache's
+    Gauss-Legendre nodes, reading both window ends through the same two plans."""
+    ends = (-0.5 * h, 0.5 * h) if centered else (0.0, h)
+    lo, hi = [cache.partition.landing_plan(end) for end in ends] if r else (None, None)
+    chain = [cache]
+    for _ in range(r):
+        values = chain[-1].node_antiderivative(hi)
+        values -= chain[-1].node_antiderivative(lo)
+        values /= h
+        chain.append(chain[-1].spawn(values))
+    return chain
 
 
 def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> DenseGridCache:
@@ -99,17 +107,14 @@ def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
     _check_h(h)
     if isinstance(obj, TrigPoly):
         return TrigPoly(obj.coeffs * multiplier(h, obj.freqs, centered))
-    return _steklov_cache(_window_cache(obj, h), h, centered)
+    return _chain(_window_cache(obj, h), h, 1, centered)[1]
 
 
 def steklov_chain(obj: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
                   centered: bool = True):
     """``[f, A_h f, A_h^2 f, ..., A_h^r f]`` as materialized caches."""
     _check_h(h, r)
-    chain = [_window_cache(obj, h)]
-    for _ in range(r):
-        chain.append(_steklov_cache(chain[-1], h, centered))
-    return chain
+    return _chain(_window_cache(obj, h), h, r, centered)
 
 
 def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:
@@ -119,8 +124,10 @@ def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> 
     if isinstance(obj, TrigPoly):
         return TrigPoly(obj.coeffs * _one_minus_multiplier(h, obj.freqs, centered) ** r)
     chain = steklov_chain(obj, h, r, centered)
-    return chain[0].spawn(sum(((-1.0) ** k * comb(r, k) * link.gl_values
-                               for k, link in enumerate(chain)), 0j))
+    out = chain[0].gl_values.copy()
+    for k, link in enumerate(chain[1:], 1):
+        out += (-1.0) ** k * comb(r, k) * link.gl_values
+    return chain[0].spawn(out)
 
 
 def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
@@ -134,9 +141,6 @@ def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, 
     cache = _window_cache(cache, h)
     pts = np.asarray(points, dtype=float)
     out = cache.values_at(pts).astype(complex)
-    level = cache
-    for k in range(1, r + 1):
+    for k, level in enumerate(_chain(cache, h, r - 1, centered), 1):
         out = out + ((-1.0) ** k) * comb(r, k) * steklov_values(level, h, pts, centered)
-        if k < r:
-            level = _steklov_cache(level, h, centered)
     return out

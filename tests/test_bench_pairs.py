@@ -1,0 +1,46 @@
+"""Pair verdicts of ``tools/bench_pairs.py``'s summary."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+import bench_pairs  # noqa: E402
+
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "ok_share", "better": "higher", "bound": 0.01}]
+
+
+def _summary(parent, change):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, (wall, ok) in (("parent", p), ("change", c)):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "metrics": {"wall_s": wall, "ok_share": ok}})
+    return bench_pairs.summarize(runs, METRICS)["w"]
+
+
+@pytest.mark.parametrize("change_wall, wins, resolved", [
+    # every pair won, medians 0.2 apart against a parent spread of 0.045
+    ([0.8 + 0.01 * i for i in range(10)], 10, True),
+    # nine of ten pairs won by a hair: the medians differ by less than the spread
+    ([0.99 + 0.01 * i for i in range(9)] + [2.0], 9, False),
+    # eight of ten pairs won by far: too few pairs
+    ([0.5] * 8 + [2.0, 2.0], 8, False),
+])
+def test_gain_resolved_needs_nine_tenths_of_pairs_and_the_parent_spread(change_wall, wins,
+                                                                        resolved):
+    entry = _summary([(1.0 + 0.01 * i, 1.0) for i in range(10)],
+                     [(w, 1.0) for w in change_wall])["wall_s"]
+    assert entry["change_better_pairs"] == wins
+    assert entry["gain_resolved"] is resolved
+    assert entry["worse_beyond_bound"] is False
+
+
+def test_worse_beyond_bound_is_a_share_of_the_parent_median():
+    parent = [(1.0, 1.0)] * 4
+    assert _summary(parent, [(1.24, 0.991)] * 4)["wall_s"]["worse_beyond_bound"] is False
+    assert _summary(parent, [(1.24, 0.991)] * 4)["ok_share"]["worse_beyond_bound"] is False
+    assert _summary(parent, [(1.26, 0.98)] * 4)["wall_s"]["worse_beyond_bound"] is True
+    assert _summary(parent, [(1.26, 0.98)] * 4)["ok_share"]["worse_beyond_bound"] is True

@@ -205,11 +205,15 @@ def test_config_type_error_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("line, key", [
     ("eps = nan", "eps"), ("eps = inf", "eps"), ("eps = 0", "eps"), ("eps = -1", "eps"),
     ("gamma = nan", "--gamma"), ("gamma = inf", "--gamma"),
+    ("coeff_tol = nan", "coeff_tol"),
+    ("counterexample_ratio_floor = -inf", "counterexample_ratio_floor"),
 ])
 def test_scalar_not_positive_finite_is_usage_error(tmp_path, line, key, capsys):
     """A scalar that must be positive and finite is refused by name while the
     config is merged: NaN passes every ``<=`` check, and a NaN or an infinite
-    ``eps`` would never stop a dilation sum."""
+    ``eps`` would never stop a dilation sum.  Every other float key must be
+    finite: a NaN ``coeff_tol`` fails a passing counterexample run, and a
+    ``counterexample_ratio_floor`` of -inf makes its check vacuous."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")
     out = tmp_path / "o"

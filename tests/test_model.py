@@ -21,7 +21,7 @@ from latsamp import (
     poly_norm,
     wrap_angle,
 )
-from latsamp.model import (MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO,
+from latsamp.model import (MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO, _mod_two_pi,
                            partition)
 from latsamp.norms import _cache_mass
 from latsamp.trigpoly import MAX_DEGREE
@@ -42,6 +42,19 @@ def test_wrap_angle_endpoints():
     assert wrap_angle(np.pi) == -np.pi
     assert wrap_angle(-np.pi) == -np.pi
     assert wrap_angle(0.0) == 0.0
+
+
+def test_mod_two_pi_is_np_mod_bit_for_bit():
+    """The ``fmod`` route of :func:`wrap_angle` and the square and sawtooth
+    evaluators equals ``np.mod(x, 2 pi)`` in every bit, NaN and the signed
+    zeros included."""
+    special = np.array([0.0, np.pi, TWO_PI, np.nextafter(TWO_PI, 0.0), 1e-300, 1e18,
+                        np.nan, np.inf])
+    x = np.concatenate([np.random.default_rng(0).uniform(-20.0, 20.0, 10**6),
+                        special, -special])
+    with np.errstate(invalid="ignore"):
+        want, got = np.mod(x, TWO_PI), _mod_two_pi(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPointwiseFunction:
@@ -167,7 +180,7 @@ def _exact_partial_antiderivative(cache, y):
     ("square", 1e-14), ("sawtooth", 1e-14), ("exp7", 1e-14), ("smooth", 1e-14),
     ("cusp05", 1e-11), ("cusp15", 1e-11)])
 def test_base_antiderivative_matches_exact_partial_panels(label, bound, resolution):
-    """Base caches integrate partial panels through the interpolant table, as
+    """Base caches integrate partial panels through the interpolant, as
     derived caches do; the exact evaluator on [a, y] stays within rounding,
     except near the cusp of |sin|^0.5 at the foot of the grading ladder."""
     cache = build_cache(corpus()[label], resolution=resolution)

@@ -109,8 +109,9 @@ def test_kfunc_monotone_in_delta():
 
 
 def test_kfunc_validation():
-    with pytest.raises(ValueError):
-        kfunc_vp(C["sine"], 0.0, 1, L2)
+    for delta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            kfunc_vp(C["sine"], delta, 1, L2)
     with pytest.raises(ValueError):
         kfunc_vp(C["sine"], 0.1, 0, L2)
 

@@ -20,7 +20,7 @@ from latsamp import (
     steklov,
     steklov_chain,
 )
-from latsamp.model import uniform_cells
+from latsamp.model import Partition, ensure_window_resolution, uniform_cells
 
 
 def sinc_factor(k, h):
@@ -225,22 +225,77 @@ def test_window_step_memory():
 
 
 def test_steklov_level_sends_only_graded_nodes_to_the_antiderivative(monkeypatch):
-    """A shifted level at R = 65536 takes F at the uniform cells' nodes by
-    fixed per-node functionals: only nodes of graded panels, and nodes whose
-    window end lands in one, reach the general antiderivative (10*M before)."""
+    """A shifted level at R = 65536 takes F at the uniform cells' nodes through
+    the landing plans: only nodes of graded panels, and nodes whose window end
+    lands in one, are located by a panel search (10*M before), and the general
+    antiderivative is never called."""
     cache = build_cache(corpus()["square"], resolution=65536)
     graded = cache.panel_count - uniform_cells(cache.edges, cache.resolution)[0].size
-    sizes = []
-    antiderivative = DenseGridCache.antiderivative
+    sizes, plans = [], []
+    antiderivative, landing_plan = DenseGridCache.antiderivative, Partition.landing_plan
 
     def counted(self, y):
         sizes.append(np.size(y))
         return antiderivative(self, y)
 
+    def recorded(self, shift):
+        plans.append(landing_plan(self, shift))
+        return plans[-1]
+
     monkeypatch.setattr(DenseGridCache, "antiderivative", counted)
+    monkeypatch.setattr(Partition, "landing_plan", recorded)
     level = steklov(cache, np.pi / 257, centered=False)
     assert level.edges is cache.edges
-    assert sum(sizes) <= 10 * graded + 200
+    assert sizes == [] and len(plans) == 2
+    assert sum(plan.lost[0].size for plan in plans) <= 10 * graded + 200
+    # the window's left end is every node itself: no gather, and only graded nodes lost
+    assert all(hit is None for hit, _, _ in plans[0].landings)
+    assert plans[0].lost[0].size == 5 * graded
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_chain_levels_share_two_plans_bit_for_bit(monkeypatch, centered):
+    """``steklov_chain`` builds the two landing plans of its window once for all
+    r levels (and ``i_minus_a_pow_at`` once for its r - 1), and each level
+    equals, bit for bit, one average whose plans are built afresh."""
+    cache = build_cache(corpus()["square"], resolution=1024)
+    h = 0.7
+    calls = []
+    landing_plan = Partition.landing_plan
+    monkeypatch.setattr(Partition, "landing_plan",
+                        lambda self, shift: calls.append(shift) or landing_plan(self, shift))
+    chain = steklov_chain(cache, h, 4, centered)
+    assert len(calls) == 2
+    level = cache
+    for link in chain[1:]:
+        level = steklov(level, h, centered)
+        assert np.array_equal(link.gl_values, level.gl_values)
+        assert np.array_equal(link.prefix, level.prefix)
+    calls.clear()
+    x = np.linspace(-3.0, 3.0, 7)
+    i_minus_a_pow_at(cache, h, 1, x, centered)
+    assert calls == []
+    i_minus_a_pow_at(cache, h, 4, x, centered)
+    assert len(calls) == 2
+
+
+def test_i_minus_a_pow_peak_memory():
+    """``(I - A_h)^2`` of the square wave on its n = 128 window cache (M = 66540
+    panels) peaks at no more than five (M, 5) node arrays above its input: its
+    two levels, their binomial sum (in the levels' dtype, real here) and one
+    transient.  The partition's cell map, part of the input, is built first."""
+    h = np.pi / 257
+    cache = ensure_window_resolution(build_cache(corpus()["square"], n_scale=256), h)
+    assert cache.panel_count == 66540
+    cache.partition.cell_map
+    tracemalloc.start()
+    try:
+        out = i_minus_a_pow(cache, h, 2, centered=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.gl_values.dtype == np.float64
+    assert peak <= 5 * cache.gl_values.nbytes
 
 
 def _level_or_base(label, resolution):
@@ -255,7 +310,7 @@ def _level_or_base(label, resolution):
 @pytest.mark.parametrize("resolution", [256, 1024, 65536])
 @pytest.mark.parametrize("label", ["square", "cusp15", "sawtooth", "exp3", "square-level"])
 def test_node_antiderivative_matches_the_general_route(label, resolution):
-    """F(x + d) at the Gauss-Legendre nodes by fixed per-node functionals,
+    """F(x + d) at the Gauss-Legendre nodes through the landing plan of ``d``,
     against :meth:`antiderivative` at ``gl_points() + d``: exact cell
     multiples, a node landing on a cell edge (``step/2`` moves the middle
     node to ``t = -1`` of the next cell) and windings past +-pi included."""
@@ -265,11 +320,11 @@ def test_node_antiderivative_matches_the_general_route(label, resolution):
     for d in (0.0, h, -h, h / 2, -h / 2, 8 * step, step / 2, -step / 2, 3.0,
               2 * np.pi, -2 * np.pi):
         want = cache.antiderivative(x + d)
-        got = cache.node_antiderivative(d)
+        got = cache.node_antiderivative(cache.partition.landing_plan(d))
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 4e-15 * max(1.0, np.max(np.abs(want))), d
     if np.isrealobj(cache.gl_values):
-        assert cache.node_antiderivative(h).dtype == np.float64
+        assert cache.node_antiderivative(cache.partition.landing_plan(h)).dtype == np.float64
 
 
 # measured max |error| at the nodes, (r = 1, 2, 4), centered then shifted

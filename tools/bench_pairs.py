@@ -16,6 +16,15 @@ end-to-end metrics, and the run's attempted/failed counts) and, per workload
 and side, the median and quartiles of each metric, plus how many pairs the
 change won on each metric.  Runs are serial: a benchmark run pins its own
 workers to one thread, and concurrent runs would contend for the cores.
+
+Each metric of the summary also carries two verdicts, in the direction
+``BENCHMARK.json`` gives as better:
+
+* ``gain_resolved``: the change won at least nine tenths of the pairs (ties
+  count for neither side), and its median is better than the parent's by
+  more than the parent's quartile spread (third minus first quartile);
+* ``worse_beyond_bound``: the change's median is worse than the parent's by
+  more than the metric's ``bound``, a share of the parent's median.
 """
 
 import argparse
@@ -90,15 +99,20 @@ def summarize(runs: list, metrics: list) -> dict:
             by_pair = {}
             for r in mine:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"].get(name)
-            wins = sum(1 for p in by_pair.values()
-                       if None not in (p.get("parent"), p.get("change"))
-                       and (p["change"] < p["parent"] if lower else p["change"] > p["parent"]))
+            pairs = [p for p in by_pair.values() if None not in (p.get("parent"), p.get("change"))]
+            wins = sum(1 for p in pairs
+                       if (p["change"] < p["parent"] if lower else p["change"] > p["parent"]))
+            parent, change = statistics.median(sides["parent"]), statistics.median(sides["change"])
+            q1, _, q3 = quartiles(sides["parent"])
+            better_by = parent - change if lower else change - parent
             entry[name] = {
-                "parent_median": statistics.median(sides["parent"]),
-                "change_median": statistics.median(sides["change"]),
+                "parent_median": parent,
+                "change_median": change,
                 "parent_quartiles": quartiles(sides["parent"]),
                 "change_quartiles": quartiles(sides["change"]),
                 "change_better_pairs": wins,
+                "gain_resolved": 10 * wins >= 9 * len(pairs) and better_by > q3 - q1,
+                "worse_beyond_bound": -better_by > metric["bound"] * abs(parent),
             }
         out[workload] = entry
     return out
