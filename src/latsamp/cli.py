@@ -222,6 +222,11 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     if cfg["gamma"] is not None:
         if not 0.0 < cfg["gamma"] < np.inf:
             raise UsageError(f"--gamma must be positive and finite, got {cfg['gamma']!r}")
+        # the window gamma/n of the smallest scale is the widest; one period at most
+        if cfg["gamma"] / ns[0] > 2.0 * np.pi:
+            raise UsageError(
+                f"--gamma {cfg['gamma']:g} is too large for n = {ns[0]}: its window "
+                f"gamma/n = {cfg['gamma'] / ns[0]:g} is wider than one period 2*pi")
         # the window gamma/n of the largest scale sets the finest partition
         needed = _window_resolution(cfg["gamma"] / ns[-1])
         if needed > MAX_RESOLUTION:

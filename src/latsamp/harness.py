@@ -393,7 +393,7 @@ def bump_train(n: int, k0: int, width: float) -> PointwiseFunction:
         return np.exp(1j * k0 * t) * smooth_bump((x - t) / width)
 
     return PointwiseFunction(label=f"bump_train:{n}", evaluator=evaluate,
-                             smoothness_hint="smooth")
+                             smoothness_hint=np.inf)
 
 
 @dataclass

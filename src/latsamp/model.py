@@ -44,9 +44,10 @@ OVERSAMPLE = 64
 #: A window average must span at least this many uniform grid steps.
 MIN_PANELS_PER_WINDOW = 64
 
-#: Largest partition resolution: the window resolution of the default width
-#: ``pi/(2n+1)`` at the degree cap n = 4096.  A tiny mesh parameter asks for
-#: far more (2^32 cells at gamma = 1e-6, n = 8: 34 GB of edges alone).
+#: Largest partition resolution: 2x headroom (1.9998x) above 128*8193 =
+#: 1048704, the window resolution of the default width ``pi/(2n+1)`` at the
+#: degree cap n = 4096.  A tiny mesh parameter asks for far more (3.2e9 cells
+#: at gamma = 1e-6, n = 8: 26 GB of edges alone).
 MAX_RESOLUTION = 1 << 21
 
 
@@ -300,15 +301,20 @@ class Partition:
         points.setflags(write=False)
         return points
 
-    def locate(self, y):
+    def locate(self, y, offset=0.0):
         """Panel, panel width, in-panel ``t`` in [-1, 1] and winding of points
-        ``y``: ``y - 2 pi winding`` lies in ``[-pi, pi)``, so y = pi winds once."""
-        winding = np.floor((y + np.pi) / TWO_PI)
+        ``y + offset``: ``y + offset - 2 pi winding`` lies in ``[-pi, pi)``, so
+        pi winds once.  ``t`` is read from ``(y - 2 pi winding - a) + offset``,
+        so a window end ``y + offset`` is placed to the rounding of the offset
+        and of its distance to the panel edge ``a``, not of ``|y|``."""
+        z = y + offset
+        winding = np.floor((z + np.pi) / TWO_PI)
         y = y - winding * TWO_PI
-        j = np.clip(np.searchsorted(self.edges, y, side="right") - 1, 0, self.edges.size - 2)
+        j = np.clip(np.searchsorted(self.edges, z - winding * TWO_PI, side="right") - 1,
+                    0, self.edges.size - 2)
         a = self.edges[j]
         width = self.edges[j + 1] - a
-        return j, width, 2.0 * (y - a) / width - 1.0, winding
+        return j, width, 2.0 * ((y - a) + offset) / width - 1.0, winding
 
     def landing_plan(self, shift: float) -> "LandingPlan":
         """Where ``x + shift`` lands, for every Gauss-Legendre node ``x``: with
@@ -335,7 +341,7 @@ class Partition:
         a, b = self.edges[j], self.edges[j + 1]
         return LandingPlan((2.0 * (s - c) - 1.0)[:, None] ** np.arange(6) @ _GL_INTEGRAL,
                            tuple(landings[k] for k in q + c), (j, g),
-                           self.locate(a + 0.5 * (b - a) * (GL_NODES[g] + 1.0) + shift))
+                           self.locate(a + 0.5 * (b - a) * (GL_NODES[g] + 1.0), shift))
 
 
 class LandingPlan(NamedTuple):
@@ -365,13 +371,18 @@ class DenseGridCache:
         Values at the per-panel Gauss-Legendre nodes: every integral, partial
         panel and interpolated value of the cache is read from these.
     prefix : (M+1,) complex
-        ``prefix[j] = int_{-pi}^{edges[j]} f``.
+        ``prefix[j] = int_{-pi}^{edges[j]} f``, rounded; :attr:`prefix_error`
+        holds what the rounding lost.
     best : dict
         ``besov_sum``'s level values by ``(d, spec)``; empty on a new or spawned cache.
 
     F is read at arbitrary points by a panel search (:meth:`antiderivative`),
     and at all nodes shifted by one offset through the partition's landing
     plan of that offset (:meth:`node_antiderivative`), shared by its caches.
+    Both read F anchored at a panel edge, ``F(y) - F(edges[anchor])``: the two
+    prefix rows are subtracted before anything else is added, and the prefix
+    table's rounding error after, so a window integral, the difference of two
+    reads with one anchor, loses eps times itself rather than eps ``|F|``.
     """
 
     fn: Optional[PointwiseFunction]
@@ -405,38 +416,60 @@ class DenseGridCache:
         """Integral over the full period."""
         return self.prefix[-1]
 
+    @cached_property
+    def prefix_error(self) -> np.ndarray:
+        """``int_{-pi}^{edges[j]} f - prefix[j]``: each step of the prefix sum
+        loses ``panel - (prefix[j+1] - prefix[j])``, both differences exact
+        (Sterbenz) wherever consecutive prefixes are within a factor 2."""
+        panel_int = (self.gl_values @ GL_WEIGHTS) * (0.5 * self.widths)
+        return np.concatenate([[0.0], np.cumsum(panel_int - np.diff(self.prefix))])
+
     # -- antiderivative ------------------------------------------------------
 
-    def antiderivative(self, y) -> np.ndarray:
-        """F(y) = int_{-pi}^{y} f, extended by F(y + 2pi) = F(y) + F(pi)."""
+    def antiderivative(self, y, offset=0.0, anchor=0) -> np.ndarray:
+        """``F(y + offset) - F(edges[anchor])`` with ``F(y) = int_{-pi}^{y} f``,
+        extended by F(y + 2pi) = F(y) + F(pi); ``anchor`` is a panel per point,
+        or panel 0 (F itself).  The end is placed by :meth:`Partition.locate`."""
         y = np.asarray(y, dtype=float)
-        return self._antiderivative_at(*self.partition.locate(y.ravel())).reshape(y.shape)
+        located = self.partition.locate(y.ravel(), offset)
+        return self._antiderivative_at(*located, np.ravel(anchor)).reshape(y.shape)
 
-    def _antiderivative_at(self, j, width, t, winding):
-        """F at located points: ``int_{a_j}^{y} f`` by Horner in ``t`` on the
-        interpolant coefficients of panels ``j`` alone."""
+    def _antiderivative_at(self, j, width, t, winding, anchor):
+        """``F(y) - F(edges[anchor])`` at located points: the prefix rows'
+        difference, then ``int_{a_j}^{y} f`` by Horner in ``t`` on the
+        interpolant coefficients of panels ``j`` alone and the prefix errors."""
         tab = _GL_INTEGRAL @ self.gl_values[j].T
         acc = tab[5]
         for m in range(4, -1, -1):
             acc *= t
             acc += tab[m]
-        return self.prefix[j] + 0.5 * width * acc + winding * self.total
+        err = self.prefix_error
+        return ((self.prefix[j] - self.prefix[anchor])
+                + (0.5 * width * acc + (err[j] - err[anchor] + winding * err[-1]))
+                + winding * self.total)
 
     def node_antiderivative(self, plan: "LandingPlan") -> np.ndarray:
-        """(M, 5) ``F(x + shift)`` at the Gauss-Legendre nodes ``x`` through the
-        :meth:`~Partition.landing_plan` of ``shift``, as the transpose of a
-        (5, M) array: each column's gather and windings run on contiguous memory."""
+        """(M, 5) ``F(x + shift) - F(e_j)`` at the Gauss-Legendre nodes ``x`` of
+        each panel ``[e_j, e_j+1]``, F anchored at the node's own panel, through
+        the :meth:`~Partition.landing_plan` of ``shift``; the transpose of a
+        (5, M) array, so each column's gather and windings run on contiguous
+        memory.  Two ends' difference is the window integral to its rounding."""
+        prefix, err = self.prefix, self.prefix_error
         at_t = plan.kernel @ self.gl_values.T
         at_t *= 0.5 * self.widths
-        at_t += self.prefix[:-1]
         for row, (hit, split, low) in zip(at_t, plan.landings):
             if hit is not None:
+                row += err[:-1]
                 row[:] = row.take(hit)
+                row -= err[:-1]
+                base = prefix.take(hit)
+                base -= prefix[:-1]
+                row += base
             for rows, turns in ((row[:split], low), (row[split:], low + 1)):
                 if turns:
-                    rows += turns * self.total
+                    rows += turns * (self.total + err[-1])
         out = at_t.T
-        out[plan.lost] = self._antiderivative_at(*plan.located)
+        out[plan.lost] = self._antiderivative_at(*plan.located, plan.lost[0])
         return out
 
     # -- values --------------------------------------------------------------
@@ -493,18 +526,26 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
 
 
 def _window_resolution(h: float) -> int:
-    """Smallest power of two whose grid puts >= 64 steps in a window ``h``."""
-    return 1 << int(np.ceil(np.log2(int(np.ceil(MIN_PANELS_PER_WINDOW * TWO_PI / h)))))
+    """Fewest uniform cells, a multiple of 64, whose grid puts >= 64 steps in a
+    window ``h``: ``64 * ceil(2 pi / h)``, with ``2 pi / h`` within rounding of
+    a whole number taken as that number.  The default width ``pi/(2n+1)`` thus
+    gets exactly ``128(2n+1)`` cells, of which ``h`` spans 64 and ``h/2`` 32."""
+    return MIN_PANELS_PER_WINDOW * int(np.ceil(TWO_PI / h * (1.0 - 1e-12)))
 
 
 def ensure_window_resolution(cache: DenseGridCache, h: float) -> DenseGridCache:
-    """Refine a base cache until the window ``h`` spans >= 64 uniform steps
-    (to :func:`_window_resolution`)."""
-    if cache.resolution >= MIN_PANELS_PER_WINDOW * TWO_PI / h:
+    """A base cache on a grid that the window ``h`` spans in whole cells:
+    ``cache`` itself when its resolution is a multiple of
+    :func:`_window_resolution`, else its function rebuilt at the least such
+    multiple not below that resolution.  So a cache is never coarsened, and a
+    second call returns the first call's cache.  Every window end, and every
+    breakpoint on the grid shifted by whole windows, then falls on a cell edge."""
+    need = _window_resolution(h)
+    if cache.resolution % need == 0:
         return cache
     if cache.fn is None:
         raise ValueError("cannot refine a derived cache; rebuild the base cache")
-    return build_cache(cache.fn, resolution=_window_resolution(h))
+    return build_cache(cache.fn, resolution=need * -(-cache.resolution // need))
 
 
 # ----------------------------------------------------------------------------

@@ -15,6 +15,11 @@ Two backends:
   the iteration count r, supported for r <= 4).  A level reads each window
   end as a (5, 5) kernel product, a prefix add and a gather, through the
   window's two landing plans, built once per chain for all its levels.
+  Base caches are first put on a grid the window spans in whole cells
+  (:func:`~latsamp.model.ensure_window_resolution`): at the default width
+  ``pi/(2n+1)`` both window ends, centered or shifted, and the kinks of every
+  level of a function with breakpoints on the grid fall on cell edges, so
+  each level of a piecewise polynomial is read exactly.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = Tru
     _check_h(h)
     x = np.asarray(points, dtype=float)
     lo, hi = (-0.5 * h, 0.5 * h) if centered else (0.0, h)
-    return (cache.antiderivative(x + hi) - cache.antiderivative(x + lo)) / h
+    anchor = cache.partition.locate(x.ravel())[0]
+    return (cache.antiderivative(x, hi, anchor) - cache.antiderivative(x, lo, anchor)) / h
 
 
 def _chain(cache: DenseGridCache, h: float, r: int, centered: bool) -> list:
@@ -92,7 +98,7 @@ def _chain(cache: DenseGridCache, h: float, r: int, centered: bool) -> list:
 
 def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> DenseGridCache:
     """``obj`` as a cache resolving the window ``h``: a function is cached
-    (:func:`~latsamp.trigpoly._as_cache`), a base cache refined
+    (:func:`~latsamp.trigpoly._as_cache`), a base cache put on its grid
     (:func:`ensure_window_resolution`); a derived cache passes through as it is."""
     cache = _as_cache(obj, 0)
     return cache if cache.fn is None else ensure_window_resolution(cache, h)
@@ -101,8 +107,8 @@ def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> De
 def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
     """Apply the window average once; the result has the input's type.
 
-    Base caches are refined first if the window would span fewer than 64
-    uniform grid steps.
+    Base caches are first put on a grid the window spans in whole cells,
+    at least 64 of them (:func:`~latsamp.model.ensure_window_resolution`).
     """
     _check_h(h)
     if isinstance(obj, TrigPoly):

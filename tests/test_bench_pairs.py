@@ -44,3 +44,26 @@ def test_worse_beyond_bound_is_a_share_of_the_parent_median():
     assert _summary(parent, [(1.24, 0.991)] * 4)["ok_share"]["worse_beyond_bound"] is False
     assert _summary(parent, [(1.26, 0.98)] * 4)["wall_s"]["worse_beyond_bound"] is True
     assert _summary(parent, [(1.26, 0.98)] * 4)["ok_share"]["worse_beyond_bound"] is True
+
+
+def test_cli_pairs_alternate_and_summarize_wall_time():
+    """``--cli`` runs each default subcommand once per side per pair, the parent
+    first in even pairs, at ``--seed 7``, and summarizes them as ``cli:CMD``
+    workloads on ``wall_s`` alone."""
+    calls = []
+
+    def fake(tree, command):
+        calls.append((tree, command))
+        wall = {"parent": 2.0, "change": 1.0}[tree] + 0.01 * len(calls)
+        return {"attempted": 1, "failed": 0, "exit": 0, "metrics": {"wall_s": wall}}
+
+    runs = bench_pairs.time_cli({"parent": "parent", "change": "change"}, 2, run=fake)
+    assert [c for _, c in calls[::4]] == list(bench_pairs.CLI_COMMANDS)
+    assert [t for t, _ in calls[:4]] == ["parent", "change", "change", "parent"]
+    assert {r["seed"] for r in runs} == {7}
+    assert [r["order"] for r in runs[:4]] == [1, 2, 1, 2]
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert sorted(summary) == sorted(f"cli:{c}" for c in bench_pairs.CLI_COMMANDS)
+    entry = summary["cli:rates"]
+    assert entry["pairs"] == 2 and "ok_share" not in entry
+    assert entry["wall_s"]["change_better_pairs"] == 2

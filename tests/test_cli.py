@@ -93,7 +93,7 @@ def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
     parse = cli.build_parser().parse_args
     with pytest.raises(cli.UsageError, match="--gamma"):
         cli.merge_config(parse(["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6"]))
-    # the smallest power-of-two gamma/8 still within the cap is accepted
+    # the smallest gamma/8 whose window resolution is still within the cap is accepted
     gamma = 8 * 64 * 2 * np.pi / MAX_RESOLUTION
     assert _window_resolution(gamma / 8) == MAX_RESOLUTION
     assert cli.merge_config(parse(["equiv", "--seed", "7", "--n", "4,8",
@@ -104,6 +104,24 @@ def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["equiv", "--seed", "7", "--n", "8", "--gamma", "1e-6", "--out", str(out)]) == 1
     assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma_too_large_for_smallest_scale_is_usage_error(tmp_path, capsys):
+    """A window gamma/n wider than one period at the smallest scale is refused
+    by flag and scale while the config is merged (before, the first task failed
+    with "window width h must lie in (0, 2*pi]")."""
+    parse = cli.build_parser().parse_args
+    with pytest.raises(cli.UsageError, match="--gamma 100 is too large for n = 8"):
+        cli.merge_config(parse(["equiv", "--seed", "7", "--n", "8,16", "--gamma", "100"]))
+    # gamma/8 = 2 pi exactly is one period, which a window may span
+    gamma = 16 * np.pi
+    assert cli.merge_config(parse(["equiv", "--seed", "7", "--n", "8,16",
+                                   "--gamma", repr(gamma)]))["gamma"] == gamma
+    out = tmp_path / "o"
+    assert run(["equiv", "--seed", "7", "--n", "8,16", "--gamma", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--gamma" in err and "n = 8" in err
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from latsamp import (
     wrap_angle,
 )
 from latsamp.model import (MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO, _mod_two_pi,
-                           partition)
+                           _window_resolution, partition)
 from latsamp.norms import _cache_mass
 from latsamp.trigpoly import MAX_DEGREE
 
@@ -163,7 +163,8 @@ def test_antiderivative_of_cos():
 
 def _exact_partial_antiderivative(cache, y):
     """F(y) with the partial panel integrated by 5-node Gauss-Legendre on the
-    exact evaluator, over the same prefix table and panel search."""
+    exact evaluator, over the same prefix table (with its rounding error added
+    back, as the cache reads it) and panel search."""
     from latsamp.model import GL_NODES, GL_WEIGHTS
     winding = np.floor((y + np.pi) / TWO_PI)
     yw = y - winding * TWO_PI
@@ -172,7 +173,9 @@ def _exact_partial_antiderivative(cache, y):
     half = 0.5 * (yw - a)
     nodes = a[:, None] + half[:, None] * (GL_NODES[None, :] + 1.0)
     vals = cache.fn(nodes.ravel()).reshape(nodes.shape)
-    return cache.prefix[j] + half * (vals @ GL_WEIGHTS) + winding * cache.total
+    err = cache.prefix_error
+    return (cache.prefix[j] + (half * (vals @ GL_WEIGHTS) + err[j] + winding * err[-1])
+            + winding * cache.total)
 
 
 @pytest.mark.parametrize("resolution", [4096, 65536])
@@ -230,9 +233,9 @@ def test_ensure_window_resolution():
     cache = build_cache(f, resolution=32)
     fine = ensure_window_resolution(cache, h=1e-3)
     assert fine.panel_count > cache.panel_count
-    # already fine enough: same object comes back
-    again = ensure_window_resolution(fine, h=np.pi / 3)
-    assert again is fine
+    # a multiple of the window resolution 64*4 = 256: same object comes back
+    again = ensure_window_resolution(fine, h=np.pi / 2)
+    assert fine.resolution % 256 == 0 and again is fine
 
 
 def test_cache_integrate_square():
@@ -315,12 +318,39 @@ def test_partition_accepts_numpy_integers():
 
 
 def test_partition_resolution_is_capped():
-    """The cap is the window resolution of the default width at the degree
-    cap; one cell more is refused."""
+    """The cap leaves 2x headroom (1.9998x) above 128*8193 = 1048704 cells, the
+    window resolution of the default width at the degree cap; one cell more is
+    refused."""
     h = np.pi / (2 * MAX_DEGREE + 1)
-    assert 1 << int(np.ceil(np.log2(MIN_PANELS_PER_WINDOW * TWO_PI / h))) == MAX_RESOLUTION
+    assert _window_resolution(h) == 1048704 and MAX_RESOLUTION / 1048704 > 1.9997
     with pytest.raises(ValueError, match=str(MAX_RESOLUTION + 1)):
         partition(MAX_RESOLUTION + 1, ())
+
+
+def test_default_window_resolution_is_exact_at_every_degree():
+    """``pi/(2n+1)`` spans exactly 64 cells of ``128(2n+1)``, with no rounding
+    up, at every n up to the degree cap."""
+    n = np.arange(1, MAX_DEGREE + 1)
+    got = [_window_resolution(h) for h in np.pi / (2 * n + 1)]
+    assert np.array_equal(got, 128 * (2 * n + 1))
+    assert _window_resolution(TWO_PI) == MIN_PANELS_PER_WINDOW
+    # a window a hair wider than 2 pi / 3 still needs 3 windows' worth of cells
+    assert _window_resolution(TWO_PI / 3 * (1 - 1e-9)) == 4 * MIN_PANELS_PER_WINDOW
+
+
+@pytest.mark.parametrize("resolution, h, want", [
+    (1024, 0.03, 13440),           # 64 * ceil(209.4): refined to the window resolution
+    (4096, np.pi / 17, 4352),      # n = 8: the least multiple of 2176 above 4096
+    (4352, np.pi / 17, 4352),      # already a multiple: kept
+    (8704, np.pi / 17, 8704),      # a finer multiple is kept, not coarsened
+    (4608, np.pi / 17, 6528),      # finer but not a multiple: the next multiple up
+])
+def test_ensure_window_resolution_keeps_multiples_and_never_coarsens(resolution, h, want):
+    cache = build_cache(corpus()["square"], resolution=resolution)
+    got = ensure_window_resolution(cache, h)
+    assert got.resolution == want and got.resolution % _window_resolution(h) == 0
+    assert (got is cache) == (want == resolution)
+    assert ensure_window_resolution(got, h) is got
 
 
 def test_tiny_window_raises_before_allocating():

@@ -179,7 +179,9 @@ CACHE_SOURCE_CASES = {
 # given through the ``cache=`` keyword these functions had before
 KEYWORD_VALUES = {
     "approx_error": (0.023689008189257534, 0.023982821810282367),
-    "semidiscrete_modulus": (0.17978657690180935, 2.7640952318792554e-15),
+    # within 1.2e-16 of the oracle's 0.1797866299901979 (test_modulus_oracle.py)
+    # and of its zero discrete part
+    "semidiscrete_modulus": (0.179786629990198, 1.0932720593655596e-16),
     "kfunc_vp": (0.1424560838463557,),
     "realization": (0.06378495328771044, 0.0808569068767945, 0.015873679776712998),
     "best_approx": (0.14285712735667366,),

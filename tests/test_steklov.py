@@ -225,11 +225,11 @@ def test_window_step_memory():
 
 
 def test_steklov_level_sends_only_graded_nodes_to_the_antiderivative(monkeypatch):
-    """A shifted level at R = 65536 takes F at the uniform cells' nodes through
-    the landing plans: only nodes of graded panels, and nodes whose window end
-    lands in one, are located by a panel search (10*M before), and the general
-    antiderivative is never called."""
-    cache = build_cache(corpus()["square"], resolution=65536)
+    """A shifted level at R = 32896, the n = 128 window resolution, takes F at
+    the uniform cells' nodes through the landing plans: only nodes of graded
+    panels, and nodes whose window end lands in one, are located by a panel
+    search (10*M before), and the general antiderivative is never called."""
+    cache = build_cache(corpus()["square"], resolution=32896)
     graded = cache.panel_count - uniform_cells(cache.edges, cache.resolution)[0].size
     sizes, plans = [], []
     antiderivative, landing_plan = DenseGridCache.antiderivative, Partition.landing_plan
@@ -280,13 +280,13 @@ def test_chain_levels_share_two_plans_bit_for_bit(monkeypatch, centered):
 
 
 def test_i_minus_a_pow_peak_memory():
-    """``(I - A_h)^2`` of the square wave on its n = 128 window cache (M = 66540
+    """``(I - A_h)^2`` of the square wave on its n = 128 window cache (M = 33948
     panels) peaks at no more than five (M, 5) node arrays above its input: its
     two levels, their binomial sum (in the levels' dtype, real here) and one
     transient.  The partition's cell map, part of the input, is built first."""
     h = np.pi / 257
     cache = ensure_window_resolution(build_cache(corpus()["square"], n_scale=256), h)
-    assert cache.panel_count == 66540
+    assert cache.panel_count == 33948
     cache.partition.cell_map
     tracemalloc.start()
     try:
@@ -310,16 +310,18 @@ def _level_or_base(label, resolution):
 @pytest.mark.parametrize("resolution", [256, 1024, 65536])
 @pytest.mark.parametrize("label", ["square", "cusp15", "sawtooth", "exp3", "square-level"])
 def test_node_antiderivative_matches_the_general_route(label, resolution):
-    """F(x + d) at the Gauss-Legendre nodes through the landing plan of ``d``,
-    against :meth:`antiderivative` at ``gl_points() + d``: exact cell
+    """F(x + d) - F(e_j) at the Gauss-Legendre nodes of each panel [e_j, e_j+1]
+    through the landing plan of ``d``, against :meth:`antiderivative` of
+    ``gl_points()`` offset by ``d`` and anchored at the same panels: exact cell
     multiples, a node landing on a cell edge (``step/2`` moves the middle
     node to ``t = -1`` of the next cell) and windings past +-pi included."""
     cache = _level_or_base(label, resolution)
     h, step = np.pi / 257, 2 * np.pi / resolution
     x = cache.gl_points()
+    panels = np.broadcast_to(np.arange(cache.panel_count)[:, None], x.shape)
     for d in (0.0, h, -h, h / 2, -h / 2, 8 * step, step / 2, -step / 2, 3.0,
               2 * np.pi, -2 * np.pi):
-        want = cache.antiderivative(x + d)
+        want = cache.antiderivative(x, d, panels)
         got = cache.node_antiderivative(cache.partition.landing_plan(d))
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 4e-15 * max(1.0, np.max(np.abs(want))), d

@@ -278,8 +278,8 @@ def _transform_caches():
             caches[f"{label}@{res}"] = build_cache(fns[label], resolution=res)
     caches["rotated@4096"] = build_cache(_rotated_sawtooth(), resolution=4096)
     refined = ls.ensure_window_resolution(build_cache(fns["square"], resolution=1024), 0.03)
-    assert refined.resolution == 16384
-    caches["square@16384"] = refined
+    assert refined.resolution == 13440
+    caches["square@13440"] = refined
     base = caches["sawtooth@1024"]
     caches["spawned@1024"] = base.spawn(base.gl_values ** 2 + 1j)
     return caches

@@ -1,6 +1,7 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH.json probe-wlp:8 rates-l2:3
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH.json --cli 3 rates-l2:10
 
 Each positional argument is ``WORKLOAD[:PAIRS]`` (3 pairs when omitted; with
 no arguments, every workload of ``BENCHMARK.json`` gets 3 pairs).  The commit
@@ -10,6 +11,13 @@ runs ``python3 perfbench/run.py --workload W --seed S --seconds 8 --trace 0``
 with seed ``S = --seed + i`` once in the parent export and once in the
 working tree; even pairs run the parent first and odd pairs the change first,
 so drift in machine load falls on both sides alike.
+
+``--cli PAIRS`` also times the six CLI subcommands at their default config as
+whole processes, ``python3 -m latsamp.cli CMD --seed 7`` with each tree's
+``src`` on ``PYTHONPATH`` and BLAS pinned to one thread, in the same
+alternating pairs.  Each is recorded as workload ``cli:CMD`` with its
+``wall_s`` (start-up included) and ``attempted``/``failed`` counts of 1 and
+its exit code != 0.
 
 The output holds every run (workload, pair, seed, side, order, the six
 end-to-end metrics, and the run's attempted/failed counts) and, per workload
@@ -36,10 +44,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 8
 DEFAULT_PAIRS = 3
+CLI_COMMANDS = ("probe", "equiv", "rates", "counterexample", "onesided", "report")
+CLI_SEED = 7
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def benchmark() -> dict:
@@ -74,6 +86,45 @@ def run_once(tree: str, workload: str, seed: int) -> dict:
     return {"correct": report["correct"], "attempted": report["attempted"],
             "failed": report["failed"],
             "metrics": {k: v["value"] for k, v in report["metrics"].items()}}
+
+
+def run_cli(tree: str, command: str) -> dict:
+    """One whole-process ``latsamp COMMAND --seed 7`` run of ``tree``, timed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **PINNED)
+    with tempfile.TemporaryDirectory(prefix="bench-cli-") as out:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "latsamp.cli", command,
+                               "--seed", str(CLI_SEED), "--out", out],
+                              cwd=tree, env=env, capture_output=True, check=False)
+        wall = time.perf_counter() - start
+    return {"attempted": 1, "failed": int(proc.returncode != 0), "exit": proc.returncode,
+            "metrics": {"wall_s": wall}}
+
+
+def alternate(trees: dict, plan: list, run, seed: int, seed_step: int = 1) -> list:
+    """Runs of ``run(tree, job, seed)`` for ``(job, pairs)`` in ``plan``: pair
+    ``i`` takes seed ``seed + seed_step * i``, even pairs run the parent first,
+    odd pairs the change first."""
+    runs = []
+    for job, pairs in plan:
+        for pair in range(pairs):
+            pair_seed = seed + seed_step * pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                result = run(trees[side], job, pair_seed)
+                runs.append({"workload": job, "pair": pair, "seed": pair_seed,
+                             "side": side, "order": position + 1, **result})
+                print(f"{job} pair {pair} seed {pair_seed} {side}: "
+                      f"wall_s={result['metrics'].get('wall_s')}", flush=True)
+    return runs
+
+
+def time_cli(trees: dict, pairs: int, run=run_cli) -> list:
+    """Alternating pairs of the six default subcommands as ``cli:CMD`` runs,
+    every one at ``--seed 7``."""
+    plan = [(f"cli:{command}", pairs) for command in CLI_COMMANDS]
+    return alternate(trees, plan, lambda tree, job, _seed: run(tree, job.removeprefix("cli:")),
+                     CLI_SEED, seed_step=0)
 
 
 def quartiles(values: list) -> list:
@@ -123,8 +174,12 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="commit to compare the working tree against")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--seed", type=int, default=51, help="seed of the first pair")
+    p.add_argument("--cli", type=int, default=0, metavar="PAIRS",
+                   help="also time the six default CLI subcommands in PAIRS pairs")
     p.add_argument("plan", nargs="*", metavar="WORKLOAD[:PAIRS]")
     args = p.parse_args(argv)
+    if args.cli < 0:
+        p.error(f"--cli needs a number of pairs >= 0, got {args.cli}")
     known = [w["name"] for w in benchmark()["workloads"]]
     plan = []
     for item in args.plan or known:
@@ -142,21 +197,11 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = benchmark()["end_to_end"]
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
-    runs = []
     try:
         sha, parent_tree = export(args.parent, scratch)
         trees = {"parent": parent_tree, "change": ROOT}
-        for workload, pairs in args.plan:
-            for pair in range(pairs):
-                seed = args.seed + pair
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for position, side in enumerate(order):
-                    result = run_once(trees[side], workload, seed)
-                    runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "order": position + 1, **result})
-                    wall = result["metrics"].get("wall_s")
-                    print(f"{workload} pair {pair} seed {seed} {side}: wall_s={wall}",
-                          flush=True)
+        runs = alternate(trees, args.plan, run_once, args.seed)
+        cli_runs = time_cli(trees, args.cli) if args.cli else []
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     report = {
@@ -166,6 +211,11 @@ def main(argv=None) -> int:
         "summary": summarize(runs, metrics),
         "runs": runs,
     }
+    if cli_runs:
+        report["cli_command"] = f"python3 -m latsamp.cli CMD --seed {CLI_SEED} --out DIR"
+        report["summary"].update(summarize(cli_runs, [m for m in metrics
+                                                      if m["name"] == "wall_s"]))
+        report["runs"] += cli_runs
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
