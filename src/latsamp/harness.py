@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .bestapprox import besov_sum, one_sided_best
-from .model import (DEFAULT_RESOLUTION, GL_NODES, GL_WEIGHTS, OVERSAMPLE, TWO_PI,
-                    PointwiseFunction, build_cache, make_jittered_nodes, make_uniform_nodes)
+from .model import (GL_NODES, GL_WEIGHTS, TWO_PI, PointwiseFunction, build_cache,
+                    make_jittered_nodes, make_uniform_nodes)
 from .norms import NormSpec, _measure_norm, discrete_seminorm, poly_norm
 from .operators import apply_operator, approx_error, parse_operator
 from .smoothness import (default_width, kfunc_vp, realization,
@@ -460,17 +460,17 @@ def onesided_study(functions: Dict[str, PointwiseFunction], n_range: Sequence[in
 
     All quantities in L1 (the one-sided solver's norm).  Rows where both the
     error and the one-sided value vanish are marked excluded.  A function's tasks
-    share its cache per resolution (freed on return), and with it the levels
-    :func:`besov_sum` memoizes there, so each is computed once per function.
+    share one cache at the largest scale 2n (freed on return), and with it the
+    levels :func:`besov_sum` memoizes there, so each is computed once per function.
     """
     spec = NormSpec("lebesgue", 1.0)
     op = parse_operator(op)
+    n_scale = max(2 * max(n_range, default=0), 8)
     caches = {}
 
     def one_task(item):
         label, f, n = item
-        key = label, max(DEFAULT_RESOLUTION, OVERSAMPLE * max(2 * n, 8))
-        cache = caches[key] = caches.get(key) or build_cache(f, resolution=key[1])
+        cache = caches[label] = caches.get(label) or build_cache(f, n_scale=n_scale)
         err = approx_error(cache, op, n, spec).continuous
         os_res = one_sided_best(f, n, spec)
         bs = besov_sum(cache, n, spec, eps=eps, max_degree=besov_cap)

@@ -8,7 +8,8 @@ types defined here:
 * :class:`NodeSet` -- sampling nodes on ``[-pi, pi)`` with mesh constants.
 * :class:`Partition` -- a breakpoint-aware Gauss-Legendre panel partition, built
   once by the memoized :func:`partition` and shared read-only by every cache on it.
-* :class:`DenseGridCache` -- node values and an antiderivative (prefix) table.
+* :class:`DenseGridCache` -- node values; the antiderivative (prefix) table
+  and its rounding error are built together on the first read of F.
 
 The cache is the single quadrature surface of the package: panel integrals are
 5-point Gauss-Legendre, panels are split at declared breakpoints and graded
@@ -368,11 +369,11 @@ class DenseGridCache:
         The shared panel partition; the cache reads its ``edges`` (M+1,),
         ``edges[0] = -pi``, ``edges[-1] = pi``, and base ``resolution``.
     gl_values : (M, 5) complex
-        Values at the per-panel Gauss-Legendre nodes: every integral, partial
-        panel and interpolated value of the cache is read from these.
+        Values at the per-panel Gauss-Legendre nodes, made row-major so every
+        cache's panel sums round alike: all the cache's numbers come from these.
     prefix : (M+1,) complex
-        ``prefix[j] = int_{-pi}^{edges[j]} f``, rounded; :attr:`prefix_error`
-        holds what the rounding lost.
+        ``prefix[j] = int_{-pi}^{edges[j]} f``, rounded, and :attr:`prefix_error`,
+        what the rounding lost: built together on the first read of F.
     best : dict
         ``besov_sum``'s level values by ``(d, spec)``; empty on a new or spawned cache.
 
@@ -388,8 +389,10 @@ class DenseGridCache:
     fn: Optional[PointwiseFunction]
     partition: Partition
     gl_values: np.ndarray
-    prefix: np.ndarray
     best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.gl_values = np.ascontiguousarray(self.gl_values)
 
     # -- construction helpers ------------------------------------------------
 
@@ -411,18 +414,23 @@ class DenseGridCache:
     def gl_weights(self) -> np.ndarray:
         return self.partition.gl_weights()
 
+    @cached_property
+    def _prefix_table(self):
+        """``(prefix, prefix_error)`` in one pass over the panel integrals: each
+        step of the prefix sum loses ``panel - (prefix[j+1] - prefix[j])``, both
+        differences exact (Sterbenz) wherever consecutive prefixes are within a
+        factor 2."""
+        panel_int = (self.gl_values @ GL_WEIGHTS) * (0.5 * self.widths)
+        prefix = np.concatenate([[0.0], np.cumsum(panel_int)])
+        return prefix, np.concatenate([[0.0], np.cumsum(panel_int - np.diff(prefix))])
+
+    prefix = property(lambda self: self._prefix_table[0])
+    prefix_error = property(lambda self: self._prefix_table[1])
+
     @property
     def total(self) -> complex:
         """Integral over the full period."""
         return self.prefix[-1]
-
-    @cached_property
-    def prefix_error(self) -> np.ndarray:
-        """``int_{-pi}^{edges[j]} f - prefix[j]``: each step of the prefix sum
-        loses ``panel - (prefix[j+1] - prefix[j])``, both differences exact
-        (Sterbenz) wherever consecutive prefixes are within a factor 2."""
-        panel_int = (self.gl_values @ GL_WEIGHTS) * (0.5 * self.widths)
-        return np.concatenate([[0.0], np.cumsum(panel_int - np.diff(self.prefix))])
 
     # -- antiderivative ------------------------------------------------------
 
@@ -493,17 +501,7 @@ class DenseGridCache:
 
     def spawn(self, gl_values) -> "DenseGridCache":
         """Derived cache on the same partition from new node values."""
-        return _integrated(None, self.partition, gl_values)
-
-
-def _integrated(fn, part: Partition, gl_values) -> DenseGridCache:
-    """A cache on ``part`` whose prefix table integrates ``gl_values``, held
-    row-major whatever their layout: the panel sums of every cache then
-    round alike."""
-    gl_values = np.ascontiguousarray(gl_values)
-    panel_int = (gl_values @ GL_WEIGHTS) * (0.5 * np.diff(part.edges))
-    return DenseGridCache(fn=fn, partition=part, gl_values=gl_values,
-                          prefix=np.concatenate([[0.0], np.cumsum(panel_int)]))
+        return DenseGridCache(None, self.partition, gl_values)
 
 
 def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
@@ -522,7 +520,7 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
         if n_scale is not None:
             resolution = max(resolution, OVERSAMPLE * int(n_scale))
     part = partition(resolution, fn.breakpoints)
-    return _integrated(fn, part, fn._on_partition(part))
+    return DenseGridCache(fn, part, fn._on_partition(part))
 
 
 def _window_resolution(h: float) -> int:

@@ -151,14 +151,36 @@ def _error_components(cache: DenseGridCache, g: TrigPoly, n: int,
 # ----------------------------------------------------------------------------
 
 
+#: Elements of one (rows, 2 trunc + 1) block of a truncated line series.
+LINE_CHUNK = 1 << 20
+
+
+def _line_series(f: PointwiseFunction, sigma: float, trunc: int, x, kernel) -> np.ndarray:
+    """``sum_{|k|<=trunc} f(k/sigma) kernel(sigma x - k)``, in blocks of at most
+    :data:`LINE_CHUNK` kernel values (one row, whatever ``trunc``)."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sampling rate sigma must be positive and finite, got {sigma!r}")
+    if type(trunc) is bool or not isinstance(trunc, (int, np.integer)) or trunc < 1:
+        raise ValueError(f"truncation index trunc must be an integer >= 1, got {trunc!r}")
+    x = np.asarray(x, dtype=float)
+    xf = x.ravel()
+    ks = np.arange(-trunc, trunc + 1)
+    samples = np.asarray(f(ks / sigma))
+    out = np.zeros(xf.size, dtype=samples.dtype)
+    rows = max(1, LINE_CHUNK // ks.size)
+    for lo in range(0, xf.size, rows):
+        out[lo:lo + rows] = kernel(sigma * xf[lo:lo + rows, None] - ks) @ samples
+    return out.reshape(x.shape)
+
+
 def bandlimited_signal(a: float, label: str = "bandlimited") -> PointwiseFunction:
     """``(sin(at)/(at))^2``: band in [-2a, 2a], decay ``|f(t)| <= (1/a^2)/t^2``.
 
     Spectrally safe for cardinal sampling at rate sigma whenever
     ``2a < pi*sigma``.
     """
-    if a <= 0:
-        raise ValueError("bandwidth parameter must be positive")
+    if not (np.isfinite(a) and a > 0):
+        raise ValueError(f"bandwidth parameter a must be positive and finite, got {a!r}")
 
     def ev(t):
         return np.sinc(a * np.asarray(t, dtype=float) / np.pi) ** 2
@@ -175,21 +197,8 @@ def wks(f: PointwiseFunction, sigma: float, trunc: int, x):
     the bound is not valid (evaluation too close to the truncation edge), the
     entries are ``inf``.
     """
-    if sigma <= 0:
-        raise ValueError("sampling rate sigma must be positive")
-    if trunc < 1:
-        raise ValueError("truncation index must be >= 1")
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    xf = np.atleast_1d(x).ravel()
-    ks = np.arange(-trunc, trunc + 1)
-    samples = np.asarray(f(ks / sigma))
-    vals = np.zeros(xf.size, dtype=samples.dtype)
-    for lo in range(0, xf.size, 2048):
-        xc = xf[lo:lo + 2048]
-        vals[lo:lo + 2048] = np.sinc(sigma * xc[:, None] - ks[None, :]) @ samples
-    tail = _wks_tail_bound(f, sigma, trunc, xf)
-    return vals.reshape(shape), tail.reshape(shape)
+    vals = _line_series(f, sigma, trunc, x, np.sinc)
+    return vals, _wks_tail_bound(f, sigma, trunc, np.asarray(x, dtype=float))
 
 
 def _wks_tail_bound(f: PointwiseFunction, sigma: float, trunc: int, x: np.ndarray) -> np.ndarray:
@@ -229,20 +238,5 @@ def line_kernel(window: Window, x) -> np.ndarray:
 def line_quasi(f: PointwiseFunction, sigma: float, trunc: int, x,
                window: Optional[Window] = None) -> np.ndarray:
     """Truncated kernel series ``sum_{|k|<=trunc} f(k/sigma) K(sigma x - k)``."""
-    if sigma <= 0:
-        raise ValueError("sampling rate sigma must be positive")
-    if trunc < 1:
-        raise ValueError("truncation index must be >= 1")
-    if window is None:
-        window = fejer_window()
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    xf = np.atleast_1d(x).ravel()
-    ks = np.arange(-trunc, trunc + 1)
-    samples = np.asarray(f(ks / sigma))
-    out = np.zeros(xf.size, dtype=samples.dtype)
-    for lo in range(0, xf.size, 1024):
-        xc = xf[lo:lo + 1024]
-        kern = line_kernel(window, sigma * xc[:, None] - ks[None, :])
-        out[lo:lo + 1024] = kern @ samples
-    return out.reshape(shape)
+    window = fejer_window() if window is None else window
+    return _line_series(f, sigma, trunc, x, lambda t: line_kernel(window, t))

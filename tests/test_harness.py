@@ -461,9 +461,10 @@ def test_onesided_study_computes_each_level_once(monkeypatch, cap):
         levels[cache.fn.label, n] += 1
         return best(cache, n, *args, **kwargs)
 
-    def counted_build(f, resolution):
-        builds[f.label, resolution] += 1
-        return build(f, resolution=resolution)
+    def counted_build(f, **kwargs):
+        cache = build(f, **kwargs)
+        builds[f.label, cache.resolution] += 1
+        return cache
 
     monkeypatch.setattr(bestapprox, "best_approx", counted_best)
     for module in (harness, bestapprox):

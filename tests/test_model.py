@@ -14,15 +14,18 @@ from latsamp import (
     build_cache,
     corpus,
     ensure_window_resolution,
+    i_minus_a_pow,
+    lagrange,
     make_jittered_nodes,
     make_uniform_nodes,
     norm,
     parse_spec,
     poly_norm,
+    subtract_poly,
     wrap_angle,
 )
-from latsamp.model import (MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO, _mod_two_pi,
-                           _window_resolution, partition)
+from latsamp.model import (GL_WEIGHTS, MAX_RESOLUTION, MIN_PANELS_PER_WINDOW, PARTITION_MEMO,
+                           DenseGridCache, _mod_two_pi, _window_resolution, partition)
 from latsamp.norms import _cache_mass
 from latsamp.trigpoly import MAX_DEGREE
 
@@ -210,6 +213,54 @@ def test_build_cache_evaluates_only_the_gauss_legendre_nodes():
                                 breakpoints=sq.breakpoints)
     cache = build_cache(counted, resolution=256)
     assert sum(sizes) == 5 * cache.panel_count
+
+
+def _has_prefix_table(cache) -> bool:
+    return "_prefix_table" in vars(cache)
+
+
+@pytest.mark.parametrize("spec_id", ["l1", "l2", "wlp:2:-0.5", "orlicz:llogl"])
+def test_prefix_table_is_built_on_the_first_read_of_F(spec_id):
+    """Norms read node values only: a normed ``subtract_poly`` residual and a
+    normed ``(I - A_h)^2`` output build no prefix table, while the window
+    cache whose F a Steklov level reads has built one."""
+    sq, h = corpus()["square"], np.pi / 17
+    cache = ensure_window_resolution(build_cache(sq, n_scale=16), h)
+    resid = subtract_poly(cache, lagrange(sq, 8))
+    diff = i_minus_a_pow(cache, h, 2)
+    assert not _has_prefix_table(resid)
+    for derived in (resid, diff):
+        norm(derived, parse_spec(spec_id))
+        assert not _has_prefix_table(derived)
+    assert _has_prefix_table(cache)
+
+
+def test_lazy_prefix_is_the_eager_formula_bit_for_bit():
+    """A cache spawned from column-major node values (a Steklov level's
+    transposed node antiderivative) holds them row-major, and its prefix table
+    and rounding error equal the eager construction on row-major values."""
+    cache = build_cache(corpus()["cusp15"], resolution=1024)
+    values = cache.node_antiderivative(cache.partition.landing_plan(np.pi / 9))
+    assert values.flags.f_contiguous and not values.flags.c_contiguous
+    rows = np.ascontiguousarray(values)
+    panel_int = (rows @ GL_WEIGHTS) * (0.5 * np.diff(cache.edges))
+    prefix = np.concatenate([[0.0], np.cumsum(panel_int)])
+    error = np.concatenate([[0.0], np.cumsum(panel_int - np.diff(prefix))])
+    level = cache.spawn(values)
+    assert level.gl_values.flags.c_contiguous
+    assert np.array_equal(level.prefix, prefix)
+    assert np.array_equal(level.prefix_error, error)
+    assert level.total == prefix[-1]
+
+
+def test_dense_grid_cache_takes_no_prefix():
+    """The prefix table is derived from the node values, never passed in."""
+    cache = build_cache(corpus()["sine"], resolution=64)
+    with pytest.raises(TypeError):
+        DenseGridCache(None, cache.partition, cache.gl_values, cache.prefix)
+    with pytest.raises(TypeError):
+        DenseGridCache(fn=None, partition=cache.partition, gl_values=cache.gl_values,
+                       prefix=cache.prefix)
 
 
 def test_breakpoint_panels_present():

@@ -25,6 +25,7 @@ from latsamp import (
     quasi_interp,
     wks,
 )
+from latsamp import operators
 from latsamp.norms import weight_cell_integrals
 from latsamp.trigpoly import MAX_DEGREE, Window
 
@@ -262,6 +263,55 @@ def test_wks_validation():
         wks(f, 0.0, 16, np.array([0.0]))
     with pytest.raises(ValueError):
         wks(f, 8.0, 0, np.array([0.0]))
+
+
+SERIES = {"wks": lambda f, sigma, trunc, x: wks(f, sigma, trunc, x)[0],
+          "line_quasi": line_quasi}
+
+
+@pytest.mark.parametrize("series", sorted(SERIES))
+@pytest.mark.parametrize("sigma", [0.0, -8.0, np.nan, np.inf, -np.inf])
+def test_line_series_reject_bad_sigma(series, sigma):
+    """A sampling rate that is not positive and finite is refused by name
+    (NaN once gave NaN values with a NaN tail bound, inf a RuntimeWarning)."""
+    with pytest.raises(ValueError, match="sigma"):
+        SERIES[series](bandlimited_signal(4.0), sigma, 16, np.array([0.0]))
+
+
+@pytest.mark.parametrize("series", sorted(SERIES))
+@pytest.mark.parametrize("trunc", [0, -3, 2.5, 16.0, True, "16"])
+def test_line_series_reject_bad_trunc(series, trunc):
+    """A truncation index that is not an integer >= 1 is refused by name
+    (2.5 once summed silently over half-integer k)."""
+    with pytest.raises(ValueError, match="trunc"):
+        SERIES[series](bandlimited_signal(4.0), 8.0, trunc, np.array([0.0]))
+
+
+@pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+def test_bandlimited_signal_rejects_bad_bandwidth(a):
+    with pytest.raises(ValueError, match="bandwidth"):
+        bandlimited_signal(a)
+
+
+@pytest.mark.parametrize("budget, trunc, rows", [(1000, 64, 7), (100, 64, 1)])
+def test_line_series_blocks_follow_the_element_budget(monkeypatch, budget, trunc, rows):
+    """Each block holds ``budget // (2 trunc + 1)`` rows of kernel values, at
+    least one, so its size is bounded whatever ``trunc``; the sums are those
+    of one block."""
+    f, x = bandlimited_signal(4.0), np.linspace(-1.0, 1.0, 301)
+    want = wks(f, 16.0, trunc, x)[0]
+    shapes = []
+
+    def kernel(t):
+        shapes.append(t.shape)
+        return np.sinc(t)
+
+    monkeypatch.setattr(operators, "LINE_CHUNK", budget)
+    got = operators._line_series(f, 16.0, trunc, x, kernel)
+    assert {shape[1] for shape in shapes} == {2 * trunc + 1}
+    assert max(shape[0] for shape in shapes) == rows
+    assert sum(shape[0] for shape in shapes) == x.size
+    assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_line_kernel_triangle_closed_form():
