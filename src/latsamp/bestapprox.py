@@ -77,7 +77,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
         raise ValueError(f"degree exceeds cap {MAX_DEGREE}")
     if method not in ("auto", "vp", "refined"):
         raise ValueError(f"unknown method {method!r}")
-    cache = _as_cache(f, max(2 * n, 1))
+    cache = _as_cache(f, 2 * n)
 
     if method == "auto" and spec.kind == "lebesgue" and spec.p == 2.0:
         poly = TrigPoly(fourier_coefficients(cache, n))
@@ -124,15 +124,20 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
     duality gap of the full problem.  k starts at :data:`LP_START_COLUMNS`
     per unknown and doubles while the LP is infeasible or the gap exceeds
     :data:`GAP_TOL` of ``sum m |f| / 2pi``; k = all nodes is the full LP.
+    A start whose value is already within that tolerance (f of degree <= n)
+    is returned with no LP: ``u = 0`` certifies it, with gap the value.
     Returns ``(poly, value, gap)``.
     """
     n = poly.degree
     x, m = cache.gl_points().ravel(), mass.ravel()
     k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
-    poly = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL,
-                 real_l1=True)[0]
+    poly, value, _ = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL,
+                           real_l1=True)
     f = cache.gl_values.real.ravel()
     tol = GAP_TOL * float(np.sum(m * np.abs(f))) / TWO_PI
+    if value <= tol:
+        # u = 0 is dual feasible with objective 0: the gap is the value itself
+        return poly, value, value
     r = subtract_poly(cache, poly).gl_values.real.ravel()
     while True:
         free = np.argpartition(np.abs(r), k - 1)[:k]
@@ -202,7 +207,7 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
                   floor_rank: int) -> np.ndarray:
     """IRLS weights at the residual ``resid`` of norm ``value`` (see :func:`_irls`)."""
     w = np.abs(resid)
-    if spec.phi == "llogl":
+    if spec.kind == "orlicz":
         w /= value
         np.maximum(w, 1e-300, out=w)
         w = (np.log1p(w) + w / (1.0 + w)) / w
@@ -399,7 +404,7 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("dilation sums need a rearrangement-invariant norm")
     max_degree = min(max_degree, MAX_DEGREE)
-    cache = _as_cache(f, max(2 * n, 1))
+    cache = _as_cache(f, 2 * n)
     memo = cache.best
     terms = []
     total = 0.0

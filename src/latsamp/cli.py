@@ -40,7 +40,7 @@ from .operators import parse_operator
 from .steklov import MAX_ITERATES
 
 OP_CHOICES = "lagrange|fejer|br:<alpha>"
-SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl|orlicz:power:<p>"
+SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl"
 
 # every config-file key with its parser; thresholds live here, not in harness code
 _KEYS = {
@@ -180,8 +180,8 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     cfg["n"] = _DEFAULT_N[args.command]
     if args.command in _DEFAULT_FNS:
         cfg["functions"] = _DEFAULT_FNS[args.command]
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
+    from_file = load_config_file(args.config) if getattr(args, "config", None) else {}
+    cfg.update(from_file)
     for key in ("op", "spec", "n", "r", "s", "seed", "trials", "gamma", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -243,6 +243,10 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         cfg["op_obj"] = parse_operator(str(cfg["op"]))
     except ValueError as ex:
         raise UsageError(str(ex))
+    if (args.command == "onesided" and cfg["spec_obj"].id != "l1"
+            and (getattr(args, "spec", None) is not None or "spec" in from_file)):
+        raise UsageError(f"--spec {cfg['spec']} is not l1: onesided measures in L1, "
+                         "the norm of its one-sided LP")
     if not cfg["op_obj"].is_periodic:
         raise UsageError(f"--op {cfg['op_obj'].op_id} is a line-sampling operator; "
                          f"the subcommands take {OP_CHOICES}")
@@ -526,10 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = merge_config(args)
         header, rows, assertions = _COMMANDS[args.command](cfg)
         csv_path, _ = _write_outputs(cfg, args.command, header, rows, assertions)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as ex:
+    except (UsageError, ValueError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     failed = [a for a in assertions if not a["passed"]]

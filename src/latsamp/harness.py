@@ -160,8 +160,7 @@ def mz_probe(spec: NormSpec, scheme: str, n_range: Sequence[int],
             ratio = discrete_seminorm(t, nodes, spec) / cont
             hi = max(hi, ratio)
             lo = min(lo, ratio)
-            if n > 0:
-                bern = max(bern, poly_norm(t.derivative(1), spec) / (n * cont))
+            bern = max(bern, poly_norm(t.derivative(1), spec) / (n * cont))
         return {"n": n, "mz_sup": hi, "mz_inf": lo, "bernstein_sup": bern}
 
     per_n = parallel_map(one_n, n_range)
@@ -274,9 +273,9 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
 
 def _equivalence_row(study: str, op, spec: NormSpec, r: int, s: int, gamma, item) -> dict:
     """The ``(label, f, n)`` task of :func:`equivalence_study`: one cache of f
-    at the scale ``max(2n, 8)`` is the source of the error and of the rhs."""
+    at the scale ``2n`` is the source of the error and of the rhs."""
     label, f, n = item
-    cache = build_cache(f, n_scale=max(2 * n, 8))
+    cache = build_cache(f, n_scale=2 * n)
     if study == "error_vs_realization":
         # the realization's error terms are approx_error's, from its one G_n f
         rep = realization(cache, n, s, op, spec)
@@ -465,7 +464,7 @@ def onesided_study(functions: Dict[str, PointwiseFunction], n_range: Sequence[in
     """
     spec = NormSpec("lebesgue", 1.0)
     op = parse_operator(op)
-    n_scale = max(2 * max(n_range, default=0), 8)
+    n_scale = 2 * max(n_range, default=0)
     caches = {}
 
     def one_task(item):
@@ -513,7 +512,7 @@ def convergence_criterion(f: PointwiseFunction, op, spec: NormSpec, r: int,
         raise ValueError(f"need at least {_TREND_MIN_SCALES} scales for a trend")
 
     def one_n(n: int):
-        cache = build_cache(f, n_scale=max(2 * n, 8))
+        cache = build_cache(f, n_scale=2 * n)
         err = approx_error(cache, op, n, spec).continuous
         nodes = make_uniform_nodes(n)
         vals = i_minus_a_pow_at(cache, default_width(n, gamma), r, nodes.nodes)

@@ -127,17 +127,15 @@ class PointwiseFunction:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Sampling nodes on ``[-pi, pi)`` with mesh constants.
+    """Sampling nodes on ``[-pi, pi)`` at scale ``n``.
 
-    ``gamma`` and ``gamma_prime`` are ``n * (smallest gap)`` and
-    ``n * (largest gap)``; gaps include the wraparound cell, so a NodeSet is
-    genuinely a partition of the circle.
+    The mesh constants ``gamma`` and ``gamma_prime`` are ``n * (smallest
+    gap)`` and ``n * (largest gap)``, worked out from the nodes; gaps include
+    the wraparound cell, so a NodeSet is genuinely a partition of the circle.
     """
 
     nodes: np.ndarray
     n: int
-    gamma: float
-    gamma_prime: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -159,12 +157,13 @@ class NodeSet:
         wrap = self.nodes[0] + TWO_PI - self.nodes[-1]
         return np.concatenate([d, [wrap]])
 
+    @property
+    def gamma(self) -> float:
+        return float(self.n * self.gaps().min())
 
-def _nodeset_from_sorted(nodes: np.ndarray, n: int) -> NodeSet:
-    d = np.diff(nodes)
-    wrap = nodes[0] + TWO_PI - nodes[-1]
-    gaps = np.concatenate([d, [wrap]])
-    return NodeSet(nodes=nodes, n=n, gamma=n * gaps.min(), gamma_prime=n * gaps.max())
+    @property
+    def gamma_prime(self) -> float:
+        return float(self.n * self.gaps().max())
 
 
 def make_uniform_nodes(n: int) -> NodeSet:
@@ -172,8 +171,7 @@ def make_uniform_nodes(n: int) -> NodeSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(2 * n + 1)
-    nodes = np.sort(wrap_angle(TWO_PI * k / (2 * n + 1)))
-    return _nodeset_from_sorted(nodes, n)
+    return NodeSet(np.sort(wrap_angle(TWO_PI * k / (2 * n + 1))), n)
 
 
 def make_jittered_nodes(n: int, jitter: float, seed) -> NodeSet:
@@ -188,8 +186,7 @@ def make_jittered_nodes(n: int, jitter: float, seed) -> NodeSet:
     mesh = TWO_PI / (2 * n + 1)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2 * n + 1]))
     shifts = rng.uniform(-jitter, jitter, size=base.count) * mesh
-    nodes = np.sort(wrap_angle(base.nodes + shifts))
-    return _nodeset_from_sorted(nodes, n)
+    return NodeSet(np.sort(wrap_angle(base.nodes + shifts)), n)
 
 
 # ----------------------------------------------------------------------------

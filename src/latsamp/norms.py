@@ -3,8 +3,8 @@
 All continuous norms use the normalized measure ``dx/2pi``, so the constant 1
 has norm 1 in every Lebesgue space.  The weighted spaces carry the weight
 ``|2 sin(x/2)|^beta`` with ``-1 < beta < p - 1`` (singular or degenerate at
-``x = 0``).  Orlicz norms are Luxemburg norms: ``t log(1+t)`` by regula falsi
-on the log of its modular, ``t^p`` as the Lebesgue norm it equals.
+``x = 0``).  The Orlicz norm is the Luxemburg norm of ``t log(1+t)``, by
+regula falsi on the log of its modular.
 
 Norms run through one kernel, ``_measure_norm(|f|, mass, spec)``, on a
 measure: the Gauss-Legendre nodes of a cache, the cells of a node set, or any
@@ -37,29 +37,29 @@ from .trigpoly import TrigPoly, _analyze, _as_cache
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Identifies a lattice norm.
+    """Identifies a lattice norm; each kind takes exactly its own parameters.
 
-    kind = 'lebesgue' (exponent p), 'weighted' (p and weight exponent beta),
-    or 'orlicz' (Young function 'power' with exponent p, or 'llogl' for
-    t*log(1+t)).
+    kind = 'lebesgue' (a finite exponent ``1 <= p``), 'weighted' (``p`` and a
+    weight exponent ``-1 < beta < p - 1``, ``beta != 0``), or 'orlicz' (the
+    Luxemburg norm of ``t log(1+t)``, no ``p`` or ``beta``).
     """
 
     kind: str
     p: Optional[float] = None
-    beta: float = 0.0
-    phi: Optional[str] = None
+    beta: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "weighted", "orlicz"):
+        takes = {"lebesgue": "only p", "weighted": "p and beta", "orlicz": "no p or beta"}
+        if self.kind not in takes:
             raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "orlicz" and self.phi not in ("power", "llogl"):
-            raise ValueError("orlicz norm needs phi in {'power', 'llogl'}")
-        needs_p = self.kind != "orlicz" or self.phi == "power"
-        if needs_p and not (self.p is not None and 1.0 <= self.p < np.inf):
+        if ((self.p is None) != (self.kind == "orlicz")
+                or (self.beta is None) != (self.kind != "weighted")):
+            raise ValueError(f"a {self.kind} norm takes {takes[self.kind]}")
+        if self.p is not None and not 1.0 <= self.p < np.inf:
             raise ValueError(f"{self.kind} norm needs a finite exponent 1 <= p < inf, "
                              f"got {self.p}")
-        if self.kind == "weighted" and not (-1.0 < self.beta < self.p - 1.0):
-            raise ValueError("weight exponent must satisfy -1 < beta < p-1")
+        if self.kind == "weighted" and not (-1.0 < self.beta < self.p - 1.0 and self.beta != 0.0):
+            raise ValueError("weight exponent must satisfy -1 < beta < p-1, beta != 0")
 
     @property
     def id(self) -> str:
@@ -67,26 +67,25 @@ class NormSpec:
             return f"lp:{self.p:g}" if self.p not in (1.0, 2.0) else f"l{self.p:g}"
         if self.kind == "weighted":
             return f"wlp:{self.p:g}:{self.beta:g}"
-        if self.phi == "power":
-            return f"orlicz:power:{self.p:g}"
         return "orlicz:llogl"
 
     def weight(self, x) -> np.ndarray:
-        """The lattice weight ``|2 sin(x/2)|^beta`` (1 when beta = 0)."""
+        """The lattice weight ``|2 sin(x/2)|^beta`` (1 when not weighted)."""
         x = np.asarray(x, dtype=float)
-        if self.kind != "weighted" or self.beta == 0.0:
+        if self.kind != "weighted":
             return np.ones_like(x)
         return np.abs(2.0 * np.sin(0.5 * x)) ** self.beta
 
     def young(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.phi == "llogl":
+        if self.kind == "orlicz":
             return t * np.log1p(t)
         return t ** self.p
 
 
 def parse_spec(text: str) -> NormSpec:
-    """Parse ids like 'l1', 'l2', 'lp:1.5', 'wlp:2:0.5', 'orlicz:llogl'."""
+    """Parse ids like 'l1', 'l2', 'lp:1.5', 'wlp:2:0.5', 'orlicz:llogl'; 'wlp:p:0'
+    (weight 1) and 'orlicz:power:p' (Young function t^p) are 'lp:p'."""
     t = text.strip().lower()
     if t in ("l1", "l2"):
         return NormSpec("lebesgue", p=float(t[1]))
@@ -95,12 +94,13 @@ def parse_spec(text: str) -> NormSpec:
         if parts[0] == "lp" and len(parts) == 2:
             return NormSpec("lebesgue", p=float(parts[1]))
         if parts[0] == "wlp" and len(parts) == 3:
-            return NormSpec("weighted", p=float(parts[1]), beta=float(parts[2]))
+            p, beta = float(parts[1]), float(parts[2])
+            return NormSpec("weighted", p, beta) if beta != 0.0 else NormSpec("lebesgue", p)
         if parts[0] == "orlicz":
             if len(parts) == 2 and parts[1] == "llogl":
-                return NormSpec("orlicz", phi="llogl")
+                return NormSpec("orlicz")
             if len(parts) == 3 and parts[1] == "power":
-                return NormSpec("orlicz", p=float(parts[2]), phi="power")
+                return NormSpec("lebesgue", p=float(parts[2]))
     except ValueError as exc:
         raise ValueError(f"bad norm id {text!r}: {exc}") from None
     raise ValueError(f"bad norm id {text!r}")
@@ -156,15 +156,14 @@ def _measure_norm(a: np.ndarray, measure, spec: NormSpec,
     """``||f||_X`` from ``a = |f|`` at points carrying mass ``measure``.
 
     ``measure`` is the mass of each value: Gauss-Legendre weights, cell
-    widths, weighted cell or node masses.  Lebesgue, weighted and power
-    Orlicz norms (the Luxemburg norm of ``t^p`` is the ``L^p`` norm) are
+    widths, weighted cell or node masses.  Lebesgue and weighted norms are
     ``(sum a^p measure / 2pi)^(1/p)``, computed in place in ``a`` (which is
-    overwritten); ``t log(1+t)`` is :func:`luxemburg` of a modular filling two
+    overwritten); the Orlicz norm is :func:`luxemburg` of a modular filling two
     buffers allocated once per call, started at ``scale`` when given (a
     nearby norm, which saves modular passes) and at ``max a`` otherwise.
     NaN or inf values give a NaN or inf norm.
     """
-    if spec.phi == "llogl":
+    if spec.kind == "orlicz":
         amax = a.max(initial=0.0)
         if amax == 0.0 or not np.isfinite(amax):
             return float(amax)
@@ -229,11 +228,10 @@ def _cache_mass(cache: DenseGridCache, spec: NormSpec) -> np.ndarray:
     if mass is not None:
         return mass
     mass = cache.gl_weights() * spec.weight(cache.gl_points())
-    if spec.beta != 0.0:
-        lo, hi, widths = cache.edges[:-1], cache.edges[1:], cache.widths
-        near = 8.0 * widths > np.minimum(np.abs(lo), np.abs(hi))
-        exact = weight_cell_integrals(lo[near], widths[near], spec.beta)
-        mass[near] *= (exact / mass[near].sum(axis=1))[:, None]
+    lo, hi, widths = cache.edges[:-1], cache.edges[1:], cache.widths
+    near = 8.0 * widths > np.minimum(np.abs(lo), np.abs(hi))
+    exact = weight_cell_integrals(lo[near], widths[near], spec.beta)
+    mass[near] *= (exact / mass[near].sum(axis=1))[:, None]
     mass.setflags(write=False)
     return cache.partition.weighted_mass.setdefault(spec.beta, mass)
 
@@ -265,18 +263,17 @@ def _weight_moments(resolution: int, spec: NormSpec) -> np.ndarray:
 def poly_norm(poly: TrigPoly, spec: NormSpec) -> float:
     """Norm of a trigonometric polynomial.
 
-    Plain Lebesgue norms (and power Orlicz norms, which equal them) use the
-    uniform rectangle rule on an oversampled FFT grid (exact for even integer
-    p once the grid resolves ``p * degree``).  Other norms use the graded
-    panel cache at resolution ``R = max(1024, 16 * degree)``: a weighted
+    Lebesgue norms use the uniform rectangle rule on an oversampled FFT
+    grid (exact for even integer p once the grid resolves ``p * degree``).
+    Other norms use the graded panel cache at resolution ``R = max(1024, 16 * degree)``: a weighted
     ``L^2`` norm as the Toeplitz form ``Re sum_k A_k conj(mu_k) / 2pi`` of
     the coefficients' autocorrelation ``A`` against the cache's weight
     moments ``mu`` (:func:`_weight_moments`; ``|k| <= 2 degree <= R // 8``),
     which is the cache's quadrature of ``w |T|^2``; other weighted and
-    ``t log(1+t)`` Orlicz norms are taken on a cache of the polynomial.
+    Orlicz norms are taken on a cache of the polynomial.
     """
     deg = max(poly.degree, 1)
-    if spec.kind == "lebesgue" or spec.phi == "power":
+    if spec.kind == "lebesgue":
         vals = np.abs(poly.on_uniform_grid(max(1024, 32 * deg)))
         return float(np.mean(vals ** spec.p) ** (1.0 / spec.p))
     resolution = max(1024, 16 * deg)
@@ -338,13 +335,13 @@ def dilation_norm_info(spec: NormSpec, r: float):
     - ``r >= 1``: ``log(1+sqrt(r) u) <= sqrt(r) log(1+u)`` gives ``phi(sqrt(r) u) <= r phi(u)``,
       so the ratio is at most ``r^(-1/2)``, its limit as ``t -> 0``, where ``phi(u) ~ u^2``.
 
-    A weight with beta != 0 has no certified value here: ``ValueError``.
+    A weighted norm has no certified value here: ``ValueError``.
     """
     if not 0.0 < r < np.inf:
         raise ValueError(f"dilation factor r must be positive and finite, got {r!r}")
-    if spec.phi == "llogl":
+    if spec.kind == "orlicz":
         return max(1 / r, r ** -0.5), "closed-form"
-    if spec.kind == "weighted" and spec.beta != 0.0:
+    if spec.kind == "weighted":
         raise ValueError(f"no certified dilation norm for {spec.id} (weight exponent != 0)")
     return r ** (-1.0 / spec.p), "closed-form"
 

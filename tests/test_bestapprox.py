@@ -217,6 +217,28 @@ def test_l1_active_set_doubles_until_feasible(monkeypatch, label, n):
     assert res.gap <= bestapprox.GAP_TOL
 
 
+@pytest.mark.parametrize("label,n", [("sine", 5), ("smooth", 4)])
+def test_l1_of_a_polynomial_member_solves_no_lp(monkeypatch, label, n):
+    """A start whose residual is at rounding level is its own certificate:
+    u = 0 is dual feasible with objective 0, so the duality gap is the value
+    itself, and no LP runs (each would be infeasible on sign noise)."""
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(bestapprox, "linprog", counting_linprog)
+    res = best_approx(C[label], n, L1, method="refined")
+    assert calls == []
+    tol = bestapprox.GAP_TOL * norm(build_cache(C[label], n_scale=2 * n), L1)
+    assert res.gap == res.value <= tol
+    # a function outside the space still runs its LP, to the same value as before
+    res = best_approx(C["square"], 6, L1, method="refined")
+    assert len(calls) == 1
+    assert_allclose(res.value, 0.14285712735667366, rtol=1e-14)
+
+
 @pytest.mark.parametrize("spec_id", ["l1", "lp:1.5"])
 def test_irls_pure_frequency_above_the_band(spec_id):
     """``exp(3ix)`` is complex, so it takes the IRLS route; its best

@@ -337,6 +337,41 @@ def test_onesided_command(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_onesided_rejects_a_spec_other_than_l1(tmp_path, given, capsys):
+    """The one-sided study measures in L1; a spec given for it by flag or
+    config key that is not L1 is a usage error naming ``--spec``, not a run
+    whose summary echoes a norm it did not use."""
+    cfgfile = tmp_path / "os.cfg"
+    cfgfile.write_text("functions = sine\nbesov_cap = 32\n"
+                       + ("spec = wlp:2:0.5\n" if given == "config" else ""))
+    out = tmp_path / "o"
+    args = ["onesided", "--seed", "7", "--n", "4,8", "--config", str(cfgfile),
+            "--out", str(out)]
+    code = run(args + (["--spec", "wlp:2:0.5"] if given == "flag" else []))
+    assert code == 1
+    assert "--spec wlp:2:0.5" in capsys.readouterr().err
+    assert not out.exists()
+    # L1 in any spelling, and no spec at all, still run
+    for extra in (["--spec", "l1"], ["--spec", "lp:1"], []):
+        if given == "config" and not extra:
+            continue
+        assert run(args + extra) == 0
+
+
+def test_probe_orlicz_power_is_the_l2_probe(tmp_path):
+    """``orlicz:power:2`` is a spelling of L2: its probe writes the L2 CSV
+    byte for byte and checks the MZ lower floor, as the L2 probe does."""
+    outs = {}
+    for spec in ("l2", "orlicz:power:2"):
+        outs[spec] = tmp_path / spec.replace(":", "-")
+        assert run(["probe", "--spec", spec, "--seed", "7", "--out", str(outs[spec])]) == 0
+    csvs = [(out / "probe_7.csv").read_bytes() for out in outs.values()]
+    assert csvs[0] == csvs[1]
+    names = {a["name"] for a in read_summary(outs["orlicz:power:2"])["assertions"]}
+    assert "mz_inf_floor" in names
+
+
 def test_rates_command(tmp_path):
     cfgfile = tmp_path / "r.cfg"
     cfgfile.write_text("functions = cusp15\n"

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 import latsamp
 from latsamp import (approx_error, bestapprox, besov_sum, build_cache, corpus, harness,
@@ -408,10 +409,14 @@ def test_counterexample_discrete_stays_continuous_collapses():
 
 
 def test_counterexample_orlicz_route():
-    table = counterexample_run((8, 16), spec=parse_spec("orlicz:power:2"))
+    """In the t log(1+t) norm the discrete error is the norm of the constant
+    1, the lambda with (1/lambda) log(1 + 1/lambda) = 1: constant in n, not 1."""
+    one = 1.0 / brentq(lambda t: t * np.log1p(t) - 1.0, 0.5, 2.0, xtol=1e-15)
+    table = counterexample_run((8, 16), spec=parse_spec("orlicz:llogl"))
     for row in table.rows:
-        assert_allclose(row["discrete_error"], 1.0, atol=1e-6)
+        assert_allclose(row["discrete_error"], one, rtol=1e-12)
         assert row["continuous_error"] > 0
+    assert table.rows[0]["continuous_error"] > table.rows[1]["continuous_error"]
 
 
 def test_counterexample_rejects_weighted_and_open_windows():

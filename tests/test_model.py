@@ -128,9 +128,25 @@ def test_jitter_fraction_validated(jitter):
 
 def test_nodeset_rejects_unsorted():
     with pytest.raises(ValueError):
-        NodeSet(nodes=np.array([0.0, -1.0, 1.0]), n=1, gamma=1.0, gamma_prime=1.0)
+        NodeSet(nodes=np.array([0.0, -1.0, 1.0]), n=1)
     with pytest.raises(ValueError):
-        NodeSet(nodes=np.array([-4.0, 0.0, 1.0]), n=1, gamma=1.0, gamma_prime=1.0)
+        NodeSet(nodes=np.array([-4.0, 0.0, 1.0]), n=1)
+
+
+@pytest.mark.parametrize("make", [make_uniform_nodes,
+                                  lambda n: make_jittered_nodes(n, jitter=0.4, seed=7)])
+@pytest.mark.parametrize("n", [1, 4, 33])
+def test_nodeset_mesh_constants_are_worked_out_from_the_nodes(make, n):
+    """``gamma`` and ``gamma_prime`` are ``n`` times the smallest and largest
+    gap (the wraparound cell included), bit for bit; they cannot be set."""
+    ns = make(n)
+    gaps = np.concatenate([np.diff(ns.nodes), [ns.nodes[0] + TWO_PI - ns.nodes[-1]]])
+    assert ns.gamma == n * gaps.min()
+    assert ns.gamma_prime == n * gaps.max()
+    with pytest.raises(TypeError):
+        NodeSet(ns.nodes, n, gamma=5.0)
+    with pytest.raises(TypeError):
+        NodeSet(ns.nodes, n, gamma_prime=0.1)
 
 
 # ----------------------------------------------------------------------------

@@ -41,7 +41,8 @@ L4 = parse_spec("lp:4")
     ("lp:1.5", "lebesgue", 1.5),
     ("LP:4", "lebesgue", 4.0),
     ("wlp:2:0.5", "weighted", 2.0),
-    ("orlicz:power:3", "orlicz", 3.0),
+    # the Luxemburg norm of t^p is the L^p norm, and parses to its spec
+    ("orlicz:power:3", "lebesgue", 3.0),
 ])
 def test_parse_spec_valid(text, kind, p):
     spec = parse_spec(text)
@@ -51,9 +52,40 @@ def test_parse_spec_valid(text, kind, p):
 
 def test_parse_spec_llogl():
     spec = parse_spec("orlicz:llogl")
-    assert spec.kind == "orlicz"
-    assert spec.phi == "llogl"
+    assert spec == NormSpec("orlicz")
+    assert spec.p is None and spec.beta is None
     assert spec.id == "orlicz:llogl"
+
+
+def test_spellings_of_lp_parse_to_its_spec():
+    """A weight of exponent 0 and the Young function t^p are the L^p norm:
+    each spelling parses to the one spec, so every route reads it alike."""
+    assert parse_spec("orlicz:power:2") == parse_spec("wlp:2:0") == parse_spec("l2")
+    assert parse_spec("orlicz:power:1.5") == parse_spec("wlp:1.5:0") == parse_spec("lp:1.5")
+    # wlp:1:0 was rejected (beta < p - 1 = 0 failed); it is the L1 norm
+    assert parse_spec("wlp:1:0") == parse_spec("l1")
+    assert parse_spec("wlp:1:0").id == "l1"
+
+
+def test_a_spec_takes_exactly_its_own_parameters():
+    """A spec cannot say two things at once: each kind rejects the others'
+    parameters, and there is no Young-function field."""
+    with pytest.raises(TypeError):
+        NormSpec("lebesgue", p=2.0, phi="llogl")
+    with pytest.raises(TypeError):
+        NormSpec("orlicz", phi="llogl")
+    with pytest.raises(ValueError, match="orlicz"):
+        NormSpec("orlicz", p=1.0)
+    with pytest.raises(ValueError, match="orlicz"):
+        NormSpec("orlicz", beta=0.5)
+    with pytest.raises(ValueError, match="beta != 0"):
+        NormSpec("weighted", p=2, beta=0.0)
+    with pytest.raises(ValueError, match="weighted"):
+        NormSpec("weighted", p=2)
+    with pytest.raises(ValueError, match="lebesgue"):
+        NormSpec("lebesgue", p=2, beta=0.5)
+    with pytest.raises(ValueError, match="lebesgue"):
+        NormSpec("lebesgue")
 
 
 def test_spec_id_roundtrip():
@@ -343,7 +375,7 @@ def test_llogl_norm_of_a_narrow_spike():
     mpmath = pytest.importorskip("mpmath")
     widths = np.array([1e-9, 2 * np.pi - 1e-9])
     values = np.array([1e9, 1.0])
-    nodes = NodeSet(np.array([0.0, 1e-9]), n=1, gamma=1e-9, gamma_prime=widths[1])
+    nodes = NodeSet(np.array([0.0, 1e-9]), n=1)
     assert_allclose(nodes.gaps(), widths, rtol=0)
     got = discrete_seminorm(values, nodes, LLOGL)
     with mpmath.workdps(30):
@@ -353,7 +385,7 @@ def test_llogl_norm_of_a_narrow_spike():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_llogl_norm_propagates_nan_and_inf(bad):
     """NaN and inf samples give the norm the Lebesgue route gives, not 0."""
-    nodes = NodeSet(np.arange(-2, 2) * np.pi / 2, n=2, gamma=np.pi, gamma_prime=np.pi)
+    nodes = NodeSet(np.arange(-2, 2) * np.pi / 2, n=2)
     values = np.array([1.0, 2.0, bad, 1.0])
     f = ls.PointwiseFunction(
         "bad", lambda x: np.where(np.abs(np.asarray(x) - 1.0) < 0.05, bad, 1.0))
@@ -496,13 +528,15 @@ def test_weighted_constant_closed_form_on_both_routes(beta):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_orlicz_power_is_lebesgue_on_every_route(p, monkeypatch):
-    """The Luxemburg norm of ``t^p`` is the ``L^p`` norm: step, cache and
-    polynomial routes give the same number, with no bisection."""
+    """The Luxemburg norm of ``t^p`` is the ``L^p`` norm: it parses to the
+    Lebesgue spec, so step, cache and polynomial routes give the Lebesgue
+    number, with no bisection."""
     def no_bisection(*args, **kwargs):
         raise AssertionError("power Orlicz norm ran the Luxemburg bisection")
 
     monkeypatch.setattr(ls.norms, "luxemburg", no_bisection)
-    lebesgue, orlicz = NormSpec("lebesgue", p), NormSpec("orlicz", p=p, phi="power")
+    lebesgue, orlicz = NormSpec("lebesgue", p), parse_spec(f"orlicz:power:{p:g}")
+    assert orlicz == lebesgue
     f = corpus()["cusp05"]
     nodes = make_jittered_nodes(8, 0.4, 7)
     cache = ls.build_cache(f, resolution=1024)
@@ -511,7 +545,7 @@ def test_orlicz_power_is_lebesgue_on_every_route(p, monkeypatch):
     for route in (lambda spec: discrete_seminorm(f, nodes, spec),
                   lambda spec: norm(cache, spec),
                   lambda spec: poly_norm(poly, spec)):
-        assert_allclose(route(orlicz), route(lebesgue), rtol=1e-15)
+        assert route(orlicz) == route(lebesgue)
 
 
 # ----------------------------------------------------------------------------
