@@ -23,8 +23,7 @@ from .trigpoly import (TrigPoly, analyze, apply_window, br_window,
                        kernel_eval, subtract_poly, vp_mean)
 from .norms import (NormSpec, dilation_norm, dilation_norm_info,
                     discrete_seminorm, norm, parse_spec, poly_norm)
-from .steklov import (i_minus_a_pow, i_minus_a_pow_at, multiplier, steklov,
-                      steklov_chain)
+from .steklov import i_minus_a_pow, i_minus_a_pow_at, multiplier, steklov_chain
 from .smoothness import (ModulusReport, RealizationReport, default_width,
                          kfunc_vp, realization, semidiscrete_modulus)
 from .operators import (ApproxError, OperatorSpec, apply_operator,
@@ -50,8 +49,7 @@ __all__ = [
     "vp_mean",
     "NormSpec", "dilation_norm", "dilation_norm_info",
     "discrete_seminorm", "norm", "parse_spec", "poly_norm",
-    "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "steklov",
-    "steklov_chain",
+    "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "steklov_chain",
     "ModulusReport", "RealizationReport", "default_width",
     "kfunc_vp", "realization", "semidiscrete_modulus",
     "ApproxError", "OperatorSpec", "apply_operator", "approx_error",

@@ -125,7 +125,7 @@ class PointwiseFunction:
         return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """Sampling nodes on ``[-pi, pi)`` at scale ``n``.
 

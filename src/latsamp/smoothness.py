@@ -27,8 +27,8 @@ import numpy as np
 from .model import make_uniform_nodes
 from .norms import NormSpec, discrete_seminorm, norm, poly_norm
 from .operators import OperatorSpec, _error_components, apply_operator
-from .steklov import _window_cache, i_minus_a_pow, i_minus_a_pow_at
-from .trigpoly import TrigPoly, _as_cache, subtract_poly, vp_mean
+from .steklov import MAX_ITERATES, _window_cache, i_minus_a_pow, i_minus_a_pow_at
+from .trigpoly import _as_cache, subtract_poly, vp_mean
 
 
 def default_width(n: int, gamma: Optional[float] = None) -> float:
@@ -61,21 +61,20 @@ def semidiscrete_modulus(f, n: int, r: int, s: int, spec: NormSpec,
                          gamma: Optional[float] = None) -> ModulusReport:
     """The two-part window-average modulus at scale n (requires 2r >= s):
     ``||(I - A_h^shifted)^s f||_X`` and ``||(I - A_h)^r f||_{X_n}`` on the
-    uniform nodes.  ``f`` is a polynomial (taken spectrally), a function or a
-    cache (shared by passing it here); a base cache is refined once for both."""
+    uniform nodes.  ``f`` is a function, a polynomial or a cache (shared by
+    passing it here), cached as :func:`~latsamp.trigpoly._as_cache` does; a
+    base cache is refined once for both parts."""
     if n < 1:
         raise ValueError("scale n must be >= 1")
+    if not 1 <= r <= MAX_ITERATES:
+        raise ValueError(f"order r must lie in 1..{MAX_ITERATES}, got {r}")
     if not (1 <= s <= 2 * r):
         raise ValueError("orders must satisfy 1 <= s <= 2r")
     h = default_width(n, gamma)
     nodes = make_uniform_nodes(n)
-    if isinstance(f, TrigPoly):
-        cont = poly_norm(i_minus_a_pow(f, h, s, centered=False), spec)
-        disc_vals = i_minus_a_pow(f, h, r, centered=True).at(nodes.nodes)
-    else:
-        cache = _window_cache(_as_cache(f, n), h)
-        cont = norm(i_minus_a_pow(cache, h, s, centered=False), spec)
-        disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
+    cache = _window_cache(_as_cache(f, n), h)
+    cont = norm(i_minus_a_pow(cache, h, s, centered=False), spec)
+    disc_vals = i_minus_a_pow_at(cache, h, r, nodes.nodes, centered=True)
     disc = discrete_seminorm(disc_vals, nodes, spec)
     return ModulusReport(continuous=float(cont), discrete=float(disc),
                          n=n, r=r, s=s, h=h, spec_id=spec.id)

@@ -3,48 +3,41 @@
 ``A_h`` is the centered average over ``[x - h/2, x + h/2]``; the shifted
 variant ``A_h^. = A_h f(x + h/2)`` averages over ``[x, x + h]``.  On spectra
 both act diagonally: ``exp(ikx)`` picks up ``sin(kh/2)/(kh/2)``, times the
-phase ``exp(ikh/2)`` for the shifted variant.
+phase ``exp(ikh/2)`` for the shifted variant (:func:`multiplier`).
 
-Two backends:
-
-* TrigPoly -> exact coefficient multipliers;
-* DenseGridCache -> antiderivative differences ``(F(x+h/2) - F(x-h/2))/h``.
-  Partial panels integrate the in-panel interpolant on every cache, base or
-  derived; iterated averages materialize one derived cache per level, its
-  values taken at the 5 Gauss-Legendre nodes of each panel (cost linear in
-  the iteration count r, supported for r <= 4).  A level reads each window
-  end as a (5, 5) kernel product, a prefix add and a gather, through the
-  window's two landing plans, built once per chain for all its levels.
-  Base caches are first put on a grid the window spans in whole cells
-  (:func:`~latsamp.model.ensure_window_resolution`): at the default width
-  ``pi/(2n+1)`` both window ends, centered or shifted, and the kinks of every
-  level of a function with breakpoints on the grid fall on cell edges, so
-  each level of a piecewise polynomial is read exactly.
+Every source, a polynomial included, is averaged on a cache
+(:func:`~latsamp.trigpoly._as_cache`), as antiderivative differences
+``(F(x+h/2) - F(x-h/2))/h``.  Partial panels integrate the in-panel
+interpolant on every cache, base or derived; iterated averages materialize one
+derived cache per level, its values taken at the 5 Gauss-Legendre nodes of each
+panel (cost linear in the iteration count).  A level reads each window end as a
+(5, 5) kernel product, a prefix add and a gather, through the window's two
+landing plans, built once per chain for all its levels.  Base caches are first
+put on a grid the window spans in whole cells
+(:func:`~latsamp.model.ensure_window_resolution`): at the default width
+``pi/(2n+1)`` both window ends, centered or shifted, and the kinks of every
+level of a function with breakpoints on the grid fall on cell edges, so each
+level of a piecewise polynomial is read exactly.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-from typing import Union
+from math import comb
 
 import numpy as np
 
-from .model import DenseGridCache, PointwiseFunction, ensure_window_resolution
-from .trigpoly import TrigPoly, _as_cache
+from .model import DenseGridCache, ensure_window_resolution
+from .trigpoly import Sourceable, _as_cache
 
+# the discrete part's order r; the shifted chain of order s <= 2r takes up to twice as many
 MAX_ITERATES = 4
 
-# 1 - sinc(theta) = sum_{k>=1} (-1)^(k+1) theta^(2k)/(2k+1)!, to eps for |theta| < 1
-_SINC_SERIES = tuple((-1.0) ** (k + 1) / factorial(2 * k + 1) for k in range(1, 9))
 
-Averageable = Union[TrigPoly, DenseGridCache, PointwiseFunction]
-
-
-def _check_h(h: float, r=None):
+def _check_h(h: float, r=None, cap: int = MAX_ITERATES):
     if not 0.0 < h <= 2.0 * np.pi:
         raise ValueError("window width h must lie in (0, 2*pi]")
-    if r is not None and not 1 <= r <= MAX_ITERATES:
-        raise ValueError(f"iteration count must lie in 1..{MAX_ITERATES}")
+    if r is not None and not 1 <= r <= cap:
+        raise ValueError(f"iteration count must lie in 1..{cap}")
 
 
 def multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
@@ -54,23 +47,6 @@ def multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
     if not centered:
         m = m * np.exp(0.5j * ks * h)
     return m
-
-
-def _one_minus_multiplier(h: float, ks, centered: bool = True) -> np.ndarray:
-    """``1 - m`` without cancellation: with ``theta = kh/2``, ``1 - sinc`` by
-    its series where ``|theta| < 1``; shifted, ``1 - sinc exp(i theta) =
-    (1 - sinc) exp(i theta) - 2i sin(theta/2) exp(i theta/2)``."""
-    theta = 0.5 * h * np.asarray(ks, dtype=float)
-    small = np.abs(theta) < 1.0
-    t2 = np.where(small, theta, 0.0) ** 2
-    series = np.zeros_like(t2)
-    for c in _SINC_SERIES[::-1]:
-        series = series * t2 + c
-    one_minus = np.where(small, t2 * series, 1.0 - multiplier(h, ks))
-    if centered:
-        return one_minus
-    half = np.exp(0.5j * theta)
-    return one_minus * half * half - 2j * np.sin(0.5 * theta) * half
 
 
 def steklov_values(cache: DenseGridCache, h: float, points, centered: bool = True) -> np.ndarray:
@@ -96,39 +72,24 @@ def _chain(cache: DenseGridCache, h: float, r: int, centered: bool) -> list:
     return chain
 
 
-def _window_cache(obj: Union[DenseGridCache, PointwiseFunction], h: float) -> DenseGridCache:
-    """``obj`` as a cache resolving the window ``h``: a function is cached
-    (:func:`~latsamp.trigpoly._as_cache`), a base cache put on its grid
+def _window_cache(obj: Sourceable, h: float) -> DenseGridCache:
+    """``obj`` as a cache resolving the window ``h``: a function or polynomial is
+    cached (:func:`~latsamp.trigpoly._as_cache`), a base cache put on its grid
     (:func:`ensure_window_resolution`); a derived cache passes through as it is."""
     cache = _as_cache(obj, 0)
     return cache if cache.fn is None else ensure_window_resolution(cache, h)
 
 
-def steklov(obj: Averageable, h: float, centered: bool = True) -> Averageable:
-    """Apply the window average once; the result has the input's type.
-
-    Base caches are first put on a grid the window spans in whole cells,
-    at least 64 of them (:func:`~latsamp.model.ensure_window_resolution`).
-    """
-    _check_h(h)
-    if isinstance(obj, TrigPoly):
-        return TrigPoly(obj.coeffs * multiplier(h, obj.freqs, centered))
-    return _chain(_window_cache(obj, h), h, 1, centered)[1]
-
-
-def steklov_chain(obj: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
-                  centered: bool = True):
-    """``[f, A_h f, A_h^2 f, ..., A_h^r f]`` as materialized caches."""
-    _check_h(h, r)
+def steklov_chain(obj: Sourceable, h: float, r: int, centered: bool = True):
+    """``[f, A_h f, A_h^2 f, ..., A_h^r f]`` as materialized caches, for
+    ``r <= 2 * MAX_ITERATES`` (the shifted chain of order ``s <= 2r``)."""
+    _check_h(h, r, 2 * MAX_ITERATES)
     return _chain(_window_cache(obj, h), h, r, centered)
 
 
-def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> Averageable:
-    """``(I - A_h)^r f``: the multiplier ``(1 - m)^r`` on polynomials, the
-    binomial expansion over iterated averages on caches."""
-    _check_h(h, r)
-    if isinstance(obj, TrigPoly):
-        return TrigPoly(obj.coeffs * _one_minus_multiplier(h, obj.freqs, centered) ** r)
+def i_minus_a_pow(obj: Sourceable, h: float, r: int, centered: bool = True) -> DenseGridCache:
+    """``(I - A_h)^r f`` as a cache: the binomial expansion over the levels of
+    :func:`steklov_chain`."""
     chain = steklov_chain(obj, h, r, centered)
     out = chain[0].gl_values.copy()
     for k, link in enumerate(chain[1:], 1):
@@ -136,9 +97,9 @@ def i_minus_a_pow(obj: Averageable, h: float, r: int, centered: bool = True) -> 
     return chain[0].spawn(out)
 
 
-def i_minus_a_pow_at(cache: Union[DenseGridCache, PointwiseFunction], h: float, r: int,
-                     points, centered: bool = True) -> np.ndarray:
-    """``(I - A_h)^r f`` evaluated at arbitrary points.
+def i_minus_a_pow_at(cache: Sourceable, h: float, r: int, points,
+                     centered: bool = True) -> np.ndarray:
+    """``(I - A_h)^r f`` evaluated at arbitrary points, for ``r <= MAX_ITERATES``.
 
     The zeroth term uses the exact evaluator when the cache has one, so node
     samples honor declared jump values.

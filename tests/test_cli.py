@@ -85,6 +85,15 @@ def test_orders_out_of_range_are_usage_errors(tmp_path, args, flag, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r, s", [(3, 5), (4, 8)])
+def test_the_whole_order_range_runs(tmp_path, r, s):
+    """s <= 2r with r <= 4: a shifted chain of order s up to 8 is accepted."""
+    args = ["equiv", "--r", str(r), "--s", str(s), "--seed", "7", "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = read_rows(tmp_path / "equiv_7.csv")
+    assert rows and all(np.isfinite(float(row["ratio"])) for row in rows)
+
+
 def test_gamma_too_small_for_largest_scale_is_usage_error(tmp_path, capsys):
     """A window gamma/n finer than MAX_RESOLUTION cells allow is refused by name
     while the config is merged, before any cache is built."""

@@ -52,8 +52,7 @@ def test_public_names():
         "one_sided_best", "onesided_study", "parallel_map", "parse_operator",
         "parse_spec", "poly_norm", "probe_assumptions",
         "quasi_interp", "rate_study", "realization", "semidiscrete_modulus",
-        "smooth_bump", "steklov",
-        "steklov_chain", "subtract_poly", "vp_mean", "wks", "wrap_angle",
+        "smooth_bump", "steklov_chain", "subtract_poly", "vp_mean", "wks", "wrap_angle",
     ]
     for name in latsamp.__all__:
         assert getattr(latsamp, name) is not None

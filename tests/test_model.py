@@ -133,6 +133,15 @@ def test_nodeset_rejects_unsorted():
         NodeSet(nodes=np.array([-4.0, 0.0, 1.0]), n=1)
 
 
+def test_nodeset_compares_by_identity():
+    """A ``NodeSet`` holds an array, so it is compared and hashed by identity,
+    as ``Partition`` is (comparing the arrays raised before)."""
+    a = make_uniform_nodes(2)
+    assert a == a
+    assert a != make_uniform_nodes(2)
+    assert {a: "uniform"}[a] == "uniform"
+
+
 @pytest.mark.parametrize("make", [make_uniform_nodes,
                                   lambda n: make_jittered_nodes(n, jitter=0.4, seed=7)])
 @pytest.mark.parametrize("n", [1, 4, 33])
