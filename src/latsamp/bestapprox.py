@@ -30,7 +30,7 @@ from scipy.optimize import linprog, minimize_scalar
 from .model import (TWO_PI, DenseGridCache, Partition, PointwiseFunction, build_cache,
                     wrap_angle)
 from .norms import NormSpec, _cache_mass, _measure_norm, dilation_norm, norm
-from .trigpoly import (MAX_DEGREE, TrigPoly, _analyze, _as_cache, _synthesize,
+from .trigpoly import (MAX_DEGREE, TrigPoly, _analyze, _as_cache, _real_poly, _synthesize,
                        fourier_coefficients, subtract_poly, vp_mean)
 
 LP_MAX_DEGREE = 32
@@ -153,7 +153,7 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
                                "dual_feasibility_tolerance": LP_TOL})
         if res.status == 0:
             u[free] = res.x
-            poly = _real_coeffs_to_poly(-res.eqlin.marginals, n)
+            poly = _real_poly(-res.eqlin.marginals)
             resid = subtract_poly(cache, poly).gl_values
             value = _measure_norm(np.abs(resid), mass, spec)
             gap = value - float(np.sum(u * f)) / TWO_PI
@@ -293,16 +293,6 @@ def _real_basis_matrix(y: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _real_coeffs_to_poly(a: np.ndarray, n: int) -> TrigPoly:
-    c = np.zeros(2 * n + 1, dtype=complex)
-    c[n] = a[0]
-    for j in range(1, n + 1):
-        aj, bj = a[2 * j - 1], a[2 * j]
-        c[n + j] = 0.5 * (aj - 1j * bj)
-        c[n - j] = 0.5 * (aj + 1j * bj)
-    return TrigPoly(c)
-
-
 def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
                    grid_size: Optional[int] = None) -> OneSided:
     """Minimal-gap one-sided envelope in the (discretized) L1 norm.
@@ -351,8 +341,8 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     converged = bool(res.status == 0)
     if res.x is None:
         raise ArithmeticError(f"one-sided LP failed: {res.message}")
-    upper = _real_coeffs_to_poly(res.x[:d], n)
-    lower = _real_coeffs_to_poly(res.x[d:], n)
+    upper = _real_poly(res.x[:d])
+    lower = _real_poly(res.x[d:])
     uv = basis @ res.x[:d]
     lv = basis @ res.x[d:]
     feas = float(max(np.max(fvals - uv, initial=0.0), np.max(lv - fvals, initial=0.0)))

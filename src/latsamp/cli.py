@@ -31,15 +31,14 @@ import numpy as np
 
 from . import __version__
 from .bestapprox import LP_MAX_DEGREE
-from .harness import (_FIT_MIN_SCALES, _TREND_MIN_SCALES, convergence_criterion,
-                      counterexample_run, equivalence_study, mz_probe,
-                      onesided_study, probe_assumptions, rate_study)
+from .harness import (_FIT_MIN_SCALES, _TREND_MIN_SCALES, _vanishes_at_band_edge,
+                      convergence_criterion, counterexample_run, equivalence_study,
+                      mz_probe, onesided_study, probe_assumptions, rate_study)
 from .model import MAX_RESOLUTION, _window_resolution, corpus
 from .norms import parse_spec
-from .operators import parse_operator
+from .operators import OP_IDS, parse_operator
 from .steklov import MAX_ITERATES
 
-OP_CHOICES = "lagrange|fejer|br:<alpha>"
 SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl"
 
 # every config-file key with its parser; thresholds live here, not in harness code
@@ -137,7 +136,7 @@ def build_parser() -> _Parser:
     for name, header in _HEADERS.items():
         csv_help = f"CSV columns: {','.join(header)}"
         q = sub.add_parser(name, help=csv_help, description=csv_help)
-        q.add_argument("--op", help=f"operator: {OP_CHOICES}")
+        q.add_argument("--op", help=f"operator: {OP_IDS}")
         q.add_argument("--spec", help=f"norm: {SPEC_CHOICES}")
         q.add_argument("--n", help="comma-separated strictly increasing scales")
         q.add_argument("--r", type=int,
@@ -177,11 +176,13 @@ def load_config_file(path: str) -> Dict[str, object]:
 
 def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     cfg = dict(_DEFAULTS)
+    if args.command == "onesided":
+        cfg["spec"] = "l1"  # the norm of its one-sided LP
     cfg["n"] = _DEFAULT_N[args.command]
     if args.command in _DEFAULT_FNS:
         cfg["functions"] = _DEFAULT_FNS[args.command]
-    from_file = load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg.update(from_file)
+    if getattr(args, "config", None):
+        cfg.update(load_config_file(args.config))
     for key in ("op", "spec", "n", "r", "s", "seed", "trials", "gamma", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -243,13 +244,9 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         cfg["op_obj"] = parse_operator(str(cfg["op"]))
     except ValueError as ex:
         raise UsageError(str(ex))
-    if (args.command == "onesided" and cfg["spec_obj"].id != "l1"
-            and (getattr(args, "spec", None) is not None or "spec" in from_file)):
+    if args.command == "onesided" and cfg["spec_obj"].id != "l1":
         raise UsageError(f"--spec {cfg['spec']} is not l1: onesided measures in L1, "
                          "the norm of its one-sided LP")
-    if not cfg["op_obj"].is_periodic:
-        raise UsageError(f"--op {cfg['op_obj'].op_id} is a line-sampling operator; "
-                         f"the subcommands take {OP_CHOICES}")
     if "functions" in cfg:
         available = corpus()
         picked = {}
@@ -336,9 +333,7 @@ def _cmd_equiv(cfg):
     table = equivalence_study(str(cfg["study"]), cfg["functions_map"],
                               cfg["op_obj"], cfg["spec_obj"], int(cfg["r"]),
                               int(cfg["s"]), cfg["n_list"], gamma=cfg["gamma"])
-    rows = [[r["f_label"], r["n"], r["lhs_continuous"], r["lhs_discrete"],
-             r["rhs_continuous"], r["rhs_discrete"], r["ratio"]]
-            for r in table.rows]
+    rows = [[r[k] for k in _HEADERS["equiv"]] for r in table.rows]
     asserts: List[dict] = []
     if not table.rows and table.notes:
         _check(asserts, "study_skipped", True, 0.0, "precondition",
@@ -381,10 +376,9 @@ def _cmd_rates(cfg):
 def _cmd_counterexample(cfg):
     spec = cfg["spec_obj"]
     op = cfg["op_obj"]
-    window = op.op_id if op.family == "quasi" else "fejer"
+    window = op.op_id if _vanishes_at_band_edge(op) else "fejer"
     table = counterexample_run(cfg["n_list"], spec=spec, window=window)
-    rows = [[r["n"], r["continuous_error"], r["discrete_error"], r["ratio"],
-             r["coeff_max"]] for r in table.rows]
+    rows = [[r[k] for k in _HEADERS["counterexample"]] for r in table.rows]
     asserts: List[dict] = []
     disc = [r["discrete_error"] for r in table.rows]
     if spec.kind == "lebesgue":
@@ -416,10 +410,7 @@ def _cmd_onesided(cfg):
     rows_raw = onesided_study(cfg["functions_map"], cfg["onesided_n"],
                               op=cfg["op_obj"], eps=float(cfg["eps"]),
                               besov_cap=int(cfg["besov_cap"]))
-    rows = [[r["f_label"], r["n"], r["error"], r["onesided"],
-             r["ratio_onesided"], r["besov"], r["besov_truncated"],
-             r["ratio_besov"], r["lp_converged"], r["excluded"]]
-            for r in rows_raw]
+    rows = [[r[k] for k in _HEADERS["onesided"]] for r in rows_raw]
     asserts: List[dict] = []
     _check(asserts, "lp_converged", all(r["lp_converged"] for r in rows_raw),
            sum(1 for r in rows_raw if not r["lp_converged"]), 0)

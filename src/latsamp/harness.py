@@ -36,7 +36,7 @@ from .operators import apply_operator, approx_error, parse_operator
 from .smoothness import (default_width, kfunc_vp, realization,
                          semidiscrete_modulus)
 from .steklov import i_minus_a_pow_at
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, _real_poly
 
 # entropy tags keeping the per-purpose random streams disjoint
 _TAG_NODE_DATA = 11
@@ -60,14 +60,10 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 
 def random_real_poly(n: int, rng: np.random.Generator) -> TrigPoly:
     """Random real-valued T of degree n with i.i.d. standard-normal amplitudes."""
-    c = np.zeros(2 * n + 1, dtype=complex)
-    c[n] = rng.standard_normal()
-    if n > 0:
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
-        c[n + 1:] = 0.5 * (re - 1j * im)
-        c[:n] = np.conj(c[n + 1:])[::-1]
-    return TrigPoly(c)
+    a = np.empty(2 * n + 1)
+    a[0] = rng.standard_normal()
+    a[1::2], a[2::2] = rng.standard_normal(n), rng.standard_normal(n)  # cos, then sin
+    return _real_poly(a)
 
 
 # ----------------------------------------------------------------------------
@@ -78,7 +74,6 @@ def random_real_poly(n: int, rng: np.random.Generator) -> TrigPoly:
 @dataclass
 class ProbeReport:
     probe_id: str
-    family: str
     spec_id: str
     n_range: tuple
     constants: Dict[str, float]
@@ -91,8 +86,6 @@ def probe_assumptions(op, spec: NormSpec, s: int, n_range: Sequence[int],
                       trials: int = 50, seed: int = 0) -> ProbeReport:
     """Empirical K1/K2 (node-data) and K3/K4 (polynomial) constants."""
     op = parse_operator(op)
-    if not op.is_periodic:
-        raise ValueError("assumption probes cover the periodic families only")
     if s < 1:
         raise ValueError("smoothness order s must be >= 1")
     if trials < 1:
@@ -131,9 +124,9 @@ def probe_assumptions(op, spec: NormSpec, s: int, n_range: Sequence[int],
         "K3": max(row["k3_sup"] for row in per_n),
         "K4": min(row["k4_inf"] for row in per_n),
     }
-    return ProbeReport(probe_id=f"assumptions:{op.op_id}:s={s}", family=op.family,
-                       spec_id=spec.id, n_range=n_range, constants=constants,
-                       per_n=per_n, trials=trials, seed=seed)
+    return ProbeReport(probe_id=f"assumptions:{op.op_id}:s={s}", spec_id=spec.id,
+                       n_range=n_range, constants=constants, per_n=per_n,
+                       trials=trials, seed=seed)
 
 
 def mz_probe(spec: NormSpec, scheme: str, n_range: Sequence[int],
@@ -169,7 +162,7 @@ def mz_probe(spec: NormSpec, scheme: str, n_range: Sequence[int],
         "MZ_lower": min(row["mz_inf"] for row in per_n),
         "Bernstein": max(row["bernstein_sup"] for row in per_n),
     }
-    return ProbeReport(probe_id=f"mz:{scheme}", family="nodes", spec_id=spec.id,
+    return ProbeReport(probe_id=f"mz:{scheme}", spec_id=spec.id,
                        n_range=n_range, constants=constants, per_n=per_n,
                        trials=trials, seed=seed)
 
@@ -230,7 +223,7 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
         raise ValueError("need 2r >= s")
     op = parse_operator(op)
     table = EquivTable(study=study, rows=[])
-    if study == "br_riesz" and not (op.family == "quasi" and op.op_id.startswith("br")):
+    if study == "br_riesz" and not op.op_id.startswith("br:"):
         raise ValueError("br_riesz expects a Bochner-Riesz operator (br:<alpha>)")
     if study == "br_fejer":
         if op.op_id != "fejer":
@@ -395,6 +388,11 @@ def bump_train(n: int, k0: int, width: float) -> PointwiseFunction:
                              smoothness_hint=np.inf)
 
 
+def _vanishes_at_band_edge(op) -> bool:
+    """Whether ``G_n`` annihilates the frequency n: the window is 0 at ``xi = 1``."""
+    return abs(op.window(np.array([1.0]))[0]) <= 1e-15
+
+
 @dataclass
 class CounterexampleTable:
     window: str
@@ -417,9 +415,7 @@ def counterexample_run(n_range: Sequence[int], spec: NormSpec = NormSpec("lebesg
     if spec.kind not in ("lebesgue", "orlicz"):
         raise ValueError("the bump-width calibration needs an unweighted norm")
     op = parse_operator(window)
-    if op.family != "quasi":
-        raise ValueError("counterexample needs a window quasi-interpolant")
-    if abs(op.window(np.array([1.0]))[0]) > 1e-15:
+    if not _vanishes_at_band_edge(op):
         raise ValueError(f"window {window!r} does not vanish at the band edge; "
                          "no annihilated frequency exists")
 

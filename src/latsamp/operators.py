@@ -12,7 +12,9 @@ Node data passed as an array are read in the order of
   ``phi(k/n)``; equivalently convolution of the interpolant with the window
   kernel.  ``phi == 1`` recovers Lagrange interpolation.
 
-Line operators sum translated kernels against samples ``f(k/sigma)``:
+So an :class:`OperatorSpec` is its id alone (:data:`OP_IDS`); the id gives the window.
+
+Line operators are functions, not ids; they sum translated kernels against ``f(k/sigma)``:
 
 * ``wks`` -- truncated cardinal (sinc) series, with a certified tail bound
   when the signal carries a quadratic decay certificate (``inf`` otherwise);
@@ -22,7 +24,7 @@ Line operators sum translated kernels against samples ``f(k/sigma)``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -32,45 +34,40 @@ from .norms import NormSpec, discrete_seminorm, norm
 from .trigpoly import (TrigPoly, Window, _as_cache, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, subtract_poly)
 
-PERIODIC_FAMILIES = ("lagrange", "quasi")
+#: The periodic operator ids, as :func:`parse_operator` reads them.
+OP_IDS = "lagrange|fejer|br:<alpha>"
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A named sampling operator family, with its window where applicable."""
+    """A periodic sampling operator, given by its id: ``lagrange`` (window 1), ``fejer``
+    or ``br:<alpha>``.  The window is worked out from the id, so the two cannot disagree."""
 
     op_id: str
-    family: str
-    window: Optional[Window] = None
+    window: Window = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_periodic(self) -> bool:
-        return self.family in PERIODIC_FAMILIES
+    def __post_init__(self):
+        if self.op_id == "lagrange":
+            window = dirichlet_window()
+        elif self.op_id == "fejer":
+            window = fejer_window()
+        elif self.op_id.startswith("br:"):
+            try:
+                alpha = float(self.op_id[3:])
+            except ValueError:
+                raise ValueError(f"bad operator id {self.op_id!r}") from None
+            window = br_window(alpha)
+        else:
+            raise ValueError(f"bad operator id {self.op_id!r}; pick from {OP_IDS}")
+        object.__setattr__(self, "window", window)
 
 
 def parse_operator(text: Union[str, OperatorSpec]) -> OperatorSpec:
-    """Parse operator ids: lagrange | fejer | br:<alpha> | wks | linefejer.
-
-    An :class:`OperatorSpec` is returned unchanged, so callers may pass either.
-    """
+    """The operator of id ``text`` (case and surrounding space ignored); an
+    :class:`OperatorSpec` is returned unchanged, so callers may pass either."""
     if isinstance(text, OperatorSpec):
         return text
-    t = text.strip().lower()
-    if t == "lagrange":
-        return OperatorSpec("lagrange", "lagrange", dirichlet_window())
-    if t == "fejer":
-        return OperatorSpec("fejer", "quasi", fejer_window())
-    if t.startswith("br:"):
-        try:
-            alpha = float(t.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad operator id {text!r}") from None
-        return OperatorSpec(t, "quasi", br_window(alpha))
-    if t == "wks":
-        return OperatorSpec("wks", "wks")
-    if t == "linefejer":
-        return OperatorSpec("linefejer", "line_quasi", fejer_window())
-    raise ValueError(f"bad operator id {text!r}")
+    return OperatorSpec(text.strip().lower())
 
 
 Samples = Union[np.ndarray, PointwiseFunction, TrigPoly, DenseGridCache]
@@ -109,8 +106,6 @@ def quasi_interp(f: Samples, n: int, window: Window) -> TrigPoly:
 
 def apply_operator(op: OperatorSpec, f: Samples, n: int) -> TrigPoly:
     """``G_n f``, the window-weighted interpolant (``lagrange``'s window is 1)."""
-    if not op.is_periodic:
-        raise ValueError(f"{op.op_id} is not a periodic sampling operator")
     return quasi_interp(f, n, op.window)
 
 

@@ -207,6 +207,12 @@ def analyze(values) -> TrigPoly:
     return TrigPoly(np.concatenate([c[n + 1:], c[: n + 1]]))
 
 
+def _real_poly(a: np.ndarray) -> TrigPoly:
+    """The real ``a0 + sum_j (a_j cos jx + b_j sin jx)`` from ``[a0, a1, b1, a2, b2, ...]``."""
+    positive = 0.5 * (a[1::2] - 1j * a[2::2])
+    return TrigPoly(np.concatenate([np.conj(positive[::-1]), a[:1], positive]))
+
+
 # ----------------------------------------------------------------------------
 # Window profiles
 # ----------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from latsamp import (
     subtract_poly,
 )
 from latsamp import bestapprox, norms
-from latsamp.bestapprox import (LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix,
-                                _real_coeffs_to_poly)
+from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix
 from latsamp.model import TWO_PI
 from latsamp.norms import _cache_mass
+from latsamp.trigpoly import _real_poly
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -189,7 +189,7 @@ def test_l1_active_set_matches_the_full_lp(label, n):
                    options={"primal_feasibility_tolerance": 1e-10,
                             "dual_feasibility_tolerance": 1e-10})
     assert full.status == 0
-    poly = _real_coeffs_to_poly(-full.eqlin.marginals, n)
+    poly = _real_poly(-full.eqlin.marginals)
     oracle = norm(subtract_poly(cache, poly), L1)
     res = best_approx(cache, n, L1, method="refined")
     assert_allclose(res.value, oracle, rtol=1e-12)

@@ -180,7 +180,7 @@ def test_line_operator_is_usage_error(tmp_path, op, capsys):
     out = tmp_path / "o"
     assert run(["counterexample", "--seed", "5", "--n", "4,8", "--op", op,
                 "--out", str(out)]) == 1
-    assert "line-sampling" in capsys.readouterr().err
+    assert "lagrange|fejer|br:<alpha>" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -344,6 +344,8 @@ def test_onesided_command(tmp_path):
     assert code == 0
     rows = read_rows(out / "onesided_4.csv")
     assert len(rows) == 4
+    # with no spec given, the summary echoes the norm the study measures in
+    assert read_summary(out)["config"]["spec"] == "l1"
 
 
 @pytest.mark.parametrize("given", ["flag", "config"])

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from latsamp import (
+    OperatorSpec,
     PointwiseFunction,
     TrigPoly,
     apply_operator,
     approx_error,
     bandlimited_signal,
+    br_window,
     build_cache,
     corpus,
     dirichlet_window,
@@ -39,23 +41,23 @@ C = corpus()
 # ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text,family", [
-    ("lagrange", "lagrange"),
-    ("fejer", "quasi"),
-    ("br:1", "quasi"),
-    ("br:2.5", "quasi"),
-    ("wks", "wks"),
-    ("linefejer", "line_quasi"),
-])
-def test_parse_operator_families(text, family):
+# each id with its window; the line operators are functions, with no id
+ID_WINDOWS = {"lagrange": dirichlet_window(), "fejer": fejer_window(),
+              "br:1": br_window(1.0), "br:2.5": br_window(2.5),
+              "wks": None, "linefejer": None}
+
+
+@pytest.mark.parametrize("text", list(ID_WINDOWS))
+def test_parse_operator_families(text):
+    window = ID_WINDOWS[text]
+    if window is None:
+        with pytest.raises(ValueError, match=r"lagrange\|fejer\|br:<alpha>"):
+            parse_operator(text)
+        return
     op = parse_operator(text)
-    assert op.family == family
-
-
-def test_parse_operator_periodic_flag():
-    assert parse_operator("lagrange").is_periodic
-    assert parse_operator("br:1").is_periodic
-    assert not parse_operator("wks").is_periodic
+    assert op.op_id == text
+    xi = np.linspace(-1.0, 1.0, 201)
+    assert_array_equal(op.window(xi), window(xi))
 
 
 @pytest.mark.parametrize("bad", ["br:0", "br:-1", "br:", "br:nan", "br:inf", "br:1e400",
@@ -67,7 +69,17 @@ def test_parse_operator_invalid(bad):
 
 def test_parse_operator_idempotent():
     op = parse_operator("fejer")
-    assert parse_operator(op) is op if hasattr(parse_operator, "__wrapped__") else True
+    assert parse_operator(op) is op
+
+
+def test_operator_spec_takes_only_its_id():
+    """The window comes from the id, so a spec cannot name one and apply another."""
+    with pytest.raises(TypeError):
+        OperatorSpec("fejer", "quasi", fejer_window())
+    with pytest.raises(TypeError):
+        OperatorSpec("lagrange", window=fejer_window())
+    assert OperatorSpec("fejer") == parse_operator(" Fejer ")
+    assert hash(OperatorSpec("br:1")) == hash(parse_operator("br:1"))
 
 
 # ----------------------------------------------------------------------------
@@ -159,6 +171,7 @@ def test_unit_datum_sits_on_its_own_cell(n):
 
 
 def test_apply_operator_rejects_line_families():
+    """A line operator has no id, so no spec reaches ``apply_operator``."""
     with pytest.raises(ValueError):
         apply_operator(parse_operator("wks"), C["sine"], 8)
 
