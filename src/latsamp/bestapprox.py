@@ -40,7 +40,7 @@ LP_MAX_GRID = 2048
 # this many free nodes per unknown
 L1_START_TOL = 1e-6
 LP_START_COLUMNS = 16
-# duality gap accepted, relative to sum m |f| / 2pi; at HiGHS's default
+# duality gap accepted, relative to ||f|| (sum m |f| / 2pi); at HiGHS's default
 # feasibility tolerances (1e-7) the gap can stay near 1e-10
 GAP_TOL = 1e-12
 LP_TOL = 1e-10
@@ -94,7 +94,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
     if spec.p == 1.0 and not np.any(np.imag(cache.gl_values)):
         poly, value, gap = _l1_active_set(cache, mass, poly, spec)
     else:
-        poly, value, gap = _irls(cache, mass, poly, spec)
+        poly, _, value, gap = _irls(cache, mass, poly, spec)
     return BestApprox(poly, value, "refined", gap)
 
 
@@ -116,29 +116,27 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
     ``min_a sum m |f - T_a|`` has the dual ``max sum u f`` subject to
     ``sum u_j phi(x_j) = 0`` for every real basis function ``phi`` and
     ``|u_j| <= m_j``; at the optimum ``u_j = m_j sign(r_j)`` wherever the
-    residual ``r`` is not 0.  IRLS steps on L1 smoothed below the k-th
-    smallest ``|r|`` place the sign changes of the start.  Only the k nodes
-    with the smallest ``|r|`` stay free in the LP; the rest are fixed at
-    ``m_j sign(r_j)``.  The LP's equality multipliers are the real
-    coefficients of ``T``, and ``(sum m |r| - sum u f) / 2pi`` is the
-    duality gap of the full problem.  k starts at :data:`LP_START_COLUMNS`
-    per unknown and doubles while the LP is infeasible or the gap exceeds
-    :data:`GAP_TOL` of ``sum m |f| / 2pi``; k = all nodes is the full LP.
-    A start whose value is already within that tolerance (f of degree <= n)
-    is returned with no LP: ``u = 0`` certifies it, with gap the value.
-    Returns ``(poly, value, gap)``.
+    residual ``r`` is not 0.  The start, :func:`_irls` at rank ``k - 1``,
+    places the sign changes.  Only the k nodes with the smallest ``|r|`` stay
+    free in the LP; the rest are fixed at ``m_j sign(r_j)``.  The LP's
+    equality multipliers are the real coefficients of ``T``, and
+    ``(sum m |r| - sum u f) / 2pi`` is the duality gap of the full problem.
+    k starts at :data:`LP_START_COLUMNS` per unknown and doubles while the LP
+    is infeasible or the gap exceeds :data:`GAP_TOL` of ``||f||``; k = all
+    nodes is the full LP.  A start whose value is already within that
+    tolerance (f of degree <= n) is returned with no LP: ``u = 0`` certifies
+    it, with gap the value.  Returns ``(poly, value, gap)``.
     """
     n = poly.degree
     x, m = cache.gl_points().ravel(), mass.ravel()
     k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
-    poly, value, _ = _irls(cache, mass, poly, spec, floor_rank=k - 1, tol=L1_START_TOL,
-                           real_l1=True)
+    poly, resid, value, _ = _irls(cache, mass, poly, spec, rank=k - 1)
     f = cache.gl_values.real.ravel()
-    tol = GAP_TOL * float(np.sum(m * np.abs(f))) / TWO_PI
+    tol = GAP_TOL * _measure_norm(np.abs(cache.gl_values), mass, spec)
     if value <= tol:
         # u = 0 is dual feasible with objective 0: the gap is the value itself
         return poly, value, value
-    r = subtract_poly(cache, poly).gl_values.real.ravel()
+    r = resid.real.ravel()
     while True:
         free = np.argpartition(np.abs(r), k - 1)[:k]
         u = m * np.sign(r)
@@ -165,32 +163,36 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
 
 
 def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpec,
-          floor_rank: int = 0, tol: float = IRLS_TOL, real_l1: bool = False):
+          rank: int = 0):
     """Minimize ``||f - T||`` over complex coefficients by reweighted least squares.
 
     The weights make the weighted least-squares normal equations the
     stationarity condition of the norm: ``m |r|^(p-2)`` for Lebesgue and
     weighted norms, ``m Phi'(|r|/lambda) / |r|`` for the Luxemburg norm of
     ``Phi(t) = t log(1+t)`` at ``lambda = ||r||``.  ``|r|`` is clamped below
-    at :data:`IRLS_FLOOR` of its maximum, or at its value of rank
-    ``floor_rank`` (from 0, the smallest) when that is given, which smooths
-    L1 for a start.  Each step is scaled by an exact line search on the norm
-    itself (:func:`_line_search`; ``real_l1`` says the norm is an L1 norm of
-    real samples, whose search is one weighted median) and kept only if the
-    norm decreases, so the value never rises above the start's.  Stops once
-    a step gains less than ``tol`` relative, or after :data:`IRLS_MAX_STEPS`
-    steps.  Returns ``(poly, value, gap)``, the gap being the last relative
-    decrease.
+    at :data:`IRLS_FLOOR` of its maximum, positive unless ``r = 0``, where the
+    loop stops.  A step is kept only if the norm decreases, so the value never
+    rises above the start's.  ``rank`` is the one switch.  At 0, each step is
+    scaled by Brent's search on the norm (:func:`_line_search`) and the loop
+    stops below :data:`IRLS_TOL` relative decrease.  Above 0 the caller
+    vouches for L1 of real samples, smoothed for a start: the floor is raised
+    to the ``|r|`` of that rank (from 0, the smallest), the step is the exact
+    weighted median (:func:`_l1_step`), and the stop is :data:`L1_START_TOL`.
+    At most :data:`IRLS_MAX_STEPS` steps.  Returns ``(poly, resid, value,
+    gap)``: the residual's cache samples, and the last relative decrease.
     """
     n, part = poly.degree, cache.partition
+    tol = L1_START_TOL if rank else IRLS_TOL
     resid = subtract_poly(cache, poly).gl_values
     value = _measure_norm(np.abs(resid), mass, spec)
     gap = 0.0
     for _ in range(IRLS_MAX_STEPS):
         if value == 0.0:
             break
-        step = _wls_step(part, _irls_weights(resid, value, mass, spec, floor_rank), resid, n)
-        t = _line_search(resid, _synthesize(TrigPoly(step), part), mass, spec, real_l1)
+        step = _wls_step(part, _irls_weights(resid, value, mass, spec, rank), resid, n)
+        d = _synthesize(TrigPoly(step), part)
+        t = (_l1_step(resid.real.ravel(), d.real.ravel(), mass.ravel()) if rank
+             else _line_search(resid, d, mass, spec))
         trial = TrigPoly(poly.coeffs + t * step)
         trial_resid = subtract_poly(cache, trial).gl_values
         trial_value = _measure_norm(np.abs(trial_resid), mass, spec)
@@ -200,11 +202,11 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
         poly, resid, value = trial, trial_resid, trial_value
         if gap <= tol:
             break
-    return poly, value, gap
+    return poly, resid, value, gap
 
 
 def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormSpec,
-                  floor_rank: int) -> np.ndarray:
+                  rank: int) -> np.ndarray:
     """IRLS weights at the residual ``resid`` of norm ``value`` (see :func:`_irls`)."""
     w = np.abs(resid)
     if spec.kind == "orlicz":
@@ -212,26 +214,21 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
         np.maximum(w, 1e-300, out=w)
         w = (np.log1p(w) + w / (1.0 + w)) / w
     else:
-        floor = (np.partition(w.ravel(), floor_rank)[floor_rank] if floor_rank
-                 else IRLS_FLOOR * w.max())
+        floor = IRLS_FLOOR * w.max()
+        if rank:
+            floor = max(floor, np.partition(w.ravel(), rank)[rank])
         np.power(np.maximum(w, floor, out=w), spec.p - 2.0, out=w)
     w *= mass
     return w
 
 
-def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec,
-                 real_l1: bool = False) -> float:
-    """The ``t`` minimizing ``||resid - t d||``.
+def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec) -> float:
+    """The ``t`` minimizing ``||resid - t d||`` by Brent's :func:`minimize_scalar`.
 
-    With ``real_l1`` the caller vouches that the samples are real and the norm
-    is ``sum m |r| / 2pi``, and the minimizer is exact in one sort
-    (:func:`_l1_step`).  Any other norm is smooth along the line and goes to
-    Brent's :func:`minimize_scalar`; there a Luxemburg norm starts each root
-    search at the norm of the previous evaluation, which is close once the
-    search narrows.
+    Off L1 of real samples (:func:`_l1_step`) every norm is smooth along the
+    line.  A Luxemburg norm starts each root search at the norm of the
+    previous evaluation, which is close once the search narrows.
     """
-    if real_l1:
-        return _l1_step(resid.real.ravel(), d.real.ravel(), mass.ravel())
     # the objective runs a dozen times; a fresh temporary of this size would
     # be an mmap and its page faults on every call
     work = np.empty(resid.shape, dtype=complex)

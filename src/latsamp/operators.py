@@ -57,6 +57,7 @@ class OperatorSpec:
             except ValueError:
                 raise ValueError(f"bad operator id {self.op_id!r}") from None
             window = br_window(alpha)
+            object.__setattr__(self, "op_id", window.name)  # br:1.0 and br:1 are one id
         else:
             raise ValueError(f"bad operator id {self.op_id!r}; pick from {OP_IDS}")
         object.__setattr__(self, "window", window)

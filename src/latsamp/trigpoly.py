@@ -147,10 +147,10 @@ class TrigPoly:
         ks = self.freqs
         return TrigPoly(self.coeffs * (1j * ks) ** int(order))
 
-    def as_pointwise(self, label: Optional[str] = None) -> PointwiseFunction:
+    def as_pointwise(self) -> PointwiseFunction:
         """The polynomial as a function; caches of it are filled by synthesis."""
         return _PolyFunction(
-            label=label or f"trigpoly{self.degree}",
+            label=f"trigpoly{self.degree}",
             evaluator=self.at,
             smoothness_hint=np.inf,
             poly=self,
@@ -243,7 +243,8 @@ def fejer_window() -> Window:
 def br_window(alpha: float) -> Window:
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"smoothing exponent must be positive and finite, got {alpha!r}")
-    return Window(f"br:{alpha:g}", lambda xi: (1.0 - xi * xi) ** alpha)
+    # the shortest repr that reads back as alpha, so each alpha has its own name
+    return Window(f"br:{float(alpha)!r}".removesuffix(".0"), lambda xi: (1.0 - xi * xi) ** alpha)
 
 
 def apply_window(poly: TrigPoly, window: Window, n: int) -> TrigPoly:

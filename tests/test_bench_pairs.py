@@ -46,6 +46,21 @@ def test_worse_beyond_bound_is_a_share_of_the_parent_median():
     assert _summary(parent, [(1.26, 0.98)] * 4)["ok_share"]["worse_beyond_bound"] is True
 
 
+@pytest.mark.parametrize("parent_wall, change_wall, unresolved", [
+    # parent quartiles 0.85 and 1.15: a spread of 0.3 against a bound of 0.25
+    ([0.7, 0.9, 1.1, 1.3] * 2, [1.0] * 8, True),
+    # the same spread, but every change run beats every parent run
+    ([0.7, 0.9, 1.1, 1.3] * 2, [0.6] * 8, False),
+    # a spread of 0.015, well inside the bound
+    ([0.99, 1.0, 1.01, 1.02] * 2, [1.1] * 8, False),
+])
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(parent_wall, change_wall,
+                                                             unresolved):
+    entry = _summary([(w, 1.0) for w in parent_wall], [(w, 1.0) for w in change_wall])
+    assert entry["wall_s"]["unresolved"] is unresolved
+    assert entry["ok_share"]["unresolved"] is False
+
+
 def test_cli_pairs_alternate_and_summarize_wall_time():
     """``--cli`` runs each default subcommand once per side per pair, the parent
     first in even pairs, at ``--seed 7``, and summarizes them as ``cli:CMD``

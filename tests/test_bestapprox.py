@@ -217,8 +217,18 @@ def test_l1_active_set_doubles_until_feasible(monkeypatch, label, n):
     assert res.gap <= bestapprox.GAP_TOL
 
 
-@pytest.mark.parametrize("label,n", [("sine", 5), ("smooth", 4)])
-def test_l1_of_a_polynomial_member_solves_no_lp(monkeypatch, label, n):
+POLY_MEMBERS = [
+    ("sine", 5, "l1"), ("smooth", 4, "l1"),
+    # the smoothed L1 start meets a residual with more exact zeros than free
+    # nodes (smooth at n = 2, 3 after its first step), so its floor must not be 0
+    ("sine", 1, "l1"), ("smooth", 2, "l1"), ("smooth", 3, "l1"), ("sine", 1, "wlp:1:-0.5"),
+]
+
+
+@pytest.mark.parametrize("label,n,spec_id", POLY_MEMBERS,
+                         ids=[f"{f}-{n}" + ("" if s == "l1" else f"-{s}")
+                              for f, n, s in POLY_MEMBERS])
+def test_l1_of_a_polynomial_member_solves_no_lp(monkeypatch, label, n, spec_id):
     """A start whose residual is at rounding level is its own certificate:
     u = 0 is dual feasible with objective 0, so the duality gap is the value
     itself, and no LP runs (each would be infeasible on sign noise)."""
@@ -229,9 +239,10 @@ def test_l1_of_a_polynomial_member_solves_no_lp(monkeypatch, label, n):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(bestapprox, "linprog", counting_linprog)
-    res = best_approx(C[label], n, L1, method="refined")
+    spec = parse_spec(spec_id)
+    res = best_approx(C[label], n, spec, method="refined")
     assert calls == []
-    tol = bestapprox.GAP_TOL * norm(build_cache(C[label], n_scale=2 * n), L1)
+    tol = bestapprox.GAP_TOL * norm(build_cache(C[label], n_scale=2 * n), spec)
     assert res.gap == res.value <= tol
     # a function outside the space still runs its LP, to the same value as before
     res = best_approx(C["square"], 6, L1, method="refined")

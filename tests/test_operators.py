@@ -67,6 +67,21 @@ def test_parse_operator_invalid(bad):
         parse_operator(bad)
 
 
+@pytest.mark.parametrize("text", ["br:1.0", "br:1e0", "BR:01"])
+def test_br_ids_are_canonical(text):
+    """A ``br:`` id is stored as its window's name, so spellings of one alpha
+    are one operator."""
+    op = parse_operator(text)
+    assert op == parse_operator("br:1")
+    assert op.op_id == "br:1"
+
+
+def test_br_ids_keep_every_digit_of_alpha():
+    assert parse_operator("br:1234567").op_id == "br:1234567"
+    assert parse_operator("br:1234567") != parse_operator("br:1234568")
+    assert parse_operator("br:2.5").op_id == "br:2.5"
+
+
 def test_parse_operator_idempotent():
     op = parse_operator("fejer")
     assert parse_operator(op) is op

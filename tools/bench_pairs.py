@@ -32,7 +32,10 @@ Each metric of the summary also carries two verdicts, in the direction
   count for neither side), and its median is better than the parent's by
   more than the parent's quartile spread (third minus first quartile);
 * ``worse_beyond_bound``: the change's median is worse than the parent's by
-  more than the metric's ``bound``, a share of the parent's median.
+  more than the metric's ``bound``, a share of the parent's median;
+* ``unresolved``: the parent's own quartile spread exceeds that ``bound``
+  share, so a move within the bound cannot be told from the parent's
+  scatter, unless every change run is better than every parent run.
 """
 
 import argparse
@@ -156,6 +159,8 @@ def summarize(runs: list, metrics: list) -> dict:
             parent, change = statistics.median(sides["parent"]), statistics.median(sides["change"])
             q1, _, q3 = quartiles(sides["parent"])
             better_by = parent - change if lower else change - parent
+            apart = (max(sides["change"]) < min(sides["parent"]) if lower
+                     else min(sides["change"]) > max(sides["parent"]))
             entry[name] = {
                 "parent_median": parent,
                 "change_median": change,
@@ -164,6 +169,7 @@ def summarize(runs: list, metrics: list) -> dict:
                 "change_better_pairs": wins,
                 "gain_resolved": 10 * wins >= 9 * len(pairs) and better_by > q3 - q1,
                 "worse_beyond_bound": -better_by > metric["bound"] * abs(parent),
+                "unresolved": q3 - q1 > metric["bound"] * abs(parent) and not apart,
             }
         out[workload] = entry
     return out
