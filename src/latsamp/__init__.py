@@ -21,12 +21,12 @@ from .model import (DenseGridCache, NodeSet, PointwiseFunction, build_cache,
 from .trigpoly import (TrigPoly, analyze, apply_window, br_window,
                        dirichlet_window, fejer_window, fourier_coefficients,
                        kernel_eval, subtract_poly, vp_mean)
-from .norms import (NormSpec, dilation_norm, dilation_norm_info,
-                    discrete_seminorm, norm, parse_spec, poly_norm)
+from .norms import (NormSpec, dilation_norm, discrete_seminorm, norm,
+                    parse_spec, poly_norm)
 from .steklov import i_minus_a_pow, i_minus_a_pow_at, multiplier, steklov_chain
 from .smoothness import (ModulusReport, RealizationReport, default_width,
                          kfunc_vp, realization, semidiscrete_modulus)
-from .operators import (ApproxError, OperatorSpec, apply_operator,
+from .operators import (ApproxError, LineSignal, OperatorSpec, apply_operator,
                         approx_error, bandlimited_signal, lagrange,
                         line_kernel, line_quasi, parse_operator, quasi_interp,
                         wks)
@@ -47,12 +47,12 @@ __all__ = [
     "TrigPoly", "analyze", "apply_window", "br_window", "dirichlet_window",
     "fejer_window", "fourier_coefficients", "kernel_eval", "subtract_poly",
     "vp_mean",
-    "NormSpec", "dilation_norm", "dilation_norm_info",
-    "discrete_seminorm", "norm", "parse_spec", "poly_norm",
+    "NormSpec", "dilation_norm", "discrete_seminorm", "norm", "parse_spec",
+    "poly_norm",
     "i_minus_a_pow", "i_minus_a_pow_at", "multiplier", "steklov_chain",
     "ModulusReport", "RealizationReport", "default_width",
     "kfunc_vp", "realization", "semidiscrete_modulus",
-    "ApproxError", "OperatorSpec", "apply_operator", "approx_error",
+    "ApproxError", "LineSignal", "OperatorSpec", "apply_operator", "approx_error",
     "bandlimited_signal", "lagrange", "line_kernel", "line_quasi",
     "parse_operator", "quasi_interp", "wks",
     "BestApprox", "BesovSum", "LemderCheck", "OneSided", "besov_sum",

@@ -15,7 +15,8 @@ dilation-weighted tail sums.
   dilation-weighted series whose convergence characterizes when the
   interpolation error is controlled by best approximation alone.
 * ``lemder_check`` -- ratio of the one-sided value against
-  ``(n+1)^{-r}`` times the best approximation of the r-th derivative.
+  ``(n+1)^{-r}`` times the best approximation of the r-th derivative, which
+  the caller passes.
 """
 
 from __future__ import annotations
@@ -433,13 +434,15 @@ class LemderCheck:
     r: int
 
 
-def lemder_check(f: PointwiseFunction, n: int, r: int, spec: NormSpec) -> LemderCheck:
-    """Ratio of the one-sided gap to ``(n+1)^{-r} E_n(f^{(r)})``."""
+def lemder_check(f: PointwiseFunction, n: int, r: int, spec: NormSpec,
+                 derivative: PointwiseFunction) -> LemderCheck:
+    """Ratio of the one-sided gap of f to ``(n+1)^{-r} E_n(f^{(r)})``, where
+    ``derivative`` is f^(r), given by the caller (any source
+    :func:`best_approx` takes); nothing checks that it is f's derivative."""
     if r < 1:
         raise ValueError("derivative order must be >= 1")
     os = one_sided_best(f, n, spec)
-    deriv = f.derivative_order(r)
-    eb = best_approx(deriv, n, spec).value
+    eb = best_approx(derivative, n, spec).value
     scaled = (n + 1.0) ** (-r) * eb
     if os.value <= 0.0:
         ratio = 0.0

@@ -247,6 +247,8 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
     if args.command == "onesided" and cfg["spec_obj"].id != "l1":
         raise UsageError(f"--spec {cfg['spec']} is not l1: onesided measures in L1, "
                          "the norm of its one-sided LP")
+    # echo the canonical ids, so two spellings of one run write one summary.json
+    cfg["spec"], cfg["op"] = cfg["spec_obj"].id, cfg["op_obj"].op_id
     if "functions" in cfg:
         available = corpus()
         picked = {}

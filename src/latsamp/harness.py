@@ -384,8 +384,7 @@ def bump_train(n: int, k0: int, width: float) -> PointwiseFunction:
         t = j * step
         return np.exp(1j * k0 * t) * smooth_bump((x - t) / width)
 
-    return PointwiseFunction(label=f"bump_train:{n}", evaluator=evaluate,
-                             smoothness_hint=np.inf)
+    return PointwiseFunction(label=f"bump_train:{n}", evaluator=evaluate)
 
 
 def _vanishes_at_band_edge(op) -> bool:

@@ -69,37 +69,31 @@ def wrap_angle(x):
 
 @dataclass(frozen=True)
 class PointwiseFunction:
-    """A function given by an exact vectorized evaluator.
+    """A function on the circle, given by an exact vectorized evaluator.
 
     Parameters
     ----------
     label : str
         Short identifier used in reports.
     evaluator : callable
-        Vectorized map ``x -> values`` (real or complex).  At declared
-        breakpoints it must return the declared jump value, so pointwise
-        sampling is unambiguous.
-    domain : str
-        ``"circle"`` (2pi-periodic) or ``"line"``.
+        Vectorized 2pi-periodic map ``x -> values`` (real or complex).  At
+        declared breakpoints it must return the declared jump value, so
+        pointwise sampling is unambiguous.
     breakpoints : tuple of float
         Locations in ``[-pi, pi)`` where the function (or a derivative) is not
         smooth.  Quadrature panels are split and graded there.
     smoothness_hint : float or None
-        Expected approximation order, when known (used only for reporting).
-    derivative : PointwiseFunction or None
-        Exact derivative, when available.
-    decay : (C, q) or None
-        For line-domain signals: a certified bound ``|f(t)| <= C/|t|^q`` for
-        ``|t| >= 1``, used by truncated sampling sums to bound their tails.
+        Nothing in the package reads it; it stays only because the benchmark's
+        worker passes it by keyword, until that benchmark is reworked.
+
+    A signal on the line is a :class:`~latsamp.operators.LineSignal`, which no
+    circle quantity accepts.
     """
 
     label: str
     evaluator: Callable = field(compare=False, repr=False)
-    domain: str = "circle"
     breakpoints: tuple = ()
     smoothness_hint: Optional[float] = None
-    derivative: Optional["PointwiseFunction"] = field(default=None, repr=False)
-    decay: Optional[tuple] = None
 
     def __call__(self, x):
         vals = self.evaluator(np.asarray(x, dtype=float))
@@ -114,15 +108,6 @@ class PointwiseFunction:
         """
         gl_x = part.gl_points()
         return self(gl_x.ravel()).reshape(gl_x.shape)
-
-    def derivative_order(self, r: int) -> "PointwiseFunction":
-        """Return the r-th derivative, chaining :attr:`derivative` r times."""
-        f = self
-        for _ in range(int(r)):
-            if f.derivative is None:
-                raise ValueError(f"{f.label}: no exact derivative available")
-            f = f.derivative
-        return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,8 +495,6 @@ def build_cache(fn: PointwiseFunction, resolution: Optional[int] = None,
     by a factor >= 64.  ``n_scale`` is the frequency scale of the quantity the
     cache serves; :func:`~latsamp.trigpoly._as_cache` raises it to a polynomial's degree.
     """
-    if fn.domain != "circle":
-        raise ValueError("caches are built for circle-domain functions")
     if resolution is None:
         resolution = DEFAULT_RESOLUTION
         if n_scale is not None:
@@ -565,48 +548,21 @@ def _abs_sin_pow(alpha):
     return ev
 
 
-def _cusp15_derivative(x):
-    s = np.sin(x)
-    return 1.5 * np.abs(s) ** 0.5 * np.sign(s) * np.cos(x)
-
-
 def corpus() -> dict:
     """The reference function corpus keyed by label.
 
     Includes complex exponentials, a finite trigonometric sum, a square wave
     (jump value 0 at the jumps), two cusp powers of ``|sin|``, a sawtooth, and
-    a plain sine (handy where an exact derivative is needed).
+    a plain sine.
     """
     entries = {}
     for k in (1, 3, 7):
-        dk = PointwiseFunction(
-            label=f"dexp{k}",
-            evaluator=(lambda kk: (lambda x: 1j * kk * np.exp(1j * kk * x)))(k),
-        )
         entries[f"exp{k}"] = PointwiseFunction(
-            label=f"exp{k}",
-            evaluator=(lambda kk: (lambda x: np.exp(1j * kk * x)))(k),
-            smoothness_hint=np.inf,
-            derivative=dk,
-        )
-    d2 = PointwiseFunction("dsmooth2", lambda x: -np.sin(x) - 4.0 * np.cos(2 * x))
-    d1 = PointwiseFunction("dsmooth", lambda x: np.cos(x) - 2.0 * np.sin(2 * x),
-                           derivative=d2)
-    entries["smooth"] = PointwiseFunction(
-        "smooth", lambda x: np.sin(x) + np.cos(2 * x),
-        smoothness_hint=np.inf, derivative=d1)
-    dsin2 = PointwiseFunction("ddsine", lambda x: -np.sin(x))
-    dsin = PointwiseFunction("dsine", np.cos, derivative=dsin2)
-    entries["sine"] = PointwiseFunction(
-        "sine", np.sin, smoothness_hint=np.inf, derivative=dsin)
-    entries["square"] = PointwiseFunction(
-        "square", _square_eval, breakpoints=(-np.pi, 0.0), smoothness_hint=0.5)
-    entries["cusp05"] = PointwiseFunction(
-        "cusp05", _abs_sin_pow(0.5), breakpoints=(-np.pi, 0.0), smoothness_hint=0.5)
-    entries["cusp15"] = PointwiseFunction(
-        "cusp15", _abs_sin_pow(1.5), breakpoints=(-np.pi, 0.0), smoothness_hint=1.5,
-        derivative=PointwiseFunction("dcusp15", _cusp15_derivative,
-                                     breakpoints=(-np.pi, 0.0)))
-    entries["sawtooth"] = PointwiseFunction(
-        "sawtooth", _sawtooth_eval, breakpoints=(0.0,), smoothness_hint=0.5)
+            f"exp{k}", (lambda kk: (lambda x: np.exp(1j * kk * x)))(k))
+    entries["smooth"] = PointwiseFunction("smooth", lambda x: np.sin(x) + np.cos(2 * x))
+    entries["sine"] = PointwiseFunction("sine", np.sin)
+    entries["square"] = PointwiseFunction("square", _square_eval, breakpoints=(-np.pi, 0.0))
+    entries["cusp05"] = PointwiseFunction("cusp05", _abs_sin_pow(0.5), breakpoints=(-np.pi, 0.0))
+    entries["cusp15"] = PointwiseFunction("cusp15", _abs_sin_pow(1.5), breakpoints=(-np.pi, 0.0))
+    entries["sawtooth"] = PointwiseFunction("sawtooth", _sawtooth_eval, breakpoints=(0.0,))
     return entries

@@ -325,8 +325,8 @@ def discrete_seminorm(f, nodes: NodeSet, spec: NormSpec) -> float:
 # ----------------------------------------------------------------------------
 
 
-def dilation_norm_info(spec: NormSpec, r: float):
-    """Operator norm of ``f -> f(r .)``, ``0 < r < inf``, as ``(value, 'closed-form')``:
+def dilation_norm(spec: NormSpec, r: float) -> float:
+    """Operator norm of ``f -> f(r .)``, ``0 < r < inf``, in closed form:
     ``r^(-1/p)``, or for ``phi(t) = t log(1+t)`` the sup of ``phi^{-1}(t)/phi^{-1}(rt)``
     (Boyd, Pacific J. Math. 38, 1971), ``max(1/r, r^(-1/2))``.  Proof:
 
@@ -340,11 +340,7 @@ def dilation_norm_info(spec: NormSpec, r: float):
     if not 0.0 < r < np.inf:
         raise ValueError(f"dilation factor r must be positive and finite, got {r!r}")
     if spec.kind == "orlicz":
-        return max(1 / r, r ** -0.5), "closed-form"
+        return max(1 / r, r ** -0.5)
     if spec.kind == "weighted":
         raise ValueError(f"no certified dilation norm for {spec.id} (weight exponent != 0)")
-    return r ** (-1.0 / spec.p), "closed-form"
-
-
-def dilation_norm(spec: NormSpec, r: float) -> float:
-    return dilation_norm_info(spec, r)[0]
+    return r ** (-1.0 / spec.p)

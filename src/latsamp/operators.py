@@ -14,7 +14,8 @@ Node data passed as an array are read in the order of
 
 So an :class:`OperatorSpec` is its id alone (:data:`OP_IDS`); the id gives the window.
 
-Line operators are functions, not ids; they sum translated kernels against ``f(k/sigma)``:
+Line operators are functions, not ids; they sum translated kernels against
+``f(k/sigma)`` for a :class:`LineSignal` ``f``, which no circle quantity accepts:
 
 * ``wks`` -- truncated cardinal (sinc) series, with a certified tail bound
   when the signal carries a quadratic decay certificate (``inf`` otherwise);
@@ -25,7 +26,7 @@ Line operators are functions, not ids; they sum translated kernels against ``f(k
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -151,7 +152,28 @@ def _error_components(cache: DenseGridCache, g: TrigPoly, n: int,
 LINE_CHUNK = 1 << 20
 
 
-def _line_series(f: PointwiseFunction, sigma: float, trunc: int, x, kernel) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class LineSignal:
+    """A signal on the whole line, read only by the line operators; it compares
+    by identity, as it has no label.
+
+    Parameters
+    ----------
+    evaluator : callable
+        Vectorized map ``t -> values``.
+    decay : (C, q) or None
+        A certified bound ``|f(t)| <= C/|t|^q`` for ``|t| >= 1``, which
+        :func:`wks` turns into a bound on its truncation tail.
+    """
+
+    evaluator: Callable = field(repr=False)
+    decay: Optional[tuple] = None
+
+    def __call__(self, t):
+        return np.asarray(self.evaluator(np.asarray(t, dtype=float)))
+
+
+def _line_series(f: LineSignal, sigma: float, trunc: int, x, kernel) -> np.ndarray:
     """``sum_{|k|<=trunc} f(k/sigma) kernel(sigma x - k)``, in blocks of at most
     :data:`LINE_CHUNK` kernel values (one row, whatever ``trunc``)."""
     if not (np.isfinite(sigma) and sigma > 0):
@@ -169,7 +191,7 @@ def _line_series(f: PointwiseFunction, sigma: float, trunc: int, x, kernel) -> n
     return out.reshape(x.shape)
 
 
-def bandlimited_signal(a: float, label: str = "bandlimited") -> PointwiseFunction:
+def bandlimited_signal(a: float) -> LineSignal:
     """``(sin(at)/(at))^2``: band in [-2a, 2a], decay ``|f(t)| <= (1/a^2)/t^2``.
 
     Spectrally safe for cardinal sampling at rate sigma whenever
@@ -181,23 +203,22 @@ def bandlimited_signal(a: float, label: str = "bandlimited") -> PointwiseFunctio
     def ev(t):
         return np.sinc(a * np.asarray(t, dtype=float) / np.pi) ** 2
 
-    return PointwiseFunction(label=label, evaluator=ev, domain="line",
-                             smoothness_hint=np.inf, decay=(1.0 / a ** 2, 2.0))
+    return LineSignal(ev, decay=(1.0 / a ** 2, 2.0))
 
 
-def wks(f: PointwiseFunction, sigma: float, trunc: int, x):
+def wks(f: LineSignal, sigma: float, trunc: int, x):
     """Truncated cardinal series ``sum_{|k|<=trunc} f(k/sigma) sinc(sigma x - k)``.
 
-    Returns ``(values, tail_bound)``.  The bound is certified when f carries a
-    quadratic decay certificate ``|f(t)| <= C/t^2``; without one, and where
-    the bound is not valid (evaluation too close to the truncation edge), the
-    entries are ``inf``.
+    Returns ``(values, tail_bound)``.  The bound is certified when the line
+    signal f carries a quadratic decay certificate ``|f(t)| <= C/t^2``
+    (:attr:`LineSignal.decay`); without one, and where the bound is not valid
+    (evaluation too close to the truncation edge), the entries are ``inf``.
     """
     vals = _line_series(f, sigma, trunc, x, np.sinc)
     return vals, _wks_tail_bound(f, sigma, trunc, np.asarray(x, dtype=float))
 
 
-def _wks_tail_bound(f: PointwiseFunction, sigma: float, trunc: int, x: np.ndarray) -> np.ndarray:
+def _wks_tail_bound(f: LineSignal, sigma: float, trunc: int, x: np.ndarray) -> np.ndarray:
     if f.decay is None or f.decay[1] != 2.0:
         return np.full(x.shape, np.inf)
     c2 = float(f.decay[0])
@@ -231,7 +252,7 @@ def line_kernel(window: Window, x) -> np.ndarray:
     return out.reshape(shape)
 
 
-def line_quasi(f: PointwiseFunction, sigma: float, trunc: int, x,
+def line_quasi(f: LineSignal, sigma: float, trunc: int, x,
                window: Optional[Window] = None) -> np.ndarray:
     """Truncated kernel series ``sum_{|k|<=trunc} f(k/sigma) K(sigma x - k)``."""
     window = fejer_window() if window is None else window

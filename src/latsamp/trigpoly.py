@@ -149,12 +149,7 @@ class TrigPoly:
 
     def as_pointwise(self) -> PointwiseFunction:
         """The polynomial as a function; caches of it are filled by synthesis."""
-        return _PolyFunction(
-            label=f"trigpoly{self.degree}",
-            evaluator=self.at,
-            smoothness_hint=np.inf,
-            poly=self,
-        )
+        return _PolyFunction(label=f"trigpoly{self.degree}", evaluator=self.at, poly=self)
 
     # -- arithmetic ----------------------------------------------------------
 

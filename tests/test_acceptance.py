@@ -13,7 +13,7 @@ from latsamp.bestapprox import best_approx, lemder_check, one_sided_best
 from latsamp.harness import (counterexample_run, equivalence_study, mz_probe,
                              probe_assumptions, random_real_poly, rate_study)
 from latsamp.model import PointwiseFunction, build_cache, corpus
-from latsamp.norms import dilation_norm_info, parse_spec
+from latsamp.norms import dilation_norm, parse_spec
 from latsamp.operators import bandlimited_signal, lagrange, quasi_interp, wks
 from latsamp.steklov import multiplier, steklov_values
 from latsamp.trigpoly import br_window, dirichlet_window, fejer_window, kernel_eval
@@ -265,7 +265,8 @@ def test_10_one_sided_gap_dominates_and_shrinks():
         gaps.append(os.value)
     monotone = all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:]))
 
-    ratios = [lemder_check(FNS["sine"], n, 1, spec).ratio for n in ns]
+    dsine = PointwiseFunction("dsine", np.cos)
+    ratios = [lemder_check(FNS["sine"], n, 1, spec, dsine).ratio for n in ns]
     finite = all(np.isfinite(v) for v in ratios)
     if max(ratios) <= 1e-9:
         # sin x is itself a polynomial of every tested degree, so both sides
@@ -313,11 +314,10 @@ def test_12_dilation_norm_closed_forms():
     for p, spec_id in ((1.0, "l1"), (1.5, "lp:1.5"), (2.0, "l2"),
                        (4.0, "lp:4")):
         for r in (0.1, 0.25, 0.5, 0.9):
-            value, method = dilation_norm_info(parse_spec(spec_id), r)
-            exact = exact and value == r ** (-1.0 / p) and method == "closed-form"
+            exact = exact and dilation_norm(parse_spec(spec_id), r) == r ** (-1.0 / p)
     for p in (1.5, 2.0, 3.0):
         for r in (0.1, 0.25, 0.5, 0.9):
-            value, _ = dilation_norm_info(parse_spec(f"orlicz:power:{p:g}"), r)
+            value = dilation_norm(parse_spec(f"orlicz:power:{p:g}"), r)
             worst_orlicz = max(worst_orlicz, abs(value - r ** (-1.0 / p)))
     ok = exact and worst_orlicz <= 1e-8
     _verdict(12, "dilation-norms", ok,

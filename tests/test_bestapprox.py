@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog, minimize_scalar
 
 from latsamp import (
+    PointwiseFunction,
     TrigPoly,
     best_approx,
     besov_sum,
@@ -512,16 +513,25 @@ def test_besov_sum_on_a_derived_cache_cannot_refine():
 # ----------------------------------------------------------------------------
 
 
+def _cusp15_derivative(x):
+    s = np.sin(x)
+    return 1.5 * np.abs(s) ** 0.5 * np.sign(s) * np.cos(x)
+
+
+DSINE = PointwiseFunction("dsine", np.cos)
+DCUSP15 = PointwiseFunction("dcusp15", _cusp15_derivative, breakpoints=(-np.pi, 0.0))
+
+
 def test_lemder_degenerate_member():
     """sin lies in every T_n, so both sides vanish; the ratio reads 0."""
-    res = lemder_check(C["sine"], 4, 1, L1)
+    res = lemder_check(C["sine"], 4, 1, L1, DSINE)
     assert res.onesided == 0.0
     assert res.ratio == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_lemder_cusp_finite_ratio(n):
-    res = lemder_check(C["cusp15"], n, 1, L1)
+    res = lemder_check(C["cusp15"], n, 1, L1, DCUSP15)
     assert np.isfinite(res.ratio)
     assert res.ratio > 0
     assert res.n == n and res.r == 1
@@ -529,7 +539,7 @@ def test_lemder_cusp_finite_ratio(n):
 
 
 def test_lemder_ratios_stay_bounded():
-    ratios = [lemder_check(C["cusp15"], n, 1, L1).ratio for n in (4, 8, 16)]
+    ratios = [lemder_check(C["cusp15"], n, 1, L1, DCUSP15).ratio for n in (4, 8, 16)]
     finite = [r for r in ratios if r > 0]
     assert finite
     assert max(finite) / min(finite) < 8.0

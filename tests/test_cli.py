@@ -383,6 +383,23 @@ def test_probe_orlicz_power_is_the_l2_probe(tmp_path):
     assert "mz_inf_floor" in names
 
 
+def test_spellings_of_one_run_write_one_summary(tmp_path):
+    """``--op`` and ``--spec`` are echoed as their canonical ids: two spellings
+    of one run write the same CSV and the same summary.json, apart from ``out``."""
+    outs, summaries = {}, {}
+    for op, spec in (("br:1", "wlp:2:-0.5"), ("BR:01", "WLP:2:-0.5")):
+        outs[op] = tmp_path / op.replace(":", "-")
+        assert run(["probe", "--op", op, "--spec", spec, "--n", "8,16", "--trials", "3",
+                    "--seed", "7", "--out", str(outs[op])]) == 0
+        summaries[op] = read_summary(outs[op])
+        assert summaries[op]["config"].pop("out") == str(outs[op])
+    csvs = [(out / "probe_7.csv").read_bytes() for out in outs.values()]
+    assert csvs[0] == csvs[1]
+    assert summaries["BR:01"] == summaries["br:1"]
+    assert summaries["br:1"]["config"]["op"] == "br:1"
+    assert summaries["br:1"]["config"]["spec"] == "wlp:2:-0.5"
+
+
 def test_rates_command(tmp_path):
     cfgfile = tmp_path / "r.cfg"
     cfgfile.write_text("functions = cusp15\n"

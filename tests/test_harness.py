@@ -36,14 +36,14 @@ def test_public_names():
     assert sorted(latsamp.__all__) == [
         "ApproxError", "BesovSum", "BestApprox", "ConvergenceVerdict",
         "CounterexampleTable", "DenseGridCache", "EquivTable", "LemderCheck",
-        "ModulusReport", "NodeSet", "NormSpec", "OneSided", "OperatorSpec",
+        "LineSignal", "ModulusReport", "NodeSet", "NormSpec", "OneSided", "OperatorSpec",
         "PointwiseFunction", "ProbeReport", "RateFit", "RealizationReport",
         "TrigPoly", "__version__", "analyze", "apply_operator",
         "apply_window", "approx_error", "bandlimited_signal", "besov_sum",
         "best_approx", "br_window", "build_cache", "bump_train",
         "convergence_criterion", "corpus",
         "counterexample_run", "default_width", "dilation_norm",
-        "dilation_norm_info", "dirichlet_window", "discrete_seminorm",
+        "dirichlet_window", "discrete_seminorm",
         "ensure_window_resolution", "equivalence_study", "fejer_window",
         "fit_loglog", "fourier_coefficients", "i_minus_a_pow",
         "i_minus_a_pow_at", "kernel_eval", "kfunc_vp", "lagrange",

@@ -66,24 +66,6 @@ class TestPointwiseFunction:
         out = f(np.array([1.0, 2.0, 3.0]))
         assert_allclose(out, [1.0, 4.0, 9.0])
 
-    def test_derivative_chain(self):
-        c = corpus()
-        f = c["sine"]
-        d1 = f.derivative_order(1)
-        d2 = f.derivative_order(2)
-        x = np.linspace(-3, 3, 17)
-        assert_allclose(d1(x), np.cos(x), atol=1e-15)
-        assert_allclose(d2(x), -np.sin(x), atol=1e-15)
-
-    def test_derivative_order_zero_is_identity(self):
-        f = corpus()["sine"]
-        assert f.derivative_order(0) is f
-
-    def test_missing_derivative_raises(self):
-        f = PointwiseFunction("plain", np.cos)
-        with pytest.raises(ValueError):
-            f.derivative_order(1)
-
 
 def test_uniform_nodes_basic():
     for n in (1, 4, 9):
@@ -362,7 +344,6 @@ def test_exp_functions_and_derivatives():
     for k in (1, 3, 7):
         f = c[f"exp{k}"]
         assert_allclose(f(x), np.exp(1j * k * x), atol=1e-15)
-        assert_allclose(f.derivative_order(1)(x), 1j * k * np.exp(1j * k * x), atol=1e-14)
 
 
 def test_cusp_powers():

@@ -15,7 +15,6 @@ from latsamp import (
     TrigPoly,
     corpus,
     dilation_norm,
-    dilation_norm_info,
     discrete_seminorm,
     make_jittered_nodes,
     make_uniform_nodes,
@@ -557,9 +556,7 @@ def test_orlicz_power_is_lebesgue_on_every_route(p, monkeypatch):
 @pytest.mark.parametrize("r", [0.5, 0.25, 0.125])
 def test_dilation_lebesgue_closed_form(p, r):
     spec = NormSpec("lebesgue", p)
-    value, method = dilation_norm_info(spec, r)
-    assert method == "closed-form"
-    assert value == r ** (-1.0 / p)
+    assert dilation_norm(spec, r) == r ** (-1.0 / p)
 
 
 def test_dilation_orlicz_power():
@@ -581,7 +578,7 @@ def test_dilation_llogl_at_least_identity():
 def test_dilation_llogl_closed_form(r, want):
     """``max(1/r, r^(-1/2))``: a compression (r < 1) by ``1/r``, a dilation
     (r > 1) by ``r^(-1/2)``, the identity by 1."""
-    assert dilation_norm_info(LLOGL, r) == (want, "closed-form")
+    assert dilation_norm(LLOGL, r) == want
 
 
 def _llogl_inverse_mp(mpmath, y):
@@ -617,10 +614,10 @@ def test_dilation_has_no_uncertified_weighted_value():
     """A weight with beta != 0 has no closed form or grid sup: it raises
     rather than return an estimate; beta = 0 is the Lebesgue closed form."""
     with pytest.raises(ValueError, match="wlp:2:-0.5"):
-        dilation_norm_info(parse_spec("wlp:2:-0.5"), 0.5)
+        dilation_norm(parse_spec("wlp:2:-0.5"), 0.5)
     with pytest.raises(ValueError):
         dilation_norm(parse_spec("wlp:1.5:0.25"), 0.25)
-    assert dilation_norm_info(parse_spec("wlp:2:0"), 0.25) == (2.0, "closed-form")
+    assert dilation_norm(parse_spec("wlp:2:0"), 0.25) == 2.0
 
 
 def test_dilation_rejects_bad_factor():

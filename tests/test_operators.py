@@ -1,16 +1,20 @@
 """Sampling operators: interpolation, window quasi-interpolants, WKS sums."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from latsamp import (
+    LineSignal,
     OperatorSpec,
     PointwiseFunction,
     TrigPoly,
     apply_operator,
     approx_error,
     bandlimited_signal,
+    best_approx,
     br_window,
     build_cache,
     corpus,
@@ -21,10 +25,12 @@ from latsamp import (
     line_kernel,
     line_quasi,
     make_uniform_nodes,
+    norm,
     parse_operator,
     parse_spec,
     poly_norm,
     quasi_interp,
+    semidiscrete_modulus,
     wks,
 )
 from latsamp import operators
@@ -241,10 +247,37 @@ def test_bandlimited_signal_shape():
     f = bandlimited_signal(8.0)
     t = np.linspace(-3, 3, 101)
     assert_allclose(f(t), np.sinc(8.0 * t / np.pi) ** 2, atol=1e-15)
-    assert f.domain == "line"
+    assert isinstance(f, LineSignal)
     assert f.decay == (1.0 / 64.0, 2.0)
     with pytest.raises(ValueError):
         bandlimited_signal(0.0)
+
+
+def test_function_types_hold_only_their_fields():
+    """The fields, frozen: a circle function holds no line data, and a line
+    signal no label or breakpoints."""
+    assert [f.name for f in dataclasses.fields(PointwiseFunction)] == [
+        "label", "evaluator", "breakpoints", "smoothness_hint"]
+    assert [f.name for f in dataclasses.fields(LineSignal)] == ["evaluator", "decay"]
+    with pytest.raises(TypeError):
+        bandlimited_signal(8.0, label="bandlimited")
+
+
+CIRCLE_QUANTITIES = {
+    "norm": lambda f: norm(f, L2),
+    "approx_error": lambda f: approx_error(f, parse_operator("lagrange"), 8, L2),
+    "best_approx": lambda f: best_approx(f, 8, L2),
+    "semidiscrete_modulus": lambda f: semidiscrete_modulus(f, 8, 1, 2, L2),
+    "lagrange": lambda f: lagrange(f, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_QUANTITIES))
+def test_a_line_signal_reaches_no_circle_quantity(name):
+    """A line signal is not a circle function: each circle quantity refuses it
+    by type (``lagrange`` once sampled it at the circle nodes)."""
+    with pytest.raises(TypeError, match="LineSignal"):
+        CIRCLE_QUANTITIES[name](bandlimited_signal(8.0))
 
 
 def test_wks_reconstructs_bandlimited():
@@ -279,7 +312,7 @@ def test_wks_bound_inf_past_certified_zone():
 def test_wks_bound_inf_without_decay_certificate():
     """Without a certificate there is no bound, only ``inf``."""
     f = bandlimited_signal(8.0)
-    bare = PointwiseFunction(label="bare", evaluator=f.evaluator, domain="line")
+    bare = LineSignal(f.evaluator)
     vals, bound = wks(bare, 32.0, 64, np.array([0.0, 0.5]))
     assert_allclose(vals, wks(f, 32.0, 64, np.array([0.0, 0.5]))[0], atol=0)
     assert np.all(np.isinf(bound))
@@ -362,12 +395,11 @@ def test_line_quasi_partition_of_unity():
     one = bandlimited_signal(1.0)  # only used for its interface
 
     import latsamp
-    const = latsamp.PointwiseFunction("c1", lambda t: np.ones_like(np.asarray(t, float)),
-                                      domain="line")
+    const = latsamp.LineSignal(lambda t: np.ones_like(np.asarray(t, float)))
     x = np.linspace(-0.5, 0.5, 41)
     out = line_quasi(const, sigma=8.0, trunc=400, x=x)
     assert_allclose(out, 1.0, atol=5e-3)
-    assert one.domain == "line"
+    assert isinstance(one, latsamp.LineSignal)
 
 
 def test_line_quasi_default_window_is_triangle():
