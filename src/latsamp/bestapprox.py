@@ -2,9 +2,12 @@
 dilation-weighted tail sums.
 
 * ``best_approx`` -- exact L2 projection; otherwise a de la Vallee Poussin
-  near-best of degree <= n, optionally refined to the exact discrete best
-  approximation: an active-set LP with a duality-gap certificate for L1
-  norms of real samples, reweighted least squares for every other norm.
+  near-best of degree <= n, optionally refined.  For L1 of real samples the
+  refined value is E_n(f)_1 itself, certified by Markov's sign criterion at
+  the canonical points (no LP, no quadrature across a kink of ``|f - T|``);
+  where that certificate fails, and for weighted L1, an active-set LP on the
+  cache's nodes with a duality-gap certificate, up to degree
+  :data:`LP_MAX_DEGREE`; reweighted least squares for every other norm.
   Each reweighted step is scaled by a line search on the norm: exact in one
   sort (a weighted median) for L1 of real samples, Brent's method otherwise,
   where each Luxemburg solve starts from the previous evaluation's norm.
@@ -49,10 +52,33 @@ IRLS_MAX_STEPS = 100
 IRLS_TOL = 1e-14
 # weights m |r|^(p-2) see |r| no smaller than this share of max |r|
 IRLS_FLOOR = 1e-9
+# the sign certificate ignores a node only where |r| is within this share of
+# max |f|; a canonical point this close to a declared breakpoint is that
+# breakpoint; the canonical shift is bisected to this width
+SIGN_BAND = 1e-12
+SNAP_TOL = 1e-13
+BISECT_TOL = 4.0 * np.finfo(float).eps * np.pi
+# one_sided_best's feasibility tolerance, relative to max |f| on its grid:
+# HiGHS's primal feasibility tolerance, which HiGHS applies absolutely, so a
+# small f can break its constraints by a large share of itself at status 0
+ONE_SIDED_FEAS_TOL = 1e-7
 
 
 @dataclass
 class BestApprox:
+    """A best approximation: its polynomial, its value and its route.
+
+    ``method`` is ``'projection'`` (L2), ``'vp'``, ``'refined'`` (the sign
+    certificate for L1 of real samples, reweighted least squares for other
+    norms) or ``'refined-lp'`` (the L1 linear program).  ``gap`` is NaN off
+    the refined routes; on them:
+
+    * sign certificate: the width the sign check leaves, 0 when every cache
+      node agrees, so E_n lies in ``[value, value + gap]``;
+    * linear program: its duality gap;
+    * reweighted least squares: the last relative decrease.
+    """
+
     poly: TrigPoly
     value: float
     method: str
@@ -65,12 +91,18 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
     In L2, ``method='auto'`` returns the exact minimizer, the Fourier partial
     sum (labelled ``'projection'``).  Elsewhere the detrended de la Vallee
     Poussin mean ``V_{floor(n/2)}`` (degree <= n) is a near-best start;
-    ``method='refined'`` minimizes the norm of the residual
-    on the cache's quadrature nodes from that start: an active-set linear
-    program for L1 norms of real samples (:func:`_l1_active_set`),
-    iteratively reweighted least squares otherwise (:func:`_irls`).  All of
-    it runs on ``f`` if it is a cache, which is how callers share one, or else
-    on a cache of ``f`` at the scale ``2n``, or at its degree if larger.
+    ``method='refined'`` minimizes the norm of the residual.  In unweighted
+    L1 of real samples it first tries Markov's sign criterion
+    (:func:`_l1_sign_criterion`): where it certifies, the value is the
+    integral E_n(f)_1, read from the residual's antiderivative, and no LP
+    runs.  Otherwise, and in weighted L1 of real samples, an active-set
+    linear program minimizes the residual's norm on the cache's quadrature
+    nodes from the near-best start (:func:`_l1_active_set`, labelled
+    ``'refined-lp'``; it takes n <= :data:`LP_MAX_DEGREE` and raises
+    ``ValueError`` above).  Every other norm goes through iteratively
+    reweighted least squares on the nodes (:func:`_irls`).  All of it runs
+    on ``f`` if it is a cache, which is how callers share one, or else on a
+    cache of ``f`` at the scale ``2n``, or at its degree if larger.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -84,6 +116,13 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
         poly = TrigPoly(fourier_coefficients(cache, n))
         return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "projection")
 
+    real_l1 = (method == "refined" and spec.p == 1.0
+               and not np.any(np.imag(cache.gl_values)))
+    if real_l1 and spec.kind == "lebesgue":
+        certified = _l1_sign_criterion(cache, n)
+        if certified is not None:
+            poly, value, gap = certified
+            return BestApprox(poly, value, "refined", gap)
     if n >= 2:
         poly = vp_mean(cache, n // 2)
     else:
@@ -92,11 +131,107 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
         return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "vp")
     poly = TrigPoly(fourier_coefficients(poly, n))
     mass = _cache_mass(cache, spec)
-    if spec.p == 1.0 and not np.any(np.imag(cache.gl_values)):
+    if real_l1:
         poly, value, gap = _l1_active_set(cache, mass, poly, spec)
-    else:
-        poly, _, value, gap = _irls(cache, mass, poly, spec)
+        return BestApprox(poly, value, "refined-lp", gap)
+    poly, _, value, gap = _irls(cache, mass, poly, spec)
     return BestApprox(poly, value, "refined", gap)
+
+
+def _alternating_sum(v: np.ndarray) -> float:
+    """``sum_j (-1)^j v_j``."""
+    return float(np.sum(v[::2]) - np.sum(v[1::2]))
+
+
+def _canonical_points(cache: DenseGridCache, m: int):
+    """Markov's canonical points of degree m, ``z_j = x0 + j h``,
+    ``h = pi/(m+1)``, ``j < 2m+2``, and values ``v`` of f at them whose
+    alternating sum is 0.  Returns ``(x0, z, v)``.
+
+    ``g(x) = sum_j (-1)^j f(x + j h)`` turns sign over one step,
+    ``g(x + h) = -g(x)``, so ``[0, h]`` brackets a sign change, which
+    bisection on :meth:`~latsamp.model.DenseGridCache.values_at` narrows to
+    :data:`BISECT_TOL`.  Where g changes sign by a jump, some ``z_j``
+    crosses a declared breakpoint of f: x0 is then put so that ``z_j`` is
+    that breakpoint exactly (a bisection that starts at a rounding-level
+    ``g(0)`` would otherwise creep towards it and read f on the wrong
+    side), and the points on breakpoints share the correction that zeroes
+    the alternating sum.
+    """
+    h = np.pi / (m + 1)
+    j = np.arange(2 * m + 2)
+
+    def g(x):
+        return _alternating_sum(np.real(cache.values_at(x + j * h)))
+
+    lo, hi, g_lo = 0.0, h, g(0.0)
+    if g_lo == 0.0:
+        hi = lo
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            lo = hi = mid
+        elif (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    breaks = np.asarray(cache.fn.breakpoints if cache.fn is not None else (), dtype=float)
+    # a breakpoint moved by whole steps h into the bracket is the canonical shift
+    moved = breaks - h * np.round((breaks - lo) / h)
+    inside = moved[(lo - SNAP_TOL <= moved) & (moved <= hi + SNAP_TOL)]
+    x0 = float(inside[0]) if inside.size else lo
+    z = x0 + j * h
+    on_break = np.zeros(z.size, dtype=bool)
+    for b in breaks:
+        turns = np.round((z - b) / TWO_PI)
+        hit = np.abs(z - b - turns * TWO_PI) <= SNAP_TOL
+        z[hit] = b + turns[hit] * TWO_PI
+        on_break |= hit
+    v = np.real(cache.values_at(z)).astype(float)
+    if on_break.any():
+        v[on_break] -= (-1.0) ** j[on_break] * (_alternating_sum(v) / np.count_nonzero(on_break))
+    return x0, z, v
+
+
+def _l1_sign_criterion(cache: DenseGridCache, n: int):
+    """E_n(f)_1 of real samples by Markov's sign criterion, or None.
+
+    For m = n, then m = n + 1 (residuals with 2n + 4 sign changes, such as
+    a pi-periodic f at even n), T is the degree-n part of the interpolant at
+    the canonical points ``z_j`` (:func:`_canonical_points`), from one FFT of
+    length 2m + 2.  ``s = sign sin((m+1)(x - x0))`` is orthogonal to
+    ``T_m``, which holds ``T_n``.  So if the residual ``r = f - T`` has the
+    sign of ``sigma s`` at every cache node, then for every P in ``T_n``,
+    ``int |f - P| >= sigma int (f - P) s = sigma int r s``, with equality at
+    T: T is best, and ``E_n = sigma int r s / 2pi``.  That integral is read
+    from r's antiderivative at the ``z_j``; r has the size of E_n, so the
+    reads do not cancel as reads of f's would.
+
+    The sign check ignores a node only where ``|r|`` is within
+    :data:`SIGN_BAND` of ``max |f|``.  The returned gap, twice the nodes'
+    share of ``int |r| / 2pi`` over the ignored nodes, bounds what they
+    leave: E_n lies in ``[value, value + gap]``, and gap is 0 when every
+    node agrees.  Returns ``(poly, value, gap)``, or None when neither m
+    certifies.
+    """
+    band = SIGN_BAND * np.abs(cache.gl_values).max(initial=0.0)
+    points = cache.gl_points()
+    k = np.arange(n + 1)
+    for m in (n, n + 1):
+        x0, z, v = _canonical_points(cache, m)
+        c = np.fft.rfft(v)[:n + 1] * np.exp(-1j * k * x0) / v.size
+        poly = TrigPoly(np.concatenate([np.conj(c[:0:-1]), c]))
+        resid = subtract_poly(cache, poly)
+        ends = np.real(resid.antiderivative(np.append(z, z[0] + TWO_PI)))
+        signed = _alternating_sum(np.diff(ends)) / TWO_PI
+        r = resid.gl_values.real
+        s = np.copysign(1.0, signed) * np.sign(np.sin((m + 1) * (points - x0)))
+        off = r * s < 0.0
+        if np.isfinite(signed) and np.all(np.abs(r[off]) <= band):
+            gap = 2.0 * float(np.sum(cache.gl_weights()[off] * np.abs(r[off]))) / TWO_PI
+            return poly, abs(signed), gap
+    return None
 
 
 def _wls_step(part: Partition, w: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
@@ -127,8 +262,15 @@ def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
     nodes is the full LP.  A start whose value is already within that
     tolerance (f of degree <= n) is returned with no LP: ``u = 0`` certifies
     it, with gap the value.  Returns ``(poly, value, gap)``.
+
+    Each LP grows steeply with n, so the route takes n <= :data:`LP_MAX_DEGREE`
+    and raises ``ValueError`` above, before any work.  It serves weighted L1,
+    and f that the sign certificate (:func:`_l1_sign_criterion`) leaves.
     """
     n = poly.degree
+    if n > LP_MAX_DEGREE:
+        raise ValueError(f"the L1 linear-program route of best_approx takes degree "
+                         f"<= LP_MAX_DEGREE = {LP_MAX_DEGREE}, got {n}")
     x, m = cache.gl_points().ravel(), mass.ravel()
     k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
     poly, resid, value, _ = _irls(cache, mass, poly, spec, rank=k - 1)
@@ -300,7 +442,9 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     the declared pointwise value applies).  The objective is the cell-weighted
     grid sum ``(2pi)^{-1} sum_j (Q - q)(y_j) dy_j``; on a purely uniform grid
     this integrates degree-n polynomials exactly.  Always feasible (constants
-    work), bounded below by 0.
+    work), bounded below by 0.  ``converged`` means HiGHS reported an optimum
+    and the envelopes cross f on the grid by at most
+    :data:`ONE_SIDED_FEAS_TOL` of ``max |f|`` there.
     """
     if not (spec.kind == "lebesgue" and spec.p == 1.0):
         raise ValueError("one-sided gap is an L1 quantity; pass the L1 norm")
@@ -336,7 +480,6 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     b_ub = np.concatenate([-fvals, fvals])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (2 * d),
                   method="highs")
-    converged = bool(res.status == 0)
     if res.x is None:
         raise ArithmeticError(f"one-sided LP failed: {res.message}")
     upper = _real_poly(res.x[:d])
@@ -346,6 +489,8 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     feas = float(max(np.max(fvals - uv, initial=0.0), np.max(lv - fvals, initial=0.0)))
     dual = float(b_ub @ res.ineqlin.marginals) if res.ineqlin is not None else np.nan
     gap = abs(float(res.fun) - dual) if np.isfinite(dual) else np.nan
+    converged = bool(res.status == 0
+                     and feas <= ONE_SIDED_FEAS_TOL * np.max(np.abs(fvals), initial=0.0))
     value = float(res.fun)
     if -1e-9 < value < 0.0:
         value = 0.0

@@ -1,9 +1,12 @@
 """Best approximation: projections, the refined routes, the one-sided LP, sums."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog, minimize_scalar
+from scipy.integrate import quad
+from scipy.optimize import brentq, linprog, minimize_scalar
 
 from latsamp import (
     PointwiseFunction,
@@ -23,7 +26,7 @@ from latsamp import bestapprox, norms
 from latsamp.bestapprox import LP_MAX_DEGREE, LP_MAX_GRID, _real_basis_matrix
 from latsamp.model import TWO_PI
 from latsamp.norms import _cache_mass
-from latsamp.trigpoly import _real_poly
+from latsamp.trigpoly import _as_cache, _real_poly, fourier_coefficients, vp_mean
 
 L1 = parse_spec("l1")
 L2 = parse_spec("l2")
@@ -104,13 +107,18 @@ def test_refined_never_worse_than_start():
 @pytest.mark.parametrize("spec_id", ["l1", "l2", "lp:1.5", "wlp:2:-0.5", "wlp:1:-0.5",
                                      "orlicz:llogl"])
 def test_route_value_is_the_norm_of_its_residual(spec_id):
-    """Both refined routes (the LP for every p = 1 norm of real samples,
-    IRLS otherwise) report the norm ``norm`` gives their residual on the
-    cache they minimized over."""
+    """The node-minimizing refined routes (the LP for weighted L1 of real
+    samples, IRLS for the other norms) report the norm ``norm`` gives their
+    residual on the cache they minimized over.  Unweighted L1 takes the sign
+    certificate, whose value is the integral E_6(square)_1 = 1/7 itself: the
+    cache's quadrature of ``|r|`` crosses r's kinks, so it is not the bar."""
     spec = parse_spec(spec_id)
     cache = build_cache(C["square"], n_scale=12)
     res = best_approx(cache, 6, spec, method="refined")
-    assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
+    if spec_id == "l1":
+        assert_allclose(res.value, 1.0 / 7.0, rtol=1e-13)
+    else:
+        assert_allclose(res.value, norm(subtract_poly(cache, res.poly), spec), rtol=1e-12)
     assert res.poly.degree == 6
 
 
@@ -140,7 +148,8 @@ def test_best_approx_monotone_in_degree():
 
 
 # ----------------------------------------------------------------------------
-# refined best approximation: the L1 active-set LP and IRLS
+# refined best approximation: the L1 sign certificate, the L1 active-set LP
+# and IRLS
 # ----------------------------------------------------------------------------
 
 # best_approx(..., method="refined") values of the coordinate descent that
@@ -155,11 +164,78 @@ DESCENT_VALUES = [
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
 def test_l1_square_best_error_is_one_over_n_plus_one(n):
-    """E_n(square)_1 = 1/(n+1) for even n; the cache quadrature moves the
-    discrete optimum by less than 1e-6 relative."""
+    """E_n(square)_1 = 1/(n+1) for even n, to rounding: the sign certificate
+    reads the integral, not a quadrature of ``|f - T|``."""
     res = best_approx(C["square"], n, L1, method="refined")
-    assert abs(res.value * (n + 1) - 1.0) <= 1e-6
+    assert abs(res.value * (n + 1) - 1.0) <= 1e-12
     assert res.gap <= 1e-12
+
+
+# E_n(f)_1 in closed form, from Markov's sign criterion with the corpus's
+# normalisation (measure dx/2pi, square +-1, sawtooth (w - pi)/2)
+L1_CLOSED_FORMS = {
+    "square": lambda n: 1.0 / (2 * -(-n // 2) + 1),
+    "sawtooth": lambda n: np.pi / (4 * (n + 1)),
+}
+CLOSED_FORM_DEGREES = (1, 2, 3, 4, 5, 6, 15, 16, 31, 32, 127, 128, 511, 512)
+
+
+def counting_linprog(monkeypatch):
+    """Route ``bestapprox.linprog`` through a counter; returns its call list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(bestapprox, "linprog", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_DEGREES)
+@pytest.mark.parametrize("label", sorted(L1_CLOSED_FORMS))
+def test_l1_refined_is_the_closed_form(monkeypatch, label, n):
+    """The refined L1 value is E_n itself at every degree tried, up to 512,
+    within 1e-12 relative, with no LP and in under a second."""
+    calls = counting_linprog(monkeypatch)
+    start = time.perf_counter()
+    res = best_approx(C[label], n, L1, method="refined")
+    elapsed = time.perf_counter() - start
+    assert calls == []
+    assert res.method == "refined" and res.gap <= 1e-12 * res.value
+    assert_allclose(res.value, L1_CLOSED_FORMS[label](n), rtol=1e-12, atol=0)
+    assert elapsed < 1.0
+
+
+def test_l1_refined_cusp_even_and_odd_degree_agree():
+    """``cusp15`` is even and pi-periodic, so E_32 = E_33; the node LP had
+    them 5.3e-6 apart."""
+    e32, e33 = (best_approx(C["cusp15"], n, L1, method="refined") for n in (32, 33))
+    assert e32.method == e33.method == "refined"
+    assert_allclose(e32.value, e33.value, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [6, 33])
+@pytest.mark.parametrize("label", ["cusp05", "cusp15"])
+def test_l1_refined_cusp_matches_adaptive_quadrature(label, n):
+    """The certified value is ``int |f - T| / 2pi`` for its own T, integrated
+    by adaptive quadrature between the residual's sign changes, which are
+    found by root bracketing on a fine grid."""
+    res = best_approx(C[label], n, L1, method="refined")
+    f, poly = C[label], res.poly
+
+    def r(x):
+        return float(f(x) - poly.at(x).real)
+
+    grid = np.linspace(-np.pi, np.pi, 64 * (2 * n + 4) + 1)
+    vals = np.array([r(x) for x in grid])
+    ends = [grid[0]] + [brentq(r, a, b, xtol=1e-15)
+                        for a, b, va, vb in zip(grid, grid[1:], vals, vals[1:])
+                        if va * vb < 0] + [0.0, grid[-1]]
+    ends = np.unique(ends)
+    total = sum(quad(lambda x: abs(r(x)), a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(ends, ends[1:]))
+    assert_allclose(res.value, total / TWO_PI, rtol=1e-12)
 
 
 @pytest.mark.parametrize("label", ["square", "sawtooth", "cusp15"])
@@ -175,12 +251,23 @@ def test_l1_degree_zero_is_the_weighted_median(label):
     assert_allclose(res.value, want, rtol=1e-12)
 
 
+def lp_route(source, n, spec=L1):
+    """The L1 linear-program route, :func:`bestapprox._l1_active_set`, on the
+    cache and from the start that ``best_approx`` gives it: ``(poly, value,
+    gap)``."""
+    cache = _as_cache(source, 2 * n)
+    start = vp_mean(cache, n // 2) if n >= 2 else TrigPoly(fourier_coefficients(cache, n))
+    start = TrigPoly(fourier_coefficients(start, n))
+    return bestapprox._l1_active_set(cache, _cache_mass(cache, spec), start, spec)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("label", ["square", "sawtooth", "cusp15"])
 def test_l1_active_set_matches_the_full_lp(label, n):
     """The dual LP with every node free, ``max sum u f`` subject to
     ``sum u phi = 0`` and ``|u| <= m``, reaches the value the active set
-    certifies; its equality multipliers are the coefficients."""
+    certifies; its equality multipliers are the coefficients.  The route is
+    called directly: ``best_approx`` certifies these f by their signs."""
     cache = build_cache(C[label], resolution=1024)
     mass = _cache_mass(cache, L1).ravel()
     f = cache.gl_values.real.ravel()
@@ -192,17 +279,17 @@ def test_l1_active_set_matches_the_full_lp(label, n):
     assert full.status == 0
     poly = _real_poly(-full.eqlin.marginals)
     oracle = norm(subtract_poly(cache, poly), L1)
-    res = best_approx(cache, n, L1, method="refined")
-    assert_allclose(res.value, oracle, rtol=1e-12)
-    assert_allclose(res.value, -full.fun / TWO_PI, rtol=1e-12)
-    assert res.gap <= 1e-12
+    _, value, gap = lp_route(cache, n)
+    assert_allclose(value, oracle, rtol=1e-12)
+    assert_allclose(value, -full.fun / TWO_PI, rtol=1e-12)
+    assert gap <= 1e-12
 
 
 @pytest.mark.parametrize("label,n", [("square", 6), ("cusp15", 4), ("sawtooth", 2)])
 def test_l1_active_set_doubles_until_feasible(monkeypatch, label, n):
     """With one free node per unknown the first LP is infeasible; the loop
     doubles the free nodes and reaches the default run's value and gap."""
-    want = best_approx(C[label], n, L1, method="refined")
+    _, want, _ = lp_route(C[label], n)
     statuses = []
 
     def recording_linprog(*args, **kwargs):
@@ -212,10 +299,19 @@ def test_l1_active_set_doubles_until_feasible(monkeypatch, label, n):
 
     monkeypatch.setattr(bestapprox, "LP_START_COLUMNS", 1)
     monkeypatch.setattr(bestapprox, "linprog", recording_linprog)
-    res = best_approx(C[label], n, L1, method="refined")
+    _, value, gap = lp_route(C[label], n)
     assert statuses[0] == 2 and statuses[-1] == 0
-    assert_allclose(res.value, want.value, rtol=1e-12)
-    assert res.gap <= bestapprox.GAP_TOL
+    assert_allclose(value, want, rtol=1e-12)
+    assert gap <= bestapprox.GAP_TOL
+
+
+def test_l1_lp_route_fails_fast_above_its_cap():
+    """Weighted L1 has only the LP route, which stops at LP_MAX_DEGREE: a
+    ValueError naming the route and the cap, before any LP runs."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"linear-program route.*{LP_MAX_DEGREE}"):
+        best_approx(C["square"], LP_MAX_DEGREE + 1, parse_spec("wlp:1:-0.5"), method="refined")
+    assert time.perf_counter() - start < 1.0
 
 
 POLY_MEMBERS = [
@@ -230,25 +326,30 @@ POLY_MEMBERS = [
                          ids=[f"{f}-{n}" + ("" if s == "l1" else f"-{s}")
                               for f, n, s in POLY_MEMBERS])
 def test_l1_of_a_polynomial_member_solves_no_lp(monkeypatch, label, n, spec_id):
-    """A start whose residual is at rounding level is its own certificate:
-    u = 0 is dual feasible with objective 0, so the duality gap is the value
-    itself, and no LP runs (each would be infeasible on sign noise)."""
-    calls = []
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(bestapprox, "linprog", counting_linprog)
+    """A member of the space solves no LP (each would be infeasible on sign
+    noise).  In L1 its interpolant at the canonical points is itself, and
+    every node's residual lies in the sign check's rounding band.  In
+    weighted L1, a start whose residual is at rounding level is its own
+    certificate: u = 0 is dual feasible with objective 0, so the duality
+    gap is the value itself."""
+    calls = counting_linprog(monkeypatch)
     spec = parse_spec(spec_id)
     res = best_approx(C[label], n, spec, method="refined")
     assert calls == []
     tol = bestapprox.GAP_TOL * norm(build_cache(C[label], n_scale=2 * n), spec)
-    assert res.gap == res.value <= tol
-    # a function outside the space still runs its LP, to the same value as before
+    assert res.value <= tol
+    if spec.kind == "weighted":
+        assert res.method == "refined-lp" and res.gap == res.value
+    else:
+        assert res.method == "refined" and res.gap <= tol
+    # the square wave, outside the space, reads E_6 = 1/7 with no LP either
     res = best_approx(C["square"], 6, L1, method="refined")
-    assert len(calls) == 1
-    assert_allclose(res.value, 0.14285712735667366, rtol=1e-14)
+    assert calls == []
+    assert_allclose(res.value, 1.0 / 7.0, rtol=1e-14)
+    # and in weighted L1 it still runs its LP
+    assert best_approx(C["square"], 6, parse_spec("wlp:1:-0.5"),
+                       method="refined").method == "refined-lp"
+    assert calls
 
 
 @pytest.mark.parametrize("spec_id", ["l1", "lp:1.5"])
@@ -408,6 +509,22 @@ def test_one_sided_monotone_in_degree():
     vals = [one_sided_best(C["sawtooth"], n, L1).value for n in (4, 8, 16)]
     print("sawtooth one-sided:", vals)
     assert vals[0] >= vals[1] >= vals[2] > 0
+
+
+@pytest.mark.parametrize("scale,n", [(1e-6, 4), (1e-6, 8), (1e-8, 8)])
+def test_one_sided_small_f_breaking_its_constraints_is_not_converged(scale, n):
+    """HiGHS's feasibility tolerance is absolute, so for a small square wave
+    it returns status 0 with envelopes that cross f by 7.5% to 150% of its
+    amplitude; ``converged`` then reads False.  At scale 1 the same problems
+    are converged, with gaps at rounding level."""
+    sq = C["square"]
+    small = PointwiseFunction("small-square", lambda x: scale * sq.evaluator(x),
+                              breakpoints=sq.breakpoints)
+    res = one_sided_best(small, n, L1)
+    assert res.feasibility_gap > 0.05 * scale
+    assert not res.converged
+    res = one_sided_best(sq, n, L1)
+    assert res.converged and res.feasibility_gap <= 1e-12
 
 
 def test_one_sided_validation():

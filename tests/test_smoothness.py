@@ -224,7 +224,9 @@ KEYWORD_VALUES = {
     "semidiscrete_modulus": (0.179786629990198, 1.0932720593655596e-16),
     "kfunc_vp": (0.1424560838463557,),
     "realization": (0.06378495328771044, 0.0808569068767945, 0.015873679776712998),
-    "best_approx": (0.14285712735667366,),
+    # the sign certificate's E_6(square)_1 = 1/7; through the keyword, the
+    # node LP gave 0.14285712735667366
+    "best_approx": (1.0 / 7.0,),
     "besov_sum": (1.0229308121098266,),
 }
 
