@@ -439,13 +439,7 @@ def _cmd_report(cfg):
     rows += [["probe", r[1], r[2], r[3], r[4]] for r in prows]
     asserts += [dict(a, name=f"probe:{a['name']}") for a in passerts]
 
-    sub_eq = dict(cfg)
-    sub_eq["study"] = ("br_riesz" if cfg["op_obj"].op_id.startswith("br")
-                       else str(cfg["study"]))
-    try:
-        _, erows, easserts = _cmd_equiv(sub_eq)
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    _, erows, easserts = _cmd_equiv(cfg)
     rows += [["equiv", r[0], r[1], "ratio", r[6]] for r in erows]
     asserts += [dict(a, name=f"equiv:{a['name']}") for a in easserts]
 

@@ -386,15 +386,26 @@ def test_l1_step_is_the_minimum_over_the_kinks():
 
 
 def test_line_search_brent_only_off_real_l1(monkeypatch):
-    """A real L1 refined solve takes the exact step and never calls Brent;
-    complex samples in L1 (``exp(3ix)``) still search with it."""
-    calls = []
+    """A real L1 refined solve takes the exact step and never calls Brent:
+    square in ``wlp:1:-0.5`` takes the LP route, whose rank start steps by
+    ``_l1_step``, and square in L1 is certified by its signs with neither.
+    Complex samples in L1 (``exp(3ix)``) still search with Brent."""
+    calls, steps = [], []
+    l1_step = bestapprox._l1_step
 
     def counting(*args, **kwargs):
         calls.append(1)
         return minimize_scalar(*args, **kwargs)
 
+    def counting_step(*args):
+        steps.append(1)
+        return l1_step(*args)
+
     monkeypatch.setattr(bestapprox, "minimize_scalar", counting)
+    monkeypatch.setattr(bestapprox, "_l1_step", counting_step)
+    res = best_approx(C["square"], 6, parse_spec("wlp:1:-0.5"), method="refined")
+    assert res.method == "refined-lp"
+    assert steps and not calls
     res = best_approx(C["square"], 6, L1, method="refined")
     assert abs(res.value * 7 - 1.0) <= 1e-6
     assert not calls

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -431,6 +433,24 @@ def test_report_command_composes(tmp_path, capsys):
         "probe", "equiv", "counterexample", "onesided", "convergence"}
 
 
+def test_report_runs_the_configured_study(tmp_path):
+    """``report --op br:1`` runs the study its config names: its equiv rows
+    are ``equiv``'s ratios under the same config (it used to run ``br_riesz``
+    in place of a configured ``kfunc`` while echoing ``"study": "kfunc"``)."""
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text("study = kfunc\nfunctions = smooth,cusp15\n")
+    outs = {}
+    for command in ("report", "equiv"):
+        outs[command] = tmp_path / command
+        run([command, "--op", "br:1", "--n", "8,16,32", "--trials", "4", "--seed", "7",
+             "--config", str(cfgfile), "--out", str(outs[command])])
+    assert read_summary(outs["report"])["config"]["study"] == "kfunc"
+    report = [(r["label"], r["n"], r["value"]) for r in read_rows(outs["report"] / "report_7.csv")
+              if r["section"] == "equiv"]
+    equiv = [(r["f_label"], r["n"], r["ratio"]) for r in read_rows(outs["equiv"] / "equiv_7.csv")]
+    assert report and report == equiv
+
+
 @pytest.mark.parametrize("ns, onesided_ns, note", [
     ("8,40", {"8"}, "scales [40] above the LP cap n = 32 dropped"),
     ("40,64", {"4", "8", "16"}, "scales [40, 64] above the LP cap n = 32 dropped; "
@@ -491,6 +511,20 @@ def test_summary_config_echo_is_complete(tmp_path):
     assert list(cfg.keys()) == sorted(cfg.keys())
     for v in cfg.values():
         assert isinstance(v, (int, float, str, bool, type(None), list))
+
+
+def test_module_entry_point_under_warnings_as_errors(tmp_path):
+    """``python -W error -m latsamp.cli`` in a fresh process: the module entry
+    point runs, and importing the package raises no warning."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "latsamp.cli", "counterexample",
+         "--seed", "7", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["counterexample_7.csv", "summary.json"]
 
 
 def test_floats_round_trip_at_full_precision(tmp_path):
