@@ -26,7 +26,7 @@ for n in (8, 16, 32, 64):
 # --- error / modulus ratios over a rough corpus ----------------------------
 targets = {k: fns[k] for k in ("square", "cusp05", "cusp15", "sawtooth")}
 table = equivalence_study("br_riesz", targets, "br:1", l2, r=1, s=2,
-                          n_range=(8, 16, 32, 64, 128)).summarize()
+                          n_range=(8, 16, 32, 64, 128))
 print("\nerror vs modulus, Bochner-Riesz(1) operator, L2:")
 print("  f          n     error       modulus     ratio")
 for row in table.rows:
@@ -42,7 +42,7 @@ print("what the equivalence promises; the constants never blow up with n.")
 # --- the same comparison in a weighted norm --------------------------------
 wspec = parse_spec("wlp:2:0.5")
 wtable = equivalence_study("br_riesz", targets, "br:1", wspec, r=1, s=2,
-                           n_range=(8, 16, 32, 64)).summarize()
+                           n_range=(8, 16, 32, 64))
 print(f"\nweighted norm |2 sin(x/2)|^0.5 dx: spread {wtable.spread:.2f} "
       f"over {len(wtable.rows)} rows")
 

@@ -59,8 +59,8 @@ SIGN_BAND = 1e-12
 SNAP_TOL = 1e-13
 BISECT_TOL = 4.0 * np.finfo(float).eps * np.pi
 # one_sided_best's feasibility tolerance, relative to max |f| on its grid:
-# HiGHS's primal feasibility tolerance, which HiGHS applies absolutely, so a
-# small f can break its constraints by a large share of itself at status 0
+# HiGHS's primal feasibility tolerance, which HiGHS applies absolutely, so
+# one_sided_best solves for f scaled by a power of two to max |f| in [1/2, 1)
 ONE_SIDED_FEAS_TOL = 1e-7
 
 
@@ -444,7 +444,9 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     this integrates degree-n polynomials exactly.  Always feasible (constants
     work), bounded below by 0.  ``converged`` means HiGHS reported an optimum
     and the envelopes cross f on the grid by at most
-    :data:`ONE_SIDED_FEAS_TOL` of ``max |f|`` there.
+    :data:`ONE_SIDED_FEAS_TOL` of ``max |f|`` there.  The LP is solved for
+    ``2^-e f`` with ``max |2^-e f|`` in ``[1/2, 1)``, so ``c f`` for a power of
+    two ``c`` gives ``c`` times the result for ``f``, bit for bit.
     """
     if not (spec.kind == "lebesgue" and spec.p == 1.0):
         raise ValueError("one-sided gap is an L1 quantity; pass the L1 norm")
@@ -466,6 +468,10 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     fvals = fvals.astype(float)
     if not np.all(np.isfinite(fvals)):
         raise ValueError("function values must be finite on the grid")
+    # HiGHS's tolerances are absolute, so the LP is solved for 2^-e f with
+    # max |2^-e f| in [1/2, 1); scaling its results back by 2^e is exact
+    e = int(np.frexp(np.max(np.abs(fvals), initial=0.0))[1])
+    fvals = np.ldexp(fvals, -e)
     gaps = np.diff(y, append=y[0] + TWO_PI)
     cells = 0.5 * (gaps + np.roll(gaps, 1))
     basis = _real_basis_matrix(y, n)
@@ -482,8 +488,6 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
                   method="highs")
     if res.x is None:
         raise ArithmeticError(f"one-sided LP failed: {res.message}")
-    upper = _real_poly(res.x[:d])
-    lower = _real_poly(res.x[d:])
     uv = basis @ res.x[:d]
     lv = basis @ res.x[d:]
     feas = float(max(np.max(fvals - uv, initial=0.0), np.max(lv - fvals, initial=0.0)))
@@ -494,8 +498,11 @@ def one_sided_best(f: PointwiseFunction, n: int, spec: NormSpec,
     value = float(res.fun)
     if -1e-9 < value < 0.0:
         value = 0.0
-    return OneSided(value=value, upper=upper, lower=lower,
-                    feasibility_gap=feas, duality_gap=gap,
+    return OneSided(value=float(np.ldexp(value, e)),
+                    upper=_real_poly(np.ldexp(res.x[:d], e)),
+                    lower=_real_poly(np.ldexp(res.x[d:], e)),
+                    feasibility_gap=float(np.ldexp(feas, e)),
+                    duality_gap=float(np.ldexp(gap, e)),
                     converged=converged, n=n, grid_size=int(y.size))
 
 

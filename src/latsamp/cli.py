@@ -22,10 +22,11 @@ constants.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,54 +42,47 @@ from .steklov import MAX_ITERATES
 
 SPEC_CHOICES = "l1|l2|lp:<p>|wlp:<p>:<beta>|orlicz:llogl"
 
-# every config-file key with its parser; thresholds live here, not in harness code
+
+class _Key(NamedTuple):
+    parse: type
+    default: object = None
+    flag: str = ""  # the help of its command-line flag; "" for a file-only key
+
+
+# every config key with its parser, default and flag help; thresholds live
+# here, not in harness code.  spec, n and functions default per subcommand
+# (_COMMANDS), and seed has no default.
 _KEYS = {
-    "op": str, "spec": str, "n": str, "r": int, "s": int, "seed": int,
-    "trials": int, "gamma": float, "out": str, "functions": str,
-    "scheme": str, "study": str, "jitter": float, "eps": float,
-    "besov_cap": int,
-    "mz_sup_cap": float, "mz_inf_floor": float,
-    "jackson_spread": float, "converse_spread": float,
-    "equiv_spread": float,
-    "rate_slope": float, "rate_slope_tol": float, "rate_match_tol": float,
-    "counterexample_ratio_floor": float, "counterexample_disc_tol": float,
-    "coeff_tol": float, "onesided_ratio_cap": float,
+    "op": _Key(str, "lagrange", f"operator: {OP_IDS}"),
+    "spec": _Key(str, flag=f"norm: {SPEC_CHOICES}"),
+    "n": _Key(str, flag="comma-separated strictly increasing scales"),
+    "r": _Key(int, 1, f"Steklov iterate count, 1..{MAX_ITERATES} (discrete part)"),
+    "s": _Key(int, 2, "smoothness order, 1..2r"),
+    "seed": _Key(int, flag="RNG seed (required; no clock default)"),
+    "trials": _Key(int, 50, "ensemble size per scale"),
+    "gamma": _Key(float, flag="Steklov width factor: h = gamma/n"),
+    "out": _Key(str, "latsamp-out", "output directory"),
+    "functions": _Key(str), "scheme": _Key(str, "uniform"),
+    "study": _Key(str, "error_vs_modulus"), "jitter": _Key(float, 0.4),
+    "eps": _Key(float, 1e-6), "besov_cap": _Key(int, 256),
+    "mz_sup_cap": _Key(float, 10.0), "mz_inf_floor": _Key(float, 0.05),
+    "jackson_spread": _Key(float, 4.0), "converse_spread": _Key(float, 4.0),
+    "equiv_spread": _Key(float, 400.0),
+    "rate_slope": _Key(float, -0.5), "rate_slope_tol": _Key(float, 0.1),
+    "rate_match_tol": _Key(float, 0.15),
+    "counterexample_ratio_floor": _Key(float, 100.0),
+    "counterexample_disc_tol": _Key(float, 1e-6),
+    "coeff_tol": _Key(float, 1e-9), "onesided_ratio_cap": _Key(float, 10.0),
 }
 
-_DEFAULTS = {
-    "op": "lagrange", "spec": "l2", "r": 1, "s": 2, "trials": 50,
-    "gamma": None, "out": "latsamp-out", "scheme": "uniform",
-    "study": "error_vs_modulus", "jitter": 0.4, "eps": 1e-6, "besov_cap": 256,
-    "mz_sup_cap": 10.0, "mz_inf_floor": 0.05,
-    "jackson_spread": 4.0, "converse_spread": 4.0,
-    "equiv_spread": 400.0,
-    "rate_slope": -0.5, "rate_slope_tol": 0.1, "rate_match_tol": 0.15,
-    "counterexample_ratio_floor": 100.0, "counterexample_disc_tol": 1e-6,
-    "coeff_tol": 1e-9, "onesided_ratio_cap": 10.0,
-}
 
-_DEFAULT_N = {
-    "probe": "8,16,32,64", "equiv": "8,16,32,64", "rates": "16,32,64,128,256",
-    "counterexample": "8,16,32,64,128", "onesided": "4,8,16,32",
-    "report": "8,16,32",
-}
-
-# each subcommand's CSV header: the first line of its CSV and its --help text
-_HEADERS = {
-    "probe": ["section", "probe_id", "n", "metric", "value"],
-    "equiv": ["f_label", "n", "lhs_continuous", "lhs_discrete", "rhs_continuous",
-              "rhs_discrete", "ratio"],
-    "rates": ["f_label", "measure", "slope", "intercept", "residual", "exact"],
-    "counterexample": ["n", "continuous_error", "discrete_error", "ratio", "coeff_max"],
-    "onesided": ["f_label", "n", "error", "onesided", "ratio_onesided", "besov",
-                 "besov_truncated", "ratio_besov", "lp_converged", "excluded"],
-    "report": ["section", "label", "n", "metric", "value"],
-}
-
-_DEFAULT_FNS = {
-    "equiv": "square,cusp05,cusp15,sawtooth", "rates": "square,cusp15",
-    "onesided": "sine,square,sawtooth", "report": "smooth,cusp15",
-}
+class _Command(NamedTuple):
+    run: Callable  # cfg -> (rows keyed by column name, assertions)
+    columns: Tuple[str, ...]  # its CSV header and --help text
+    n: str  # default scales
+    functions: Optional[str] = None  # default corpus functions
+    spec: str = "l2"  # default norm
+    least: int = 1  # least number of scales
 
 
 class UsageError(Exception):
@@ -133,19 +127,12 @@ def build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"latsamp {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command")
-    for name, header in _HEADERS.items():
-        csv_help = f"CSV columns: {','.join(header)}"
+    for name, command in _COMMANDS.items():
+        csv_help = f"CSV columns: {','.join(command.columns)}"
         q = sub.add_parser(name, help=csv_help, description=csv_help)
-        q.add_argument("--op", help=f"operator: {OP_IDS}")
-        q.add_argument("--spec", help=f"norm: {SPEC_CHOICES}")
-        q.add_argument("--n", help="comma-separated strictly increasing scales")
-        q.add_argument("--r", type=int,
-                       help=f"Steklov iterate count, 1..{MAX_ITERATES} (discrete part)")
-        q.add_argument("--s", type=int, help="smoothness order, 1..2r")
-        q.add_argument("--seed", type=int, help="RNG seed (required; no clock default)")
-        q.add_argument("--trials", type=int, help="ensemble size per scale")
-        q.add_argument("--gamma", type=float, help="Steklov width factor: h = gamma/n")
-        q.add_argument("--out", help="output directory")
+        for key, k in _KEYS.items():
+            if k.flag:
+                q.add_argument(f"--{key}", type=k.parse, help=k.flag)
         q.add_argument("--config", help="flat key=value config file (flags win)")
     return p
 
@@ -165,29 +152,25 @@ def load_config_file(path: str) -> Dict[str, object]:
             key, raw = key.strip(), raw.strip()
             if key not in _KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            parse = _KEYS[key].parse
             try:
-                out[key] = _KEYS[key](raw)
+                out[key] = parse(raw)
             except ValueError:
                 raise UsageError(
-                    f"{path}:{lineno}: key {key!r} needs a {_KEYS[key].__name__}, "
-                    f"got {raw!r}")
+                    f"{path}:{lineno}: key {key!r} needs a {parse.__name__}, got {raw!r}")
     return out
 
 
 def merge_config(args: argparse.Namespace) -> Dict[str, object]:
-    cfg = dict(_DEFAULTS)
-    if args.command == "onesided":
-        cfg["spec"] = "l1"  # the norm of its one-sided LP
-    cfg["n"] = _DEFAULT_N[args.command]
-    if args.command in _DEFAULT_FNS:
-        cfg["functions"] = _DEFAULT_FNS[args.command]
+    command = _COMMANDS[args.command]
+    cfg = {key: k.default for key, k in _KEYS.items()}
+    cfg.update(spec=command.spec, n=command.n, functions=command.functions)
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config))
-    for key in ("op", "spec", "n", "r", "s", "seed", "trials", "gamma", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg.get("seed") is None:
+    for key, k in _KEYS.items():
+        if k.flag and getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    if cfg["seed"] is None:
         raise UsageError("--seed is required (determinism policy: no clock default)")
     ns = []
     for piece in str(cfg["n"]).split(","):
@@ -201,9 +184,9 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
         raise UsageError(f"--n must be strictly increasing, got {cfg['n']!r}")
     if min(ns) < 1:
         raise UsageError("--n entries must be positive")
-    least = {"rates": _FIT_MIN_SCALES, "report": _TREND_MIN_SCALES}.get(args.command, 1)
-    if len(ns) < least:
-        raise UsageError(f"--n needs at least {least} scales for {args.command}, got {len(ns)}")
+    if len(ns) < command.least:
+        raise UsageError(
+            f"--n needs at least {command.least} scales for {args.command}, got {len(ns)}")
     if args.command in ("onesided", "report"):
         if args.command == "onesided" and ns[-1] > LP_MAX_DEGREE:
             raise UsageError(f"onesided scales are capped at n = {LP_MAX_DEGREE} (LP size)")
@@ -236,34 +219,29 @@ def merge_config(args: argparse.Namespace) -> Dict[str, object]:
                 f"gamma/n needs {needed} grid cells, above MAX_RESOLUTION = {MAX_RESOLUTION}")
     if not 0.0 < cfg["eps"] < np.inf:
         raise UsageError(f"eps must be positive and finite, got {cfg['eps']!r}")
-    for key, kind in _KEYS.items():
-        if kind is float and cfg.get(key) is not None and not np.isfinite(cfg[key]):
+    for key, k in _KEYS.items():
+        if k.parse is float and cfg[key] is not None and not np.isfinite(cfg[key]):
             raise UsageError(f"config key {key!r} must be finite, got {cfg[key]!r}")
     try:
         cfg["spec_obj"] = parse_spec(str(cfg["spec"]))
         cfg["op_obj"] = parse_operator(str(cfg["op"]))
     except ValueError as ex:
         raise UsageError(str(ex))
-    if args.command == "onesided" and cfg["spec_obj"].id != "l1":
-        raise UsageError(f"--spec {cfg['spec']} is not l1: onesided measures in L1, "
-                         "the norm of its one-sided LP")
+    if args.command == "onesided" and cfg["spec_obj"].id != command.spec:
+        raise UsageError(f"--spec {cfg['spec']} is not {command.spec}: onesided measures "
+                         "in L1, the norm of its one-sided LP")
     # echo the canonical ids, so two spellings of one run write one summary.json
     cfg["spec"], cfg["op"] = cfg["spec_obj"].id, cfg["op_obj"].op_id
-    if "functions" in cfg:
+    if cfg["functions"] is not None:
         available = corpus()
-        picked = {}
-        for name in str(cfg["functions"]).split(","):
-            name = name.strip()
-            if not name:
-                continue
+        names = [name.strip() for name in str(cfg["functions"]).split(",") if name.strip()]
+        for name in names:
             if name not in available:
-                raise UsageError(
-                    f"unknown corpus function {name!r}; available: "
-                    f"{','.join(sorted(available))}")
-            picked[name] = available[name]
-        if not picked:
+                raise UsageError(f"unknown corpus function {name!r}; available: "
+                                 f"{','.join(sorted(available))}")
+        if not names:
             raise UsageError("functions list is empty")
-        cfg["functions_map"] = picked
+        cfg["functions_map"] = {name: available[name] for name in names}
     return cfg
 
 
@@ -287,7 +265,7 @@ def _spread_ok(values, cap: float, floor: float = 1e-9):
 
 
 # ----------------------------------------------------------------------------
-# command implementations: each returns (csv_header, csv_rows, assertions)
+# command implementations: each returns (rows keyed by column name, assertions)
 # ----------------------------------------------------------------------------
 
 
@@ -301,13 +279,12 @@ def _cmd_probe(cfg):
                   jitter=float(cfg["jitter"]))
     rows = []
     for rep, section in ((pa, "assumptions"), (mz, "mz")):
-        for per in rep.per_n:
-            for metric, value in per.items():
-                if metric == "n":
-                    continue
-                rows.append([section, rep.probe_id, per["n"], metric, value])
-        for metric, value in rep.constants.items():
-            rows.append([section, rep.probe_id, 0, metric, value])
+        # each scale's metrics, then the constants over all scales at n = 0
+        cells = [(per["n"], metric, value) for per in rep.per_n
+                 for metric, value in per.items() if metric != "n"]
+        cells += [(0, metric, value) for metric, value in rep.constants.items()]
+        rows += [{"section": section, "probe_id": rep.probe_id, "n": n, "metric": metric,
+                  "value": value} for n, metric, value in cells]
     flat = [v for rep in (pa, mz) for v in rep.constants.values()]
     _check(asserts, "constants_finite_nonnegative",
            all(np.isfinite(v) and v >= 0 for v in flat), flat, "finite, >= 0")
@@ -328,19 +305,18 @@ def _cmd_probe(cfg):
         _check(asserts, "mz_inf_floor",
                mz.constants["MZ_lower"] > cfg["mz_inf_floor"],
                mz.constants["MZ_lower"], cfg["mz_inf_floor"])
-    return _HEADERS["probe"], rows, asserts
+    return rows, asserts
 
 
 def _cmd_equiv(cfg):
     table = equivalence_study(str(cfg["study"]), cfg["functions_map"],
                               cfg["op_obj"], cfg["spec_obj"], int(cfg["r"]),
                               int(cfg["s"]), cfg["n_list"], gamma=cfg["gamma"])
-    rows = [[r[k] for k in _HEADERS["equiv"]] for r in table.rows]
     asserts: List[dict] = []
     if not table.rows and table.notes:
         _check(asserts, "study_skipped", True, 0.0, "precondition",
                note="; ".join(table.notes))
-        return _HEADERS["equiv"], rows, asserts
+        return table.rows, asserts
     _check(asserts, "zero_rhs_rows_clean", not table.violations,
            len(table.violations), 0,
            note="rows with rhs=0 must have lhs <= 1e-9")
@@ -348,7 +324,7 @@ def _cmd_equiv(cfg):
            table.min_ratio, 0.0)
     _check(asserts, "equiv_spread", table.spread <= cfg["equiv_spread"],
            table.spread, cfg["equiv_spread"])
-    return _HEADERS["equiv"], rows, asserts
+    return table.rows, asserts
 
 
 def _cmd_rates(cfg):
@@ -358,10 +334,9 @@ def _cmd_rates(cfg):
         err_fit, mod_fit = rate_study(f, cfg["op_obj"], cfg["spec_obj"],
                                       cfg["n_list"], r=int(cfg["r"]),
                                       s=int(cfg["s"]), gamma=cfg["gamma"])
-        rows.append([label, "error", err_fit.slope, err_fit.intercept,
-                     err_fit.residual, err_fit.exact])
-        rows.append([label, "modulus", mod_fit.slope, mod_fit.intercept,
-                     mod_fit.residual, mod_fit.exact])
+        rows += [{"f_label": label, "measure": measure, "slope": fit.slope,
+                  "intercept": fit.intercept, "residual": fit.residual, "exact": fit.exact}
+                 for measure, fit in (("error", err_fit), ("modulus", mod_fit))]
         if not (err_fit.exact or mod_fit.exact):
             _check(asserts, f"slope_match:{label}",
                    abs(err_fit.slope - mod_fit.slope) <= cfg["rate_match_tol"],
@@ -371,8 +346,8 @@ def _cmd_rates(cfg):
                    abs(err_fit.slope - cfg["rate_slope"]) <= cfg["rate_slope_tol"],
                    err_fit.slope,
                    f"{cfg['rate_slope']} +- {cfg['rate_slope_tol']}")
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return _HEADERS["rates"], rows, asserts
+    rows.sort(key=lambda row: (row["f_label"], row["measure"]))
+    return rows, asserts
 
 
 def _cmd_counterexample(cfg):
@@ -380,7 +355,6 @@ def _cmd_counterexample(cfg):
     op = cfg["op_obj"]
     window = op.op_id if _vanishes_at_band_edge(op) else "fejer"
     table = counterexample_run(cfg["n_list"], spec=spec, window=window)
-    rows = [[r[k] for k in _HEADERS["counterexample"]] for r in table.rows]
     asserts: List[dict] = []
     disc = [r["discrete_error"] for r in table.rows]
     if spec.kind == "lebesgue":
@@ -405,89 +379,101 @@ def _cmd_counterexample(cfg):
     _check(asserts, "annihilated_coefficients",
            table.max_coefficient <= cfg["coeff_tol"],
            table.max_coefficient, cfg["coeff_tol"], note=note)
-    return _HEADERS["counterexample"], rows, asserts
+    return table.rows, asserts
 
 
 def _cmd_onesided(cfg):
-    rows_raw = onesided_study(cfg["functions_map"], cfg["onesided_n"],
-                              op=cfg["op_obj"], eps=float(cfg["eps"]),
-                              besov_cap=int(cfg["besov_cap"]))
-    rows = [[r[k] for k in _HEADERS["onesided"]] for r in rows_raw]
+    rows = onesided_study(cfg["functions_map"], cfg["onesided_n"],
+                          op=cfg["op_obj"], eps=float(cfg["eps"]),
+                          besov_cap=int(cfg["besov_cap"]))
     asserts: List[dict] = []
-    _check(asserts, "lp_converged", all(r["lp_converged"] for r in rows_raw),
-           sum(1 for r in rows_raw if not r["lp_converged"]), 0)
-    live = [r for r in rows_raw if not r["excluded"]]
+    _check(asserts, "lp_converged", all(r["lp_converged"] for r in rows),
+           sum(1 for r in rows if not r["lp_converged"]), 0)
+    live = [r for r in rows if not r["excluded"]]
     ratios = [r["ratio_onesided"] for r in live]
     _check(asserts, "error_vs_onesided_bounded",
            all(np.isfinite(v) and v <= cfg["onesided_ratio_cap"] for v in ratios),
            ratios, cfg["onesided_ratio_cap"])
     mono_ok = True
     for label in cfg["functions_map"]:
-        vals = [r["onesided"] for r in rows_raw if r["f_label"] == label]
+        vals = [r["onesided"] for r in rows if r["f_label"] == label]
         if any(b > a + 1e-9 for a, b in zip(vals, vals[1:])):
             mono_ok = False
     _check(asserts, "onesided_nonincreasing", mono_ok, mono_ok, True)
-    return _HEADERS["onesided"], rows, asserts
+    return rows, asserts
+
+
+# the report row of one row of each section: its (label, metric, value)
+_REPORT_SECTIONS = {
+    "probe": lambda r: (r["probe_id"], r["metric"], r["value"]),
+    "equiv": lambda r: (r["f_label"], "ratio", r["ratio"]),
+    "counterexample": lambda r: ("bump_train", "ratio", r["ratio"]),
+    "onesided": lambda r: (r["f_label"], "ratio_onesided", r["ratio_onesided"]),
+}
 
 
 def _cmd_report(cfg):
     """Compact battery: every section at the configured (small) scales."""
     asserts: List[dict] = []
     rows = []
-
-    _, prows, passerts = _cmd_probe(cfg)
-    rows += [["probe", r[1], r[2], r[3], r[4]] for r in prows]
-    asserts += [dict(a, name=f"probe:{a['name']}") for a in passerts]
-
-    _, erows, easserts = _cmd_equiv(cfg)
-    rows += [["equiv", r[0], r[1], "ratio", r[6]] for r in erows]
-    asserts += [dict(a, name=f"equiv:{a['name']}") for a in easserts]
-
-    _, crows, casserts = _cmd_counterexample(cfg)
-    rows += [["counterexample", "bump_train", r[0], "ratio", r[3]] for r in crows]
-    asserts += [dict(a, name=f"counterexample:{a['name']}") for a in casserts]
-
-    dropped = [n for n in cfg["n_list"] if n > LP_MAX_DEGREE]
+    dropped = [n for n in cfg["n_list"] if n not in cfg["onesided_n"]]
     note = f"scales {dropped} above the LP cap n = {LP_MAX_DEGREE} dropped" if dropped else ""
     if len(dropped) == len(cfg["n_list"]):
         note += f"; ran at n = {cfg['onesided_n']} in their place"
-    _, orows, oasserts = _cmd_onesided(cfg)
-    rows += [["onesided", r[0], r[1], "ratio_onesided", r[4]] for r in orows]
-    asserts += [dict(a, name=f"onesided:{a['name']}", **({"note": note} if note else {}))
-                for a in oasserts]
+    for section, pick in _REPORT_SECTIONS.items():
+        section_rows, section_asserts = _COMMANDS[section].run(cfg)
+        for row in section_rows:
+            label, metric, value = pick(row)
+            rows.append({"section": section, "label": label, "n": row["n"],
+                         "metric": metric, "value": value})
+        extra = {"note": note} if section == "onesided" and note else {}
+        asserts += [dict(a, name=f"{section}:{a['name']}", **extra) for a in section_asserts]
 
     cv = convergence_criterion(next(iter(cfg["functions_map"].values())),
                                cfg["op_obj"], cfg["spec_obj"], int(cfg["r"]),
                                cfg["n_list"], gamma=cfg["gamma"])
-    rows += [["convergence", "trend", n, "error", e]
-             for n, e in zip(cv.n_range, cv.errors)]
+    rows += [{"section": "convergence", "label": "trend", "n": n, "metric": "error",
+              "value": e} for n, e in zip(cv.n_range, cv.errors)]
     _check(asserts, "convergence:verdicts_agree", cv.agree,
            {"error": cv.error_converges, "modulus": cv.modulus_converges}, True)
-    return _HEADERS["report"], rows, asserts
+    return rows, asserts
 
 
 _COMMANDS = {
-    "probe": _cmd_probe, "equiv": _cmd_equiv, "rates": _cmd_rates,
-    "counterexample": _cmd_counterexample, "onesided": _cmd_onesided,
-    "report": _cmd_report,
+    "probe": _Command(_cmd_probe, ("section", "probe_id", "n", "metric", "value"),
+                      "8,16,32,64"),
+    "equiv": _Command(_cmd_equiv, ("f_label", "n", "lhs_continuous", "lhs_discrete",
+                                   "rhs_continuous", "rhs_discrete", "ratio"),
+                      "8,16,32,64", "square,cusp05,cusp15,sawtooth"),
+    "rates": _Command(_cmd_rates, ("f_label", "measure", "slope", "intercept",
+                                   "residual", "exact"),
+                      "16,32,64,128,256", "square,cusp15", least=_FIT_MIN_SCALES),
+    "counterexample": _Command(_cmd_counterexample, ("n", "continuous_error",
+                                                     "discrete_error", "ratio", "coeff_max"),
+                               "8,16,32,64,128"),
+    # measured in L1, the norm of its one-sided LP
+    "onesided": _Command(_cmd_onesided, ("f_label", "n", "error", "onesided",
+                                         "ratio_onesided", "besov", "besov_truncated",
+                                         "ratio_besov", "lp_converged", "excluded"),
+                         "4,8,16,32", "sine,square,sawtooth", spec="l1"),
+    "report": _Command(_cmd_report, ("section", "label", "n", "metric", "value"),
+                       "8,16,32", "smooth,cusp15", least=_TREND_MIN_SCALES),
 }
 
 
-def _write_outputs(cfg, command, header, rows, assertions):
-    import csv as _csv
-
+def _write_outputs(cfg, command, rows, assertions):
     outdir = str(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{command}_{cfg['seed']}.csv")
     json_path = os.path.join(outdir, "summary.json")
+    header = _COMMANDS[command].columns
     try:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        echo = {k: cfg[k] for k in sorted(cfg)
-                if k in _KEYS and cfg[k] is not None}
+                writer.writerow([_fmt(row[column]) for column in header])
+        echo = {k: v for k, v in sorted(cfg.items()) if k in _KEYS and v is not None}
         summary = {
             "command": command,
             "version": __version__,
@@ -512,11 +498,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if not args.command:
-            raise UsageError("a subcommand is required "
-                             "(probe|equiv|rates|counterexample|onesided|report)")
+            raise UsageError(f"a subcommand is required ({'|'.join(_COMMANDS)})")
         cfg = merge_config(args)
-        header, rows, assertions = _COMMANDS[args.command](cfg)
-        csv_path, _ = _write_outputs(cfg, args.command, header, rows, assertions)
+        rows, assertions = _COMMANDS[args.command].run(cfg)
+        csv_path, _ = _write_outputs(cfg, args.command, rows, assertions)
     except (UsageError, ValueError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

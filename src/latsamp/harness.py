@@ -190,19 +190,19 @@ class EquivTable:
     rows: List[dict] = field(repr=False)
     excluded: List[dict] = field(repr=False, default_factory=list)
     notes: List[str] = field(default_factory=list)
-    min_ratio: float = np.nan
-    max_ratio: float = np.nan
-    spread: float = np.nan
     violations: List[dict] = field(repr=False, default_factory=list)
 
-    def summarize(self):
-        ratios = [r["ratio"] for r in self.rows]
-        if ratios:
-            self.min_ratio = float(min(ratios))
-            self.max_ratio = float(max(ratios))
-            self.spread = (self.max_ratio / self.min_ratio
-                           if self.min_ratio > 0 else np.inf)
-        return self
+    @property
+    def min_ratio(self) -> float:
+        return float(min((r["ratio"] for r in self.rows), default=np.nan))
+
+    @property
+    def max_ratio(self) -> float:
+        return float(max((r["ratio"] for r in self.rows), default=np.nan))
+
+    @property
+    def spread(self) -> float:  # inf if a ratio is not positive, NaN with no rows
+        return self.max_ratio / self.min_ratio if not self.min_ratio <= 0 else np.inf
 
 
 def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
@@ -232,7 +232,7 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
             table.notes.append(
                 f"skipped: converse for the fejer window needs Lebesgue p in (1, inf); "
                 f"precondition unverified for {spec.id}")
-            return table.summarize()
+            return table
 
     tasks = [(label, f, n) for label, f in functions.items() for n in n_range]
     for row in parallel_map(partial(_equivalence_row, study, op, spec, r, s, gamma), tasks):
@@ -261,7 +261,7 @@ def equivalence_study(study: str, functions: Dict[str, PointwiseFunction], op,
     if table.violations:
         table.notes.append(
             f"{len(table.violations)} row(s) violate the zero-rhs rule (lhs > 1e-9)")
-    return table.summarize()
+    return table
 
 
 def _equivalence_row(study: str, op, spec: NormSpec, r: int, s: int, gamma, item) -> dict:

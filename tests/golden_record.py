@@ -8,7 +8,8 @@ two files in ``golden/``: ``<name>.csv``, the CSV as the CLI writes it, and
 ``<name>.json``, holding the exit code, the ``summary.json`` config echo
 without ``out`` (a temporary path) and the ``[name, passed, measured]``
 triple of each assertion.  Each demo's record is its stdout,
-``golden/<demo>.stdout``.
+``golden/<demo>.stdout``, and the help of ``latsamp`` and of each subcommand,
+printed at a terminal width of 80, is ``golden/latsamp[-<command>].help``.
 
 How a record is compared with a fresh run is stated in :func:`compare_run`
 and :func:`compare_stdout`.
@@ -26,6 +27,7 @@ import tempfile
 import warnings
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
@@ -34,6 +36,8 @@ from latsamp import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = sorted((GOLDEN.parent.parent / "demos").glob("*.py"))
 SEED = 7
+# the arguments before --help: the program's help, then each subcommand's
+HELPS = [[]] + [[command] for command in cli._COMMANDS]
 
 
 def read_runs():
@@ -92,6 +96,25 @@ def run_demo(path):
     return buffer.getvalue()
 
 
+def help_file(words):
+    """The record file of ``latsamp <words> --help``."""
+    return "-".join(["latsamp"] + words) + ".help"
+
+
+def run_help(words):
+    """What ``latsamp <words> --help`` prints at a terminal width of 80."""
+    buffer = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(buffer):
+        try:
+            cli.main(words + ["--help"])
+        except SystemExit as ex:
+            if ex.code != 0:
+                raise
+        else:
+            raise AssertionError(f"latsamp {' '.join(words)} --help did not exit")
+    return buffer.getvalue()
+
+
 def read_record(name):
     """A run's record as :func:`run_cli` returns it, read from ``golden/``."""
     record = json.loads(GOLDEN.joinpath(f"{name}.json").read_text(encoding="utf-8"))
@@ -100,10 +123,11 @@ def read_record(name):
 
 
 def record_files():
-    """The file names the record holds: two a run, one a demo."""
+    """The file names the record holds: two a run, one a demo, one a help text."""
     names = [run_name(line) for line in read_runs()]
     return ({f"{name}.{suffix}" for name in names for suffix in ("csv", "json")}
-            | {f"{demo.stem}.stdout" for demo in DEMOS})
+            | {f"{demo.stem}.stdout" for demo in DEMOS}
+            | {help_file(words) for words in HELPS})
 
 
 def write_record(name, record):
@@ -146,8 +170,8 @@ FIT = Rule(1e-8)
 # The one-sided LP: HiGHS applies its feasibility tolerances (1e-7) absolutely.
 LP = Rule(0.0, 1e-6)
 # error / one-sided value.  A denominator of at least 0.01 moved by 1e-6 moves
-# the ratio by at most 1e-4; a ratio over an LP-noise denominator (inf, 9.6e27)
-# is compared by class only.
+# the ratio by at most 1e-4; a ratio over an LP-noise denominator (inf over 0,
+# 9.6e27 over 1e-28) is compared by class only.
 LP_RATIO = Rule(1e-4, cap="onesided_ratio_cap")
 
 # The rule of each float column, as "command.column".  Every other column is

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
 import bench_pairs  # noqa: E402
+from latsamp import cli  # noqa: E402
 
 METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
            {"name": "ok_share", "better": "higher", "bound": 0.01}]
@@ -82,3 +83,9 @@ def test_cli_pairs_alternate_and_summarize_wall_time():
     entry = summary["cli:rates"]
     assert entry["pairs"] == 2 and "ok_share" not in entry
     assert entry["wall_s"]["change_better_pairs"] == 2
+
+
+def test_cli_commands_are_the_cli_subcommands():
+    """``CLI_COMMANDS`` keeps its own copy, because it times parent trees and
+    cannot import their CLI; it lists the CLI's subcommands in their order."""
+    assert bench_pairs.CLI_COMMANDS == tuple(cli._COMMANDS)

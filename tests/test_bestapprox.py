@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.optimize import brentq, linprog, minimize_scalar
 
@@ -522,20 +522,28 @@ def test_one_sided_monotone_in_degree():
     assert vals[0] >= vals[1] >= vals[2] > 0
 
 
-@pytest.mark.parametrize("scale,n", [(1e-6, 4), (1e-6, 8), (1e-8, 8)])
-def test_one_sided_small_f_breaking_its_constraints_is_not_converged(scale, n):
-    """HiGHS's feasibility tolerance is absolute, so for a small square wave
-    it returns status 0 with envelopes that cross f by 7.5% to 150% of its
-    amplitude; ``converged`` then reads False.  At scale 1 the same problems
-    are converged, with gaps at rounding level."""
+@pytest.mark.parametrize("scale,n", [(1e-6, 4), (1e-6, 8), (1e-8, 8), (2.0 ** -40, 4),
+                                     (2.0 ** -40, 8), (2.0 ** 20, 4), (2.0 ** 20, 8)])
+def test_one_sided_scaled_f_is_scale_times_the_unit_solve(scale, n):
+    """HiGHS's feasibility tolerance is absolute, so the LP is solved for f
+    scaled by a power of two to max |f| in [1/2, 1).  A power-of-two scale
+    of the square wave gives its result times the scale bit for bit, and any
+    other scale gives its value to rounding level (2.6e-15 seen), converged.
+    Solved as given, 1e-6 and 1e-8 times the square wave broke their
+    constraints by 7.5% to 150% of their amplitude at HiGHS status 0."""
     sq = C["square"]
-    small = PointwiseFunction("small-square", lambda x: scale * sq.evaluator(x),
+    small = PointwiseFunction("scaled-square", lambda x: scale * sq.evaluator(x),
                               breakpoints=sq.breakpoints)
-    res = one_sided_best(small, n, L1)
-    assert res.feasibility_gap > 0.05 * scale
-    assert not res.converged
-    res = one_sided_best(sq, n, L1)
-    assert res.converged and res.feasibility_gap <= 1e-12
+    res, unit = one_sided_best(small, n, L1), one_sided_best(sq, n, L1)
+    assert unit.converged and unit.feasibility_gap <= 1e-12
+    assert res.converged and res.feasibility_gap <= 1e-12 * scale
+    if np.log2(scale).is_integer():
+        assert res.value == scale * unit.value
+        assert res.feasibility_gap == scale * unit.feasibility_gap
+        assert_array_equal(res.upper.coeffs, scale * unit.upper.coeffs)
+        assert_array_equal(res.lower.coeffs, scale * unit.lower.coeffs)
+    else:
+        assert res.value == pytest.approx(scale * unit.value, rel=1e-13, abs=0)
 
 
 def test_one_sided_validation():

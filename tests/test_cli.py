@@ -23,10 +23,10 @@ def read_summary(outdir):
 
 def read_rows(path):
     """Rows of ``<command>_<seed>.csv``, whose first line must be the
-    command's entry in ``cli._HEADERS``."""
+    command's columns in ``cli._COMMANDS``."""
     command = os.path.basename(path).rsplit("_", 1)[0]
     with open(path, newline="", encoding="utf-8") as fh:
-        assert fh.readline() == ",".join(cli._HEADERS[command]) + "\n"
+        assert fh.readline() == ",".join(cli._COMMANDS[command].columns) + "\n"
         fh.seek(0)
         return list(csv.DictReader(fh))
 
@@ -449,6 +449,36 @@ def test_report_runs_the_configured_study(tmp_path):
               if r["section"] == "equiv"]
     equiv = [(r["f_label"], r["n"], r["ratio"]) for r in read_rows(outs["equiv"] / "equiv_7.csv")]
     assert report and report == equiv
+
+
+def test_report_reads_its_sections_by_column_name(monkeypatch, tmp_path):
+    """``report`` reads the rows of its sections by column name: with the
+    columns of ``equiv`` and ``onesided`` after their key columns reversed, it
+    writes the same CSV byte for byte, and ``equiv`` writes each cell under
+    its column's new place."""
+    cfgfile = tmp_path / "r.cfg"
+    cfgfile.write_text("functions = square,cusp15\nbesov_cap = 16\n")
+    args = ["--n", "8,16", "--trials", "4", "--seed", "7", "--config", str(cfgfile)]
+    codes = {}
+    for order in ("recorded", "permuted"):
+        if order == "permuted":
+            for command in ("equiv", "onesided"):
+                entry = cli._COMMANDS[command]
+                monkeypatch.setitem(cli._COMMANDS, command, entry._replace(
+                    columns=entry.columns[:2] + entry.columns[:1:-1]))
+        for command in ("report", "equiv"):
+            codes[order, command] = run([command] + args + ["--out", str(tmp_path / order)])
+    assert codes["recorded", "report"] == codes["permuted", "report"]
+    report = [(tmp_path / order / "report_7.csv").read_bytes()
+              for order in ("recorded", "permuted")]
+    assert report[0] == report[1]
+    equiv = []
+    for order in ("recorded", "permuted"):
+        with open(tmp_path / order / "equiv_7.csv", newline="", encoding="utf-8") as fh:
+            equiv.append(list(csv.DictReader(fh)))
+    assert list(equiv[1][0]) == ["f_label", "n", "ratio", "rhs_discrete", "rhs_continuous",
+                                 "lhs_discrete", "lhs_continuous"]
+    assert equiv[0] == equiv[1]
 
 
 @pytest.mark.parametrize("ns, onesided_ns, note", [

@@ -11,7 +11,6 @@ value, with an absolute floor where a cell is zero in exact arithmetic.
 """
 
 import copy
-import math
 
 import pytest
 
@@ -24,7 +23,7 @@ def test_every_record_file_belongs_to_a_run_or_a_demo():
     names = [g.run_name(line) for line in RUNS]
     assert len(set(names)) == len(names)
     on_disk = {path.name for path in g.GOLDEN.glob("*")
-               if path.suffix in (".csv", ".json", ".stdout")}
+               if path.suffix in (".csv", ".json", ".stdout", ".help")}
     assert on_disk == g.record_files()
 
 
@@ -39,6 +38,13 @@ def test_demo_matches_the_record(demo):
     expected = g.GOLDEN.joinpath(f"{demo.stem}.stdout").read_text(encoding="utf-8")
     diffs = g.compare_stdout(expected, g.run_demo(demo))
     assert not diffs, "\n".join(diffs)
+
+
+@pytest.mark.parametrize("words", g.HELPS, ids=lambda words: " ".join(["latsamp"] + words))
+def test_help_matches_the_record(words):
+    """Every flag, its metavar and its help string, and each subcommand's CSV
+    columns, as ``--help`` prints them at a terminal width of 80."""
+    assert g.run_help(words) == g.GOLDEN.joinpath(g.help_file(words)).read_text(encoding="utf-8")
 
 
 def _replace_cell(record, line, column, text):
@@ -93,17 +99,19 @@ def test_the_comparison_sees_each_kind_of_move():
 
 
 def test_ratios_over_lp_noise_are_compared_by_class():
-    """``report --op br:1`` records ratios over LP-noise denominators (inf,
-    9.6e27): any value above the cap stands in for another, but one that falls
+    """``report --op br:1`` records ratios over LP-noise denominators (inf
+    over a one-sided value of 0, or a ratio such as 9.6e27 over one of
+    1e-28): any value above the cap stands in for another, but one that falls
     within the cap, or a ratio within the cap that moves, shows."""
     line = "report --op br:1"
     recorded = g.read_record(g.run_name(line))
+    cap = recorded["config"]["onesided_ratio_cap"]
     rows = recorded["csv"].splitlines()
     noisy = [i for i, row in enumerate(rows, 1)
-             if row.startswith("onesided,smooth,") and math.isfinite(float(row.split(",")[-1]))]
+             if row.startswith("onesided,smooth,") and not float(row.split(",")[-1]) <= cap]
     bounded = [i for i, row in enumerate(rows, 1) if row.startswith("onesided,cusp15,")]
     assert noisy and bounded
-    for line_no, text, moved in ((noisy[0], "inf", False), (noisy[0], "1e30", False),
+    for line_no, text, moved in ((noisy[0], "9.6e27", False), (noisy[0], "1e30", False),
                                  (noisy[0], "3.5", True), (bounded[0], "inf", True),
                                  (bounded[0], "9.5", True)):
         fresh = copy.deepcopy(recorded)

@@ -205,6 +205,18 @@ def test_equivalence_error_vs_modulus_square():
     print("modulus study spread:", table.spread)
 
 
+def test_equiv_table_summary_is_read_from_its_rows():
+    """``min_ratio``, ``max_ratio`` and ``spread`` are read from the rows, so
+    a row added later shows in them; no rows read NaN, and a ratio that is not
+    positive makes the spread infinite."""
+    table = harness.EquivTable(study="error_vs_modulus", rows=[])
+    assert np.isnan(table.min_ratio) and np.isnan(table.max_ratio) and np.isnan(table.spread)
+    table.rows += [{"ratio": 2.0}, {"ratio": 0.5}]
+    assert (table.min_ratio, table.max_ratio, table.spread) == (0.5, 2.0, 4.0)
+    table.rows.append({"ratio": 0.0})
+    assert table.spread == np.inf
+
+
 def test_equivalence_reproduction_rows_are_excluded():
     """A polynomial member interpolates exactly; its rows leave the summary."""
     fns = {"smooth": C["smooth"]}
