@@ -2,15 +2,14 @@
 dilation-weighted tail sums.
 
 * ``best_approx`` -- exact L2 projection; otherwise a de la Vallee Poussin
-  near-best of degree <= n, optionally refined.  For L1 of real samples the
-  refined value is E_n(f)_1 itself, certified by Markov's sign criterion at
-  the canonical points (no LP, no quadrature across a kink of ``|f - T|``);
-  where that certificate fails, and for weighted L1, an active-set LP on the
-  cache's nodes with a duality-gap certificate, up to degree
-  :data:`LP_MAX_DEGREE`; reweighted least squares for every other norm.
-  Each reweighted step is scaled by a line search on the norm: exact in one
-  sort (a weighted median) for L1 of real samples, Brent's method otherwise,
-  where each Luxemburg solve starts from the previous evaluation's norm.
+  near-best of degree <= n, optionally refined.  For unweighted L1 of real
+  samples the refined value is E_n(f)_1 itself, certified by Markov's sign
+  criterion at the canonical points (no LP, no quadrature across a kink of
+  ``|f - T|``).  Every other refined solve -- weighted L1, complex L1, the
+  L1 solves that certificate leaves, and every other norm -- is reweighted
+  least squares on the cache's nodes, each step scaled by Brent's line
+  search on the norm, where each Luxemburg solve starts from the previous
+  evaluation's norm.
 * ``one_sided_best`` -- the pair ``q <= f <= Q`` of degree-n polynomials with
   minimal discretized L1 gap, solved as a linear program on a dense grid
   (scipy HiGHS); reports feasibility and duality gaps.
@@ -37,17 +36,9 @@ from .norms import NormSpec, _cache_mass, _measure_norm, dilation_norm, norm
 from .trigpoly import (MAX_DEGREE, TrigPoly, _analyze, _as_cache, _real_poly, _synthesize,
                        fourier_coefficients, subtract_poly, vp_mean)
 
+# one_sided_best's caps on the degree and the grid: its LP grows steeply with both
 LP_MAX_DEGREE = 32
 LP_MAX_GRID = 2048
-
-# the L1 IRLS start stops below this relative decrease; the first LP has
-# this many free nodes per unknown
-L1_START_TOL = 1e-6
-LP_START_COLUMNS = 16
-# duality gap accepted, relative to ||f|| (sum m |f| / 2pi); at HiGHS's default
-# feasibility tolerances (1e-7) the gap can stay near 1e-10
-GAP_TOL = 1e-12
-LP_TOL = 1e-10
 IRLS_MAX_STEPS = 100
 IRLS_TOL = 1e-14
 # weights m |r|^(p-2) see |r| no smaller than this share of max |r|
@@ -68,14 +59,12 @@ ONE_SIDED_FEAS_TOL = 1e-7
 class BestApprox:
     """A best approximation: its polynomial, its value and its route.
 
-    ``method`` is ``'projection'`` (L2), ``'vp'``, ``'refined'`` (the sign
-    certificate for L1 of real samples, reweighted least squares for other
-    norms) or ``'refined-lp'`` (the L1 linear program).  ``gap`` is NaN off
-    the refined routes; on them:
+    ``method`` is ``'projection'`` (L2), ``'vp'`` or ``'refined'`` (the sign
+    certificate for unweighted L1 of real samples where it holds, reweighted
+    least squares otherwise).  ``gap`` is NaN off the refined route; on it:
 
     * sign certificate: the width the sign check leaves, 0 when every cache
       node agrees, so E_n lies in ``[value, value + gap]``;
-    * linear program: its duality gap;
     * reweighted least squares: the last relative decrease.
     """
 
@@ -94,13 +83,11 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
     ``method='refined'`` minimizes the norm of the residual.  In unweighted
     L1 of real samples it first tries Markov's sign criterion
     (:func:`_l1_sign_criterion`): where it certifies, the value is the
-    integral E_n(f)_1, read from the residual's antiderivative, and no LP
-    runs.  Otherwise, and in weighted L1 of real samples, an active-set
-    linear program minimizes the residual's norm on the cache's quadrature
-    nodes from the near-best start (:func:`_l1_active_set`, labelled
-    ``'refined-lp'``; it takes n <= :data:`LP_MAX_DEGREE` and raises
-    ``ValueError`` above).  Every other norm goes through iteratively
-    reweighted least squares on the nodes (:func:`_irls`).  All of it runs
+    integral E_n(f)_1, read from the residual's antiderivative.  Every other
+    refined solve, and that one where the certificate fails, starts from the
+    near-best polynomial and minimizes the residual's norm on the cache's
+    quadrature nodes by iteratively reweighted least squares
+    (:func:`_irls`).  No route solves a linear program.  All of it runs
     on ``f`` if it is a cache, which is how callers share one, or else on a
     cache of ``f`` at the scale ``2n``, or at its degree if larger.
     """
@@ -116,9 +103,8 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
         poly = TrigPoly(fourier_coefficients(cache, n))
         return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "projection")
 
-    real_l1 = (method == "refined" and spec.p == 1.0
-               and not np.any(np.imag(cache.gl_values)))
-    if real_l1 and spec.kind == "lebesgue":
+    if (method == "refined" and spec.kind == "lebesgue" and spec.p == 1.0
+            and not np.any(np.imag(cache.gl_values))):
         certified = _l1_sign_criterion(cache, n)
         if certified is not None:
             poly, value, gap = certified
@@ -130,11 +116,7 @@ def best_approx(f, n: int, spec: NormSpec, method: str = "auto") -> BestApprox:
     if method != "refined":
         return BestApprox(poly, norm(subtract_poly(cache, poly), spec), "vp")
     poly = TrigPoly(fourier_coefficients(poly, n))
-    mass = _cache_mass(cache, spec)
-    if real_l1:
-        poly, value, gap = _l1_active_set(cache, mass, poly, spec)
-        return BestApprox(poly, value, "refined-lp", gap)
-    poly, _, value, gap = _irls(cache, mass, poly, spec)
+    poly, value, gap = _irls(cache, _cache_mass(cache, spec), poly, spec)
     return BestApprox(poly, value, "refined", gap)
 
 
@@ -245,97 +227,29 @@ def _wls_step(part: Partition, w: np.ndarray, r: np.ndarray, n: int) -> np.ndarr
     return solve_toeplitz((s[2 * n:], s[2 * n::-1]), _analyze(part, w * r, n))
 
 
-def _l1_active_set(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly,
-                   spec: NormSpec):
-    """Exact discrete L1 best approximation of real samples, by its dual LP.
-
-    ``min_a sum m |f - T_a|`` has the dual ``max sum u f`` subject to
-    ``sum u_j phi(x_j) = 0`` for every real basis function ``phi`` and
-    ``|u_j| <= m_j``; at the optimum ``u_j = m_j sign(r_j)`` wherever the
-    residual ``r`` is not 0.  The start, :func:`_irls` at rank ``k - 1``,
-    places the sign changes.  Only the k nodes with the smallest ``|r|`` stay
-    free in the LP; the rest are fixed at ``m_j sign(r_j)``.  The LP's
-    equality multipliers are the real coefficients of ``T``, and
-    ``(sum m |r| - sum u f) / 2pi`` is the duality gap of the full problem.
-    k starts at :data:`LP_START_COLUMNS` per unknown and doubles while the LP
-    is infeasible or the gap exceeds :data:`GAP_TOL` of ``||f||``; k = all
-    nodes is the full LP.  A start whose value is already within that
-    tolerance (f of degree <= n) is returned with no LP: ``u = 0`` certifies
-    it, with gap the value.  Returns ``(poly, value, gap)``.
-
-    Each LP grows steeply with n, so the route takes n <= :data:`LP_MAX_DEGREE`
-    and raises ``ValueError`` above, before any work.  It serves weighted L1,
-    and f that the sign certificate (:func:`_l1_sign_criterion`) leaves.
-    """
-    n = poly.degree
-    if n > LP_MAX_DEGREE:
-        raise ValueError(f"the L1 linear-program route of best_approx takes degree "
-                         f"<= LP_MAX_DEGREE = {LP_MAX_DEGREE}, got {n}")
-    x, m = cache.gl_points().ravel(), mass.ravel()
-    k = min(LP_START_COLUMNS * (2 * n + 1), x.size)
-    poly, resid, value, _ = _irls(cache, mass, poly, spec, rank=k - 1)
-    f = cache.gl_values.real.ravel()
-    tol = GAP_TOL * _measure_norm(np.abs(cache.gl_values), mass, spec)
-    if value <= tol:
-        # u = 0 is dual feasible with objective 0: the gap is the value itself
-        return poly, value, value
-    r = resid.real.ravel()
-    while True:
-        free = np.argpartition(np.abs(r), k - 1)[:k]
-        u = m * np.sign(r)
-        u[free] = 0.0
-        # sum u exp(-ijx) = sum u cos(jx) - i sum u sin(jx): the fixed nodes'
-        # sums against the real basis 1, cos x, sin x, cos 2x, ...
-        s = _analyze(cache.partition, u.reshape(mass.shape), n)[n:]
-        fixed = np.delete(np.column_stack([s.real, -s.imag]).ravel(), 1)
-        res = linprog(-f[free], A_eq=_real_basis_matrix(x[free], n).T, b_eq=-fixed,
-                      bounds=np.column_stack([-m[free], m[free]]), method="highs",
-                      options={"primal_feasibility_tolerance": LP_TOL,
-                               "dual_feasibility_tolerance": LP_TOL})
-        if res.status == 0:
-            u[free] = res.x
-            poly = _real_poly(-res.eqlin.marginals)
-            resid = subtract_poly(cache, poly).gl_values
-            value = _measure_norm(np.abs(resid), mass, spec)
-            gap = value - float(np.sum(u * f)) / TWO_PI
-            if gap <= tol or k == x.size:
-                return poly, value, gap
-        elif res.status != 2 or k == x.size:
-            raise ArithmeticError(f"L1 best-approximation LP failed: {res.message}")
-        k = min(2 * k, x.size)
-
-
-def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpec,
-          rank: int = 0):
+def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpec):
     """Minimize ``||f - T||`` over complex coefficients by reweighted least squares.
 
     The weights make the weighted least-squares normal equations the
     stationarity condition of the norm: ``m |r|^(p-2)`` for Lebesgue and
-    weighted norms, ``m Phi'(|r|/lambda) / |r|`` for the Luxemburg norm of
-    ``Phi(t) = t log(1+t)`` at ``lambda = ||r||``.  ``|r|`` is clamped below
-    at :data:`IRLS_FLOOR` of its maximum, positive unless ``r = 0``, where the
-    loop stops.  A step is kept only if the norm decreases, so the value never
-    rises above the start's.  ``rank`` is the one switch.  At 0, each step is
-    scaled by Brent's search on the norm (:func:`_line_search`) and the loop
-    stops below :data:`IRLS_TOL` relative decrease.  Above 0 the caller
-    vouches for L1 of real samples, smoothed for a start: the floor is raised
-    to the ``|r|`` of that rank (from 0, the smallest), the step is the exact
-    weighted median (:func:`_l1_step`), and the stop is :data:`L1_START_TOL`.
-    At most :data:`IRLS_MAX_STEPS` steps.  Returns ``(poly, resid, value,
-    gap)``: the residual's cache samples, and the last relative decrease.
+    weighted norms (L1 included), ``m Phi'(|r|/lambda) / |r|`` for the
+    Luxemburg norm of ``Phi(t) = t log(1+t)`` at ``lambda = ||r||``.  ``|r|``
+    is clamped below at :data:`IRLS_FLOOR` of its maximum, positive unless
+    ``r = 0``, where the loop stops.  Each step is scaled by Brent's search
+    on the norm (:func:`_line_search`) and kept only if the norm decreases,
+    so the value never rises above the start's.  The loop stops below
+    :data:`IRLS_TOL` relative decrease, or after :data:`IRLS_MAX_STEPS`
+    steps.  Returns ``(poly, value, gap)``, gap the last relative decrease.
     """
     n, part = poly.degree, cache.partition
-    tol = L1_START_TOL if rank else IRLS_TOL
     resid = subtract_poly(cache, poly).gl_values
     value = _measure_norm(np.abs(resid), mass, spec)
     gap = 0.0
     for _ in range(IRLS_MAX_STEPS):
         if value == 0.0:
             break
-        step = _wls_step(part, _irls_weights(resid, value, mass, spec, rank), resid, n)
-        d = _synthesize(TrigPoly(step), part)
-        t = (_l1_step(resid.real.ravel(), d.real.ravel(), mass.ravel()) if rank
-             else _line_search(resid, d, mass, spec))
+        step = _wls_step(part, _irls_weights(resid, value, mass, spec), resid, n)
+        t = _line_search(resid, _synthesize(TrigPoly(step), part), mass, spec)
         trial = TrigPoly(poly.coeffs + t * step)
         trial_resid = subtract_poly(cache, trial).gl_values
         trial_value = _measure_norm(np.abs(trial_resid), mass, spec)
@@ -343,13 +257,13 @@ def _irls(cache: DenseGridCache, mass: np.ndarray, poly: TrigPoly, spec: NormSpe
         if trial_value >= value:
             break
         poly, resid, value = trial, trial_resid, trial_value
-        if gap <= tol:
+        if gap <= IRLS_TOL:
             break
-    return poly, resid, value, gap
+    return poly, value, gap
 
 
-def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormSpec,
-                  rank: int) -> np.ndarray:
+def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray,
+                  spec: NormSpec) -> np.ndarray:
     """IRLS weights at the residual ``resid`` of norm ``value`` (see :func:`_irls`)."""
     w = np.abs(resid)
     if spec.kind == "orlicz":
@@ -357,10 +271,7 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
         np.maximum(w, 1e-300, out=w)
         w = (np.log1p(w) + w / (1.0 + w)) / w
     else:
-        floor = IRLS_FLOOR * w.max()
-        if rank:
-            floor = max(floor, np.partition(w.ravel(), rank)[rank])
-        np.power(np.maximum(w, floor, out=w), spec.p - 2.0, out=w)
+        np.power(np.maximum(w, IRLS_FLOOR * w.max(), out=w), spec.p - 2.0, out=w)
     w *= mass
     return w
 
@@ -368,9 +279,10 @@ def _irls_weights(resid: np.ndarray, value: float, mass: np.ndarray, spec: NormS
 def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormSpec) -> float:
     """The ``t`` minimizing ``||resid - t d||`` by Brent's :func:`minimize_scalar`.
 
-    Off L1 of real samples (:func:`_l1_step`) every norm is smooth along the
-    line.  A Luxemburg norm starts each root search at the norm of the
-    previous evaluation, which is close once the search narrows.
+    The norm is convex along the line, with kinks in L1, where Brent's
+    search still ends within its ``xtol``.  A Luxemburg norm starts each root
+    search at the norm of the previous evaluation, which is close once the
+    search narrows.
     """
     # the objective runs a dozen times; a fresh temporary of this size would
     # be an mmap and its page faults on every call
@@ -388,24 +300,6 @@ def _line_search(resid: np.ndarray, d: np.ndarray, mass: np.ndarray, spec: NormS
         return value
 
     return minimize_scalar(objective, bracket=(0.0, 1.0)).x
-
-
-def _l1_step(r: np.ndarray, d: np.ndarray, m: np.ndarray) -> float:
-    """The ``t`` minimizing ``sum m |r - t d|`` over real ``r``, ``d``.
-
-    The sum is ``sum m_j |d_j| |r_j / d_j - t|`` plus the constant terms of
-    ``d_j = 0``: piecewise linear and convex in ``t``, with its kinks at
-    ``r_j / d_j``.  Its minimizer is their weighted median, the first kink
-    in sorted order at which the cumulative weight ``m_j |d_j|`` reaches half
-    the total.  0 when ``d`` vanishes.
-    """
-    live = d != 0.0
-    if not live.any():
-        return 0.0
-    kinks = r[live] / d[live]
-    order = np.argsort(kinks)
-    cum = np.cumsum((m[live] * np.abs(d[live]))[order])
-    return float(kinks[order[np.searchsorted(cum, 0.5 * cum[-1])]])
 
 
 # ----------------------------------------------------------------------------
@@ -516,7 +410,6 @@ class BesovSum:
     value: float
     terms: list = field(repr=False)
     truncated: bool = False
-    converged: bool = True
 
 
 def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
@@ -573,8 +466,7 @@ def besov_sum(f, n: int, spec: NormSpec, eps: float = 1e-6,
         if e <= 1e-12:
             break
         nu += 1
-    return BesovSum(value=total, terms=terms, truncated=truncated,
-                    converged=not truncated)
+    return BesovSum(value=total, terms=terms, truncated=truncated)
 
 
 @dataclass

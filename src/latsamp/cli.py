@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"latsamp {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
-        csv_help = f"CSV columns: {','.join(command.columns)}"
+        csv_help = f"CSV columns: {', '.join(command.columns)}"
         q = sub.add_parser(name, help=csv_help, description=csv_help)
         for key, k in _KEYS.items():
             if k.flag:

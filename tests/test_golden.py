@@ -11,6 +11,7 @@ value, with an absolute floor where a cell is zero in exact arithmetic.
 """
 
 import copy
+import re
 
 import pytest
 
@@ -45,6 +46,17 @@ def test_help_matches_the_record(words):
     """Every flag, its metavar and its help string, and each subcommand's CSV
     columns, as ``--help`` prints them at a terminal width of 80."""
     assert g.run_help(words) == g.GOLDEN.joinpath(g.help_file(words)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", sorted(g.cli._COMMANDS))
+def test_help_prints_each_column_name_whole(command):
+    """Each CSV column name of a subcommand is one word of ``latsamp --help``
+    and of its own ``--help`` at a terminal width of 80: the names are
+    joined by ``", "``, and argparse wraps lines only at spaces."""
+    for words in ([], [command]):
+        printed = set(re.split(r"[\s,]+", g.run_help(words)))
+        split = [name for name in g.cli._COMMANDS[command].columns if name not in printed]
+        assert not split, (words, split)
 
 
 def _replace_cell(record, line, column, text):

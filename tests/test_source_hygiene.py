@@ -1,8 +1,10 @@
 """Source hygiene of ``src/latsamp``, read with ``ast`` alone (no linter needed):
-no import is left unused and no private module-level name is left unreferenced."""
+no import is left unused, and no private module-level name or ``UPPER_CASE``
+constant is left unreferenced."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -61,27 +63,34 @@ def _top_level_imports(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
-def _private_definitions(tree):
-    """``(name, line)`` of each module-level def, class or assigned name ``_x``."""
+def _definitions(tree):
+    """``(name, line)`` of each module-level def, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [(node.name, node.lineno)]
+            yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             stored = node.targets if isinstance(node, ast.Assign) else [node.target]
-            targets = [(t.id, node.lineno) for target in stored for t in ast.walk(target)
-                       if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
-        else:
-            continue
-        for name, line in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, line
+            yield from ((t.id, node.lineno) for target in stored for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
 
 
-def _src_references():
-    """Every name read anywhere in ``src/``, as a name or an attribute, with
-    the names other modules import."""
+def _private_definitions(tree):
+    """``(name, line)`` of each module-level definition ``_x``."""
+    return [(name, line) for name, line in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _constants(tree):
+    """``(name, line)`` of each module-level ``UPPER_CASE`` definition."""
+    return [(name, line) for name, line in _definitions(tree)
+            if re.fullmatch(r"[A-Z][A-Z0-9_]*", name)]
+
+
+def _src_references(trees=TREES.values()):
+    """Every name read anywhere in ``trees`` (``src/``), as a name or an
+    attribute, with the names other modules import."""
     names = set()
-    for tree in TREES.values():
+    for tree in trees:
         names |= _read_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
@@ -107,11 +116,24 @@ def test_every_private_name_is_referenced():
     assert not dead, dead
 
 
+def test_every_constant_is_read():
+    referenced = _src_references()
+    unread = [f"{module}:{line} {name}" for module, tree in sorted(TREES.items())
+              for name, line in _constants(tree) if name not in referenced]
+    assert not unread, unread
+
+
 def test_the_checks_see_what_they_check():
-    """A left-behind import and a left-behind private helper are both caught,
-    and an attribute of the same name does not hide the import."""
+    """A left-behind import, private helper and constant are each caught, an
+    attribute of the same name does not hide the import, and a constant read
+    by name, by attribute or by ``from ... import`` elsewhere is kept."""
     tree = ast.parse("import os\nfrom math import pi\n\ndef _helper():\n    return np.pi\n")
     used = _read_names(tree) | _exported(tree)
     assert [name for name, _ in _top_level_imports(tree) if name not in used] == ["os", "pi"]
     assert [name for name, _ in _private_definitions(tree)
             if name not in _read_names(tree)] == ["_helper"]
+    consts = ast.parse("LEFT = 1\nREAD, BY_ATTR = 2, 3\nIMPORTED: int = 4\n"
+                       "LOWER_then = 5\n\ndef f():\n    return READ\n")
+    other = ast.parse("from m import IMPORTED\nx = m.BY_ATTR\n")
+    assert [name for name, _ in _constants(consts)
+            if name not in _src_references([consts, other])] == ["LEFT"]
